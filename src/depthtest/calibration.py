@@ -23,17 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .depths import DepthKind, _directions, depth_values, projection_outlyingness
+from .depths import DepthKind, _directions, projection_outlyingness
 from .errors import DimensionMismatch, DomainError, UnknownStatistic
-from .multi_sample import (
-    coerce_groups,
-    min_statistic_k,
-    product_statistic_k,
-    quality_matrix_from_rows,
-    sum_statistic_k,
-)
-from .quality import QualityPair
+from .multi_sample import min_statistic_k, product_statistic_k, sum_statistic_k
+from .quality import pooled_depth_rows, quality_matrix_from_rows
 from .rng import TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, standard_normals, substream
+from .samples import coerce_groups, group_slices
 from .special import chi2_1_sf, norm_sf
 from .two_sample import (
     TestOutcome,
@@ -147,21 +142,18 @@ class _StatisticEngine:
     _CACHE_ELEMENT_CAP = 20_000_000
 
     def __init__(self, groups, kind: DepthKind | None, names, reuse: bool = False) -> None:
-        self.mats = coerce_groups(groups)
-        self.sizes = [m.shape[0] for m in self.mats]
-        self.k = len(self.mats)
+        self.pooled, self.sizes = coerce_groups(groups)
+        self.k = len(self.sizes)
         self.kind = kind
         self.names = tuple(names)
         for name in self.names:
             require_supported(name, self.k)
             if name in _DEPTH_BASED and kind is None:
                 raise ValueError(f"statistic {name!r} needs a DepthKind")
-        self.pooled = np.vstack(self.mats)
         if "cramer" in self.names and self.pooled.shape[1] != 1:
             raise DimensionMismatch("cramer statistic expects 1-D samples")
-        offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        self.slices = [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(self.k)]
-        self.total = int(offsets[-1])
+        self.slices = group_slices(self.sizes)
+        self.total = self.pooled.shape[0]
         self.dist = cdist(self.pooled, self.pooled) if "energy" in self.names else None
         self._need_rows = any(name in _DEPTH_BASED for name in self.names)
         self._need_quality = any(
@@ -192,7 +184,7 @@ class _StatisticEngine:
 
     def _depth_rows(self, order: np.ndarray | None, arranged: np.ndarray) -> list[np.ndarray]:
         if self._unit_tensor is None and self._pooled_proj is None:
-            return [depth_values(arranged, arranged[sl], self.kind) for sl in self.slices]
+            return pooled_depth_rows(arranged, self.sizes, self.kind)
         row_of = self._spatial_row if self._unit_tensor is not None else self._projection_row
         rows = []
         for sl in self.slices:
@@ -215,11 +207,7 @@ class _StatisticEngine:
                 if "sum" in self.names:
                     out["sum"] = sum_statistic_k(qm)
                 if "max" in self.names:
-                    pair = QualityPair(
-                        q_fg=float(qm.q[0, 1]), q_gf=float(qm.q[1, 0]),
-                        m=self.sizes[0], n=self.sizes[1],
-                    )
-                    out["max"] = max_statistic(pair)
+                    out["max"] = max_statistic(qm.pair())
             if "dbr" in self.names:
                 out["dbr"] = dbr_from_depth_rows(rows, self.sizes)
             if "bdbr" in self.names:
@@ -246,12 +234,8 @@ def evaluate_statistics(groups, names, kind: DepthKind | None) -> dict[str, floa
     return _StatisticEngine(groups, kind, names).values()
 
 
-def evaluate_statistic(groups, name: str, kind: DepthKind | None) -> float:
-    """Observed value of one named statistic."""
-    return evaluate_statistics(groups, (name,), kind)[name]
-
-
-def _outcome(name, observed, p, method, kind, sizes) -> TestOutcome:
+def statistic_outcome(name, observed, p, method, kind, sizes) -> TestOutcome:
+    """One result row; only depth-based statistics carry the depth kind."""
     return TestOutcome(
         statistic_name=name,
         statistic=float(observed),
@@ -285,7 +269,9 @@ def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationS
     outcomes = []
     for name in names:
         p = (1.0 + counts[name]) / (spec.replications + 1.0)
-        outcomes.append(_outcome(name, observed[name], p, "permutation", kind, engine.sizes))
+        outcomes.append(
+            statistic_outcome(name, observed[name], p, "permutation", kind, engine.sizes)
+        )
     return outcomes
 
 

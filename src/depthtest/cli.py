@@ -24,6 +24,7 @@ from .calibration import (
     mc_asymptotic_min_pvalue,
     permutation_report,
     require_supported,
+    statistic_outcome,
 )
 from .dataset import LabeledDataset, load_csv
 from .depths import DEFAULT_DIRECTION_COUNT, VALID_KINDS, DepthKind
@@ -112,6 +113,16 @@ def _load_groups(config: RunConfig) -> tuple[LabeledDataset, list]:
     return dataset, list(dataset.groups.values())
 
 
+def _asymptotic_pvalue(name: str, value: float, sizes, config: RunConfig) -> tuple[float, str]:
+    """Limit-law p-value of ``min`` (or ``max``, two groups only) and its method."""
+    if name == "max":
+        return chi2_1_pvalue(value), "asymptotic"
+    if len(sizes) == 2:
+        return half_normal_pvalue(value), "asymptotic"
+    spec = CalibrationSpec(method="monte_carlo", replications=config.mc_draws, seed=config.seed)
+    return mc_asymptotic_min_pvalue(value, sizes, spec), "monte_carlo"
+
+
 def _run_tests(config: RunConfig) -> dict:
     dataset, groups = _load_groups(config)
     k = len(groups)
@@ -131,75 +142,38 @@ def _run_tests(config: RunConfig) -> dict:
     for name in depth_names:
         require_supported(name, k)
 
+    # One evaluation of the observed partition: permutation_report already
+    # returns the observed values alongside its p-values.
     perm_outcomes: dict[str, TestOutcome] = {}
+    observed: dict[str, float] = {}
     if depth_names and config.permutations > 0:
         spec = CalibrationSpec(
             method="permutation", replications=config.permutations, seed=config.seed
         )
-        for outcome in permutation_report(groups, depth_names, config.depth, spec):
-            perm_outcomes[outcome.statistic_name] = outcome
-    observed = (
-        evaluate_statistics(groups, depth_names, config.depth) if depth_names else {}
-    )
+        report = permutation_report(groups, depth_names, config.depth, spec)
+        perm_outcomes = {outcome.statistic_name: outcome for outcome in report}
+        observed = {name: outcome.statistic for name, outcome in perm_outcomes.items()}
+    elif depth_names:
+        observed = evaluate_statistics(groups, depth_names, config.depth)
 
-    rows = []
+    outcomes = []
     for name in config.statistics:
         if name in MANOVA_KINDS:
-            rows.append(_outcome_row(manova(groups[0], groups[1], name), config.seed))
+            outcomes.append(manova(groups[0], groups[1], name))
             continue
+        asymptotic = config.asymptotic and name in ("min", "max")
         if name in perm_outcomes:
-            rows.append(_outcome_row(perm_outcomes[name], config.seed))
-        elif not config.asymptotic or name not in ("min", "max"):
-            rows.append(
-                _outcome_row(
-                    TestOutcome(
-                        statistic_name=name,
-                        statistic=observed[name],
-                        p_value=None,
-                        method="none",
-                        depth_kind=config.depth,
-                        sizes=sizes,
-                    ),
-                    config.seed,
-                )
+            outcomes.append(perm_outcomes[name])
+        elif not asymptotic:
+            outcomes.append(
+                statistic_outcome(name, observed[name], None, "none", config.depth, sizes)
             )
-        if config.asymptotic and name == "min":
-            value = observed[name]
-            if k == 2:
-                p, method = half_normal_pvalue(value), "asymptotic"
-            else:
-                spec = CalibrationSpec(
-                    method="monte_carlo", replications=config.mc_draws, seed=config.seed
-                )
-                p, method = mc_asymptotic_min_pvalue(value, sizes, spec), "monte_carlo"
-            rows.append(
-                _outcome_row(
-                    TestOutcome(
-                        statistic_name=name,
-                        statistic=value,
-                        p_value=p,
-                        method=method,
-                        depth_kind=config.depth,
-                        sizes=sizes,
-                    ),
-                    config.seed,
-                )
+        if asymptotic:
+            p, method = _asymptotic_pvalue(name, observed[name], sizes, config)
+            outcomes.append(
+                statistic_outcome(name, observed[name], p, method, config.depth, sizes)
             )
-        if config.asymptotic and name == "max" and k == 2:
-            value = observed[name]
-            rows.append(
-                _outcome_row(
-                    TestOutcome(
-                        statistic_name=name,
-                        statistic=value,
-                        p_value=chi2_1_pvalue(value),
-                        method="asymptotic",
-                        depth_kind=config.depth,
-                        sizes=sizes,
-                    ),
-                    config.seed,
-                )
-            )
+    rows = [_outcome_row(outcome, config.seed) for outcome in outcomes]
     return {"results": rows, "labels": list(dataset.labels)}
 
 
@@ -368,6 +342,23 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+def _checked(convert, valid, requirement: str):
+    """argparse type: ``convert`` the flag text, then reject values that fail
+    ``valid`` as a usage error (exit 2) stating ``requirement``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: {requirement}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid <type> value"
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "must be >= 1")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depthtest",
@@ -377,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--depth", choices=VALID_KINDS, default="mahalanobis")
-        p.add_argument("--directions", type=int, default=DEFAULT_DIRECTION_COUNT,
+        p.add_argument("--directions", type=_COUNT, default=DEFAULT_DIRECTION_COUNT,
                        help="projection depth direction count")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -394,24 +385,28 @@ def _build_parser() -> argparse.ArgumentParser:
         add_input(p)
         p.add_argument("--stats", type=_str_list, required=True,
                        help=f"comma list from {', '.join(STATISTIC_NAMES + MANOVA_KINDS)}")
-        p.add_argument("--perms", type=int, default=0, help="permutation replications B")
+        p.add_argument("--perms", type=_checked(int, lambda v: v >= 0, "must be >= 0"),
+                       default=0, help="permutation replications B")
         p.add_argument("--asymptotic", action="store_true",
                        help="also report asymptotic/Monte-Carlo p-values for min (and max)")
-        p.add_argument("--mc-draws", type=int, default=1_000_000,
+        p.add_argument("--mc-draws", type=_COUNT, default=1_000_000,
                        help="draws for the k-sample asymptotic Monte-Carlo p-value")
         add_common(p)
 
     for name in ("power", "type1"):
         p = sub.add_parser(name, help=f"{name} simulation study")
         p.add_argument("--scenario", choices=tuple(SCENARIOS), required=True)
-        p.add_argument("--m-grid", type=_int_list, default=None,
+        p.add_argument("--m-grid", default=None,
+                       type=_checked(_int_list, lambda grid: all(m >= 4 for m in grid),
+                                     "every entry must be >= 4"),
                        help="comma list of first-group sizes; default from --profile")
         p.add_argument("--size-rule", choices=SIZE_RULES, default="equal")
-        p.add_argument("--reps", type=int, default=None,
+        p.add_argument("--reps", type=_COUNT, default=None,
                        help="replications; default from --profile")
         p.add_argument("--profile", choices=tuple(PROFILES), default="desk",
                        help="desk: minutes-scale defaults; full: the original study scale")
-        p.add_argument("--alpha", type=float, default=0.05)
+        p.add_argument("--alpha", type=_checked(float, lambda v: 0.0 < v < 1.0,
+                                                "must be inside (0, 1)"), default=0.05)
         if name == "power":
             p.add_argument("--stats", type=_str_list, default=None)
         add_common(p)

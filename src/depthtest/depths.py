@@ -49,14 +49,6 @@ class DepthKind:
             raise ValueError("direction_count must be >= 1 for projection depth")
 
 
-@dataclass(frozen=True, eq=False)
-class DepthVector:
-    """Depth values for a batch of query points against one reference."""
-
-    values: np.ndarray
-    reference_size: int
-
-
 def _spd_cholesky(matrix: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix, refusing near-singular
     input: any pivot at or below 1e-12 times the largest diagonal raises
@@ -156,7 +148,11 @@ def _projection_depths(query: np.ndarray, reference: np.ndarray, kind: DepthKind
 
 
 def depth_values(query, reference, kind: DepthKind) -> np.ndarray:
-    """Raw depth array; the fast path used throughout the package."""
+    """Depth of each query row against the empirical reference sample.
+
+    Deterministic given the inputs and, for projection depth, the
+    direction seed. Values are always inside [0, 1].
+    """
     query = as_sample_matrix(query, "query")
     reference = as_sample_matrix(reference, "reference")
     require_same_dimension(query, reference)
@@ -165,14 +161,3 @@ def depth_values(query, reference, kind: DepthKind) -> np.ndarray:
     if kind.kind == "spatial":
         return _spatial_depths(query, reference)
     return _projection_depths(query, reference, kind)
-
-
-def depth(query, reference, kind: DepthKind) -> DepthVector:
-    """Depth of each query row against the empirical reference sample.
-
-    Deterministic given the inputs and, for projection depth, the
-    direction seed. Values are always inside [0, 1].
-    """
-    reference = as_sample_matrix(reference, "reference")
-    values = depth_values(query, reference, kind)
-    return DepthVector(values=values, reference_size=reference.shape[0])

@@ -1,76 +1,22 @@
-"""k-sample generalizations built on the pairwise quality-index matrix.
+"""k-sample statistics built on the pairwise quality-index matrix.
 
-Every ordered pair of groups contributes one directed quality index,
-computed exactly like the two-sample case with the first group of the
-pair as reference. The minimum statistic generalizes to the maximum of
-the standardized centered terms over all ordered pairs; product and sum
-aggregate all ordered-pair indices.
+The matrix itself (:class:`~depthtest.quality.QualityMatrix`) comes from
+:mod:`depthtest.quality`: every ordered pair of groups contributes one
+directed quality index, with the first group of the pair as reference.
+The minimum statistic generalizes to the maximum of the standardized
+centered terms over all ordered pairs; product and sum aggregate all
+ordered-pair indices. At k = 2 each statistic here equals its two-sample
+form in :mod:`depthtest.two_sample`, which is this k = 2 case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .depths import DepthKind, depth_values
-from .quality import directed_quality
-from .samples import as_sample_matrix, require_same_dimension
+from .depths import DepthKind
+from .quality import QualityMatrix, pooled_depth_rows
+from .samples import coerce_groups
 from .two_sample import _pair_scale, dbr_from_depth_rows
-
-
-@dataclass(frozen=True, eq=False)
-class QualityMatrix:
-    """Directed quality indices q[i][j] = Q(group_i as reference, group_j).
-
-    The diagonal is unused (NaN). Entry (i, j) is an integer multiple of
-    1/(sizes[i] * sizes[j]).
-    """
-
-    q: np.ndarray
-    sizes: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.sizes)
-
-
-def coerce_groups(groups) -> list[np.ndarray]:
-    """Validate a list of >= 2 sample matrices sharing one dimension."""
-    mats = [as_sample_matrix(g, f"group {i}") for i, g in enumerate(groups)]
-    if len(mats) < 2:
-        raise ValueError("need at least 2 groups")
-    for other in mats[1:]:
-        require_same_dimension(mats[0], other)
-    return mats
-
-
-def pooled_depth_rows(groups: list[np.ndarray], kind: DepthKind) -> list[np.ndarray]:
-    """Depths of the pooled arrangement against each group's empirical
-    distribution; one row per reference group."""
-    pooled = np.vstack(groups)
-    return [depth_values(pooled, g, kind) for g in groups]
-
-
-def quality_matrix_from_rows(rows: list[np.ndarray], sizes: list[int]) -> QualityMatrix:
-    k = len(sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    slices = [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(k)]
-    q = np.full((k, k), np.nan)
-    for i in range(k):
-        ref_depths = rows[i][slices[i]]
-        for j in range(k):
-            if i == j:
-                continue
-            q[i, j] = directed_quality(ref_depths, rows[i][slices[j]])
-    return QualityMatrix(q=q, sizes=tuple(sizes))
-
-
-def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
-    """All k(k-1) directed quality indices for a list of groups."""
-    mats = coerce_groups(groups)
-    rows = pooled_depth_rows(mats, kind)
-    return quality_matrix_from_rows(rows, [m.shape[0] for m in mats])
 
 
 def min_statistic_k(qm: QualityMatrix) -> float:
@@ -107,6 +53,5 @@ def dbr_statistic_k(groups, kind: DepthKind) -> float:
     k > 2 it averages the Kruskal-Wallis-type rank aggregate over the k
     reference distributions (natural extension, calibrated by permutation).
     """
-    mats = coerce_groups(groups)
-    rows = pooled_depth_rows(mats, kind)
-    return dbr_from_depth_rows(rows, [m.shape[0] for m in mats])
+    pooled, sizes = coerce_groups(groups)
+    return dbr_from_depth_rows(pooled_depth_rows(pooled, sizes, kind), sizes)

@@ -1,10 +1,16 @@
-"""The directed quality index Q between two empirical samples.
+"""Directed quality indices Q between empirical samples.
 
 Q(F_m, G_n) is the average, over the second sample, of the fraction of the
 reference sample whose depth does not exceed the query point's depth; ties
 count via the weak inequality. Both directions are computed because the
 reference role is not symmetric. Under homogeneity each direction centers
 on 1/2.
+
+For k groups every ordered pair (i, j) gives one index, with group i as
+reference. All of them come from the same depth rows: the groups are
+pooled once and the whole pooled sample is depthed against each group's
+empirical distribution (:func:`pooled_depth_rows`). The two-sample pair
+:func:`quality` is entries (0, 1) and (1, 0) of the k = 2 matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .depths import DepthKind, depth_values
 from .errors import SizeLimit
-from .samples import as_sample_matrix, require_same_dimension
+from .samples import as_sample_matrix, coerce_groups, group_slices, require_same_dimension
 
 ORACLE_CAP = 64
 
@@ -33,6 +39,29 @@ class QualityPair:
     n: int
 
 
+@dataclass(frozen=True, eq=False)
+class QualityMatrix:
+    """Directed quality indices q[i][j] = Q(group_i as reference, group_j).
+
+    The diagonal is unused (NaN). Entry (i, j) is an integer multiple of
+    1/(sizes[i] * sizes[j]).
+    """
+
+    q: np.ndarray
+    sizes: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.sizes)
+
+    def pair(self) -> QualityPair:
+        """The two-sample view of groups 0 and 1: entries (0, 1) and (1, 0)."""
+        return QualityPair(
+            q_fg=float(self.q[0, 1]), q_gf=float(self.q[1, 0]),
+            m=self.sizes[0], n=self.sizes[1],
+        )
+
+
 def directed_quality(ref_depths: np.ndarray, other_depths: np.ndarray) -> float:
     """Q with the first argument's sample as reference.
 
@@ -44,18 +73,36 @@ def directed_quality(ref_depths: np.ndarray, other_depths: np.ndarray) -> float:
     return int(counts.sum()) / (ref_depths.size * other_depths.size)
 
 
+def pooled_depth_rows(pooled: np.ndarray, sizes, kind: DepthKind) -> list[np.ndarray]:
+    """Depths of every pooled row against each group's empirical
+    distribution; one row per reference group, the groups being the
+    consecutive ``sizes`` blocks of ``pooled``."""
+    return [depth_values(pooled, pooled[sl], kind) for sl in group_slices(sizes)]
+
+
+def quality_matrix_from_rows(rows: list[np.ndarray], sizes) -> QualityMatrix:
+    """All k(k-1) directed quality indices from :func:`pooled_depth_rows`."""
+    k = len(sizes)
+    slices = group_slices(sizes)
+    q = np.full((k, k), np.nan)
+    for i in range(k):
+        ref_depths = rows[i][slices[i]]
+        for j in range(k):
+            if i == j:
+                continue
+            q[i, j] = directed_quality(ref_depths, rows[i][slices[j]])
+    return QualityMatrix(q=q, sizes=tuple(sizes))
+
+
+def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
+    """All k(k-1) directed quality indices for a list of groups."""
+    pooled, sizes = coerce_groups(groups)
+    return quality_matrix_from_rows(pooled_depth_rows(pooled, sizes, kind), sizes)
+
+
 def quality(x, y, kind: DepthKind) -> QualityPair:
     """Both directed quality indices Q(F_m, G_n) and Q(G_n, F_m)."""
-    x = as_sample_matrix(x, "x")
-    y = as_sample_matrix(y, "y")
-    require_same_dimension(x, y)
-    m, n = x.shape[0], y.shape[0]
-    pooled = np.vstack([x, y])
-    under_x = depth_values(pooled, x, kind)
-    under_y = depth_values(pooled, y, kind)
-    q_fg = directed_quality(under_x[:m], under_x[m:])
-    q_gf = directed_quality(under_y[m:], under_y[:m])
-    return QualityPair(q_fg=q_fg, q_gf=q_gf, m=m, n=n)
+    return quality_matrix([x, y], kind).pair()
 
 
 def quality_brute_oracle(x, y, kind: DepthKind) -> QualityPair:

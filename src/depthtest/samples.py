@@ -2,10 +2,14 @@
 
 A sample set is an (n, d) float array: n observations in d coordinates.
 Every public operation funnels its inputs through :func:`as_sample_matrix`
-so the finiteness/shape invariants hold package-wide.
+so the finiteness/shape invariants hold package-wide. A list of groups is
+validated once by :func:`coerce_groups` and stacked into one pooled matrix
+whose consecutive row blocks (:func:`group_slices`) are the groups.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,3 +42,26 @@ def require_same_dimension(x: np.ndarray, y: np.ndarray) -> int:
             f"column counts differ: {x.shape[1]} vs {y.shape[1]}"
         )
     return x.shape[1]
+
+
+def coerce_groups(groups) -> tuple[np.ndarray, list[int]]:
+    """Validate a list of >= 2 sample matrices sharing one dimension.
+
+    Returns the groups stacked in order into one pooled matrix, and the
+    group sizes.
+    """
+    mats = [as_sample_matrix(g, f"group {i}") for i, g in enumerate(groups)]
+    if len(mats) < 2:
+        raise ValueError("need at least 2 groups")
+    for other in mats[1:]:
+        require_same_dimension(mats[0], other)
+    return np.vstack(mats), [m.shape[0] for m in mats]
+
+
+def group_slices(sizes) -> list[slice]:
+    """Row block of each group in a pooled matrix stacked in group order.
+
+    Plain Python: it runs several times per permutation replication, where
+    numpy's per-call overhead on a k-element array would dominate.
+    """
+    return [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]

@@ -5,6 +5,11 @@ the modified depth-rank test) plus the classical baselines they are
 benchmarked against: the MANOVA trio, the univariate Cramer statistic,
 and the energy distance. All functions return raw statistic values;
 p-values live in :mod:`depthtest.calibration`.
+
+The depth statistics are the k = 2 case of the k-sample machinery: their
+quality pair and depth rows come from :mod:`depthtest.quality`, and at
+two groups the k-sample statistics of :mod:`depthtest.multi_sample`
+reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import f as f_dist
 
-from .depths import DepthKind, _spd_cholesky, depth_values
+from .depths import DepthKind, _spd_cholesky
 from .errors import (
     DimensionMismatch,
     SingularCovariance,
@@ -23,8 +28,8 @@ from .errors import (
     TiedRanks,
     UnknownStatistic,
 )
-from .quality import QualityPair
-from .samples import as_sample_matrix, require_same_dimension
+from .quality import QualityPair, pooled_depth_rows
+from .samples import as_sample_matrix, coerce_groups, group_slices, require_same_dimension
 
 MANOVA_KINDS = ("wilks", "hotelling", "pillai")
 
@@ -114,11 +119,6 @@ def _distinct_ranks(depths: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _group_slices(sizes: list[int]) -> list[slice]:
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(len(sizes))]
-
-
 def dbr_from_depth_rows(depth_rows: list[np.ndarray], sizes: list[int]) -> float:
     """Depth-rank statistic from precomputed pooled depth rows.
 
@@ -128,7 +128,7 @@ def dbr_from_depth_rows(depth_rows: list[np.ndarray], sizes: list[int]) -> float
     """
     total = sum(sizes)
     t = len(sizes)
-    slices = _group_slices(sizes)
+    slices = group_slices(sizes)
     acc = 0.0
     for row in depth_rows:
         ranks = depth_ranks(row)
@@ -140,12 +140,8 @@ def dbr_from_depth_rows(depth_rows: list[np.ndarray], sizes: list[int]) -> float
 
 def dbr_statistic(x, y, kind: DepthKind) -> float:
     """Depth-based rank statistic for two groups; upper-tail rejection."""
-    x = as_sample_matrix(x, "x")
-    y = as_sample_matrix(y, "y")
-    require_same_dimension(x, y)
-    pooled = np.vstack([x, y])
-    rows = [depth_values(pooled, x, kind), depth_values(pooled, y, kind)]
-    return dbr_from_depth_rows(rows, [x.shape[0], y.shape[0]])
+    pooled, sizes = coerce_groups([x, y])
+    return dbr_from_depth_rows(pooled_depth_rows(pooled, sizes, kind), sizes)
 
 
 def _ordered_rank_deviation(ordered_ranks: np.ndarray, total: int, own: int, other: int) -> float:
@@ -201,12 +197,8 @@ def bdbr_multivariate(x, y, kind: DepthKind) -> float:
     against each group's empirical distribution, the opposite sample's
     ordered ranks are standardized by their null moments, and the larger
     of the two aggregates is returned. Upper-tail rejection."""
-    x = as_sample_matrix(x, "x")
-    y = as_sample_matrix(y, "y")
-    require_same_dimension(x, y)
-    pooled = np.vstack([x, y])
-    rows = [depth_values(pooled, x, kind), depth_values(pooled, y, kind)]
-    return bdbr_from_depth_rows(rows, [x.shape[0], y.shape[0]])
+    pooled, sizes = coerce_groups([x, y])
+    return bdbr_from_depth_rows(pooled_depth_rows(pooled, sizes, kind), sizes)
 
 
 # ---------------------------------------------------------------------------

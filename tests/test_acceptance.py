@@ -46,7 +46,7 @@ def null_min_values():
     values = np.empty(spec.replications)
     for r in range(spec.replications):
         groups = dt.sample_scenario(spec, 500, r)
-        values[r] = dt.evaluate_statistic(groups, "min", MAHAL)
+        values[r] = dt.evaluate_statistics(groups, ("min",), MAHAL)["min"]
     return values
 
 

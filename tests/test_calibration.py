@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthtest import (
     CalibrationSpec,
@@ -9,7 +11,6 @@ from depthtest import (
     UnknownStatistic,
     chi2_1_pvalue,
     default_tail,
-    evaluate_statistic,
     evaluate_statistics,
     half_normal_pvalue,
     mc_asymptotic_min_pvalue,
@@ -101,7 +102,7 @@ class TestEvaluation:
     def test_cramer_evaluation(self, rng):
         x = rng.normal(size=(8, 1))
         y = rng.normal(size=(6, 1))
-        assert evaluate_statistic([x, y], "cramer", None) == pytest.approx(
+        assert evaluate_statistics([x, y], ("cramer",), None)["cramer"] == pytest.approx(
             cramer_univariate(x, y), rel=1e-15
         )
 
@@ -109,11 +110,11 @@ class TestEvaluation:
         groups = [rng.normal(size=(5, 2)) for _ in range(3)]
         for name in ("max", "bdbr", "energy"):
             with pytest.raises(UnknownStatistic):
-                evaluate_statistic(groups, name, MAHAL)
+                evaluate_statistics(groups, (name,), MAHAL)[name]
 
     def test_unknown_name(self, rng):
         with pytest.raises(UnknownStatistic):
-            evaluate_statistic([rng.normal(size=(4, 1))] * 2, "ks", MAHAL)
+            evaluate_statistics([rng.normal(size=(4, 1))] * 2, ("ks",), MAHAL)["ks"]
 
 
 class TestPermutation:
@@ -179,6 +180,37 @@ class TestPermutation:
         bound = 0.05 + 1.0 / (b_count + 1)
         noise = 3.0 * (bound * (1.0 - bound) / reps) ** 0.5
         assert hits / reps <= bound + noise
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize(
+    "kind",
+    (
+        DepthKind("mahalanobis"),
+        DepthKind("spatial"),
+        DepthKind("projection", direction_count=64, direction_seed=5),
+    ),
+    ids=lambda kind: kind.kind,
+)
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(
+    d=st.integers(1, 3),
+    extra=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_permutation_report_observed_equals_evaluate_statistics(kind, k, d, extra, seed):
+    # the reuse caches (spatial unit tensor, pooled projections) against the
+    # uncached per-partition evaluation, on the observed partition
+    rng = np.random.default_rng(seed)
+    groups = [rng.normal(size=(d + 2 + e, d)) for e in extra[:k]]
+    if k == 2:
+        names = ("min", "max", "product", "sum", "dbr", "bdbr", "energy")
+    else:
+        names = ("min", "product", "sum", "dbr")
+    spec = CalibrationSpec(method="permutation", replications=1, seed=seed)
+    report = permutation_report(groups, names, kind, spec)
+    observed = {outcome.statistic_name: outcome.statistic for outcome in report}
+    assert observed == evaluate_statistics(groups, names, kind)
 
 
 class TestMcAsymptotic:

@@ -100,6 +100,26 @@ class TestTwoSampleCommand:
         assert lines[1].startswith("min,")
 
 
+    @pytest.mark.parametrize("perms", ("0", "9"))
+    def test_non_depth_statistics_carry_no_depth_label(self, tmp_path, rng, perms):
+        data = tmp_path / "uni.csv"
+        out = tmp_path / "report.json"
+        lines = ["v,grp"] + [f"{float(v)!r},{'ab'[i % 2]}" for i, v in enumerate(rng.normal(size=24))]
+        data.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "two-sample", "--input", str(data), "--group", "grp",
+                "--stats", "energy,cramer,min", "--perms", perms, "--depth", "spatial",
+                "--output", str(out),
+            ]
+        )
+        assert code == 0
+        rows = json.loads(out.read_text())["results"]
+        assert {r["statistic_name"]: r["depth"] for r in rows} == {
+            "energy": "", "cramer": "", "min": "spatial",
+        }
+
+
 class TestKSampleCommand:
     def test_skulls_easy_epochs_do_not_reject(self, tmp_path):
         out = tmp_path / "report.json"
@@ -173,6 +193,37 @@ class TestExitCodes:
         data.write_text("v,grp\n1,a\n2,b\n")
         code = main(["two-sample", "--input", str(data), "--group", "cohort", "--stats", "min"])
         assert code == 1
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["two-sample", "--perms", "-5"],
+            ["k-sample", "--mc-draws", "0"],
+            ["two-sample", "--directions", "0"],
+            ["power", "--reps", "0"],
+            ["type1", "--m-grid", "2"],
+            ["power", "--m-grid", "10,3"],
+            ["power", "--alpha", "1.5"],
+            ["type1", "--alpha", "0"],
+        ),
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_of_range_flag_is_usage_error(self, argv, capsys):
+        if argv[0] in ("two-sample", "k-sample"):
+            required = [
+                "--input", str(skulls_path()), "--group", "epoch",
+                "--groups", "c4000BC,cAD150", "--stats", "min",
+            ]
+        else:
+            required = ["--scenario", "null"]
+        # any exception other than argparse's exit would reach the user as a traceback
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *required])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}:" in err
+        assert "Traceback" not in err
 
 
 class TestSimulationCommands:

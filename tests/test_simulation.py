@@ -9,7 +9,7 @@ from depthtest import (
     DomainError,
     ScenarioSpec,
     UnknownStatistic,
-    evaluate_statistic,
+    evaluate_statistics,
     power_table,
     sample_scenario,
     type1_quantiles,
@@ -92,14 +92,15 @@ class TestTypeOne:
         spec = _spec(replications=1, m_grid=(12,), seed=21)
         table = type1_quantiles(spec)
         groups = sample_scenario(spec, 12, 0)
-        assert table.rows[0].quantile == evaluate_statistic(groups, "min", MAHAL)
+        assert table.rows[0].quantile == evaluate_statistics(groups, ("min",), MAHAL)["min"]
         assert table.reference == ASYMPTOTIC_UPPER_95
 
     def test_quantile_matches_sort_oracle(self):
         spec = _spec(replications=7, m_grid=(10,), seed=22)
         table = type1_quantiles(spec)
         values = sorted(
-            evaluate_statistic(sample_scenario(spec, 10, r), "min", MAHAL) for r in range(7)
+            evaluate_statistics(sample_scenario(spec, 10, r), ("min",), MAHAL)["min"]
+            for r in range(7)
         )
         expected = values[math.ceil(0.95 * 7) - 1]
         assert table.rows[0].quantile == expected
