@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .depths import DepthKind, _directions, projection_outlyingness
+from .depths import (
+    DepthKind,
+    _directions,
+    _spatial_from_sums,
+    _unit_components,
+    projection_outlyingness,
+)
 from .errors import DimensionMismatch, DomainError, UnknownStatistic
 from .multi_sample import min_statistic_k, product_statistic_k, sum_statistic_k
 from .quality import pooled_depth_rows, quality_matrix_from_rows
@@ -133,10 +139,10 @@ class _StatisticEngine:
     pooled distance matrix, if energy is requested, is computed once per
     engine and sliced per partition. With ``reuse=True`` (permutation
     loops) partition-independent geometry is cached up front: spatial
-    depth becomes a gather over the pooled unit-vector tensor and
-    projection depth reuses the pooled projections onto the fixed
-    direction set. Both shortcuts reproduce the plain per-partition
-    evaluation bit for bit (same summands, same order).
+    depth sums rows gathered from the pooled unit-vector coordinates
+    (d, N, N), and projection depth reuses the pooled projections onto
+    the fixed direction set. Both shortcuts reproduce the plain
+    per-partition evaluation bit for bit (same summands, same order).
     """
 
     _CACHE_ELEMENT_CAP = 20_000_000
@@ -159,33 +165,28 @@ class _StatisticEngine:
         self._need_quality = any(
             name in ("min", "max", "product", "sum") for name in self.names
         )
-        self._unit_tensor: np.ndarray | None = None
+        self._unit_comps: np.ndarray | None = None
         self._pooled_proj: np.ndarray | None = None
         if reuse and self._need_rows and kind is not None:
             n, d = self.pooled.shape
             if kind.kind == "spatial" and n * n * d <= self._CACHE_ELEMENT_CAP:
-                diff = self.pooled[:, None, :] - self.pooled[None, :, :]
-                dist = np.sqrt(np.einsum("abd,abd->ab", diff, diff))
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    diff /= dist[:, :, None]
-                diff[dist == 0.0] = 0.0
-                self._unit_tensor = diff
+                self._unit_comps = _unit_components(self.pooled, self.pooled)
             elif kind.kind == "projection":
                 dirs = _directions(kind.direction_seed, kind.direction_count, d)
                 self._pooled_proj = self.pooled @ dirs.T
 
     def _spatial_row(self, idx: np.ndarray) -> np.ndarray:
-        avg = self._unit_tensor[:, idx, :].sum(axis=1) / idx.size
-        return np.clip(1.0 - np.sqrt(np.einsum("ad,ad->a", avg, avg)), 0.0, 1.0)
+        sums = np.stack([comps[idx].sum(axis=0) for comps in self._unit_comps])
+        return _spatial_from_sums(sums, idx.size)
 
     def _projection_row(self, idx: np.ndarray) -> np.ndarray:
         outly = projection_outlyingness(self._pooled_proj[idx], self._pooled_proj)
         return 1.0 / (1.0 + outly)
 
     def _depth_rows(self, order: np.ndarray | None, arranged: np.ndarray) -> list[np.ndarray]:
-        if self._unit_tensor is None and self._pooled_proj is None:
+        if self._unit_comps is None and self._pooled_proj is None:
             return pooled_depth_rows(arranged, self.sizes, self.kind)
-        row_of = self._spatial_row if self._unit_tensor is not None else self._projection_row
+        row_of = self._spatial_row if self._unit_comps is not None else self._projection_row
         rows = []
         for sl in self.slices:
             idx = np.arange(sl.start, sl.stop) if order is None else order[sl]

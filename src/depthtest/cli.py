@@ -27,10 +27,17 @@ from .calibration import (
     statistic_outcome,
 )
 from .dataset import LabeledDataset, load_csv
-from .depths import DEFAULT_DIRECTION_COUNT, VALID_KINDS, DepthKind
+from .depths import DEFAULT_DIRECTION_COUNT, VALID_KINDS, DepthKind, min_reference_rows
 from .errors import DepthTestError, UnknownStatistic
 from .scale_curve import default_alpha_grid, scale_curve
-from .simulation import ScenarioSpec, SCENARIOS, SIZE_RULES, power_table, type1_quantiles
+from .simulation import (
+    SCENARIOS,
+    SIZE_RULES,
+    ScenarioSpec,
+    group_sizes,
+    power_table,
+    type1_quantiles,
+)
 from .two_sample import MANOVA_KINDS, TestOutcome, manova
 
 TEST_COMMANDS = ("two-sample", "k-sample")
@@ -227,7 +234,7 @@ def _scenario_spec(config: RunConfig) -> ScenarioSpec:
     # reflect the resolved values in the emitted config block
     config.m_grid = m_grid
     config.replications = replications
-    return ScenarioSpec(
+    spec = ScenarioSpec(
         scenario=config.scenario,
         m_grid=m_grid,
         size_rule=config.size_rule,
@@ -236,6 +243,18 @@ def _scenario_spec(config: RunConfig) -> ScenarioSpec:
         seed=config.seed,
         alpha_level=config.alpha_level,
     )
+    # every group is a depth reference, so a group below the depth's minimum
+    # would end the run midway; refuse it before the first draw
+    dim = SCENARIOS[config.scenario][0][0].size
+    need = min_reference_rows(config.depth, dim)
+    for m in m_grid:
+        smallest = min(group_sizes(spec, m))
+        if smallest < need:
+            raise UsageError(
+                f"--m-grid {m} with --size-rule {config.size_rule} gives a group of "
+                f"{smallest} row(s); {config.depth.kind} depth needs at least {need}"
+            )
+    return spec
 
 
 def _run_scale_curve(config: RunConfig) -> dict:
@@ -413,7 +432,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale-curve", help="depth-trimmed region volumes per group")
     add_input(p)
-    p.add_argument("--alphas", type=_float_list, default=None,
+    p.add_argument("--alphas", default=None,
+                   type=_checked(_float_list,
+                                 lambda alphas: bool(alphas)
+                                 and all(0.0 < a <= 1.0 for a in alphas)
+                                 and all(a < b for a, b in zip(alphas, alphas[1:])),
+                                 "must be a nonempty, strictly increasing list inside (0, 1]"),
                    help="comma list of trimming levels; default 0.01..0.99")
     add_common(p)
     return parser

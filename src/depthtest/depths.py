@@ -6,7 +6,12 @@ reference sample:
 * ``mahalanobis``: 1 / (1 + (x - xbar)' S^-1 (x - xbar)), with the sample
   mean and the (m - 1)-denominator sample covariance S.
 * ``spatial``: 1 - || mean_i (x - x_i) / ||x - x_i|| ||, zero-distance
-  terms contributing a zero vector.
+  terms contributing a zero vector. The unit vectors come one coordinate
+  at a time from a single distance matrix and are summed in reference
+  order with no BLAS call, so each depth depends only on its own query
+  row: duplicate rows tie exactly, a 1-D depth is exactly
+  1 - |#{x_i < x} - #{x_i > x}| / m, and no value depends on the thread
+  count.
 * ``projection``: 1 / (1 + O(x)) where O(x) is the maximum over unit
   directions u of |u'x - med(u'X)| / MAD(u'X). The supremum is
   approximated by a fixed, seeded set of random directions shared by all
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import DegenerateSample, SingularCovariance
 from .rng import TAG_DIRECTIONS, standard_normals, substream
@@ -47,6 +53,13 @@ class DepthKind:
             raise ValueError(f"unknown depth kind {self.kind!r}; expected one of {VALID_KINDS}")
         if self.kind == "projection" and self.direction_count < 1:
             raise ValueError("direction_count must be >= 1 for projection depth")
+
+
+def min_reference_rows(kind: DepthKind, dim: int) -> int:
+    """Fewest reference rows for which the depth is defined at dimension
+    ``dim``: Mahalanobis needs an invertible covariance (d + 1 rows),
+    projection a nonzero MAD (2 rows), spatial any row at all."""
+    return {"mahalanobis": dim + 1, "projection": 2, "spatial": 1}[kind.kind]
 
 
 def _spd_cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -82,19 +95,38 @@ def _mahalanobis_depths(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + quad)
 
 
+def _unit_components(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Coordinates of the unit vectors from each reference row to each query
+    row: ``comps[j, i, a] = (query[a, j] - reference[i, j]) / ||query[a] -
+    reference[i]||``, C-contiguous (d, m, q), so that ``comps[j][i]`` is
+    one contiguous row. Coincident pairs divide by infinity and so give
+    exact zeros."""
+    dist = cdist(reference, query)
+    dist[dist == 0.0] = np.inf
+    comps = np.subtract(query.T[:, None, :], reference.T[:, :, None], order="C")
+    comps /= dist
+    return comps
+
+
+def _spatial_from_sums(sums: np.ndarray, m: int) -> np.ndarray:
+    """Spatial depths from the (d, q) unit-vector sums over m reference rows."""
+    avg = sums / m
+    return np.clip(1.0 - np.sqrt((avg * avg).sum(axis=0)), 0.0, 1.0)
+
+
 def _spatial_depths(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    m = reference.shape[0]
-    out = np.empty(query.shape[0])
-    for start in range(0, query.shape[0], _SPATIAL_CHUNK):
-        chunk = query[start : start + _SPATIAL_CHUNK]
-        diff = chunk[:, None, :] - reference[None, :, :]
-        dist = np.sqrt(np.einsum("qmd,qmd->qm", diff, diff))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = diff / dist[:, :, None]
-        unit[dist == 0.0] = 0.0
-        avg = unit.sum(axis=1) / m
-        out[start : start + _SPATIAL_CHUNK] = 1.0 - np.sqrt(np.einsum("qd,qd->q", avg, avg))
-    return np.clip(out, 0.0, 1.0)
+    q = query.shape[0]
+    out = np.empty(q)
+    for start in range(0, q, _SPATIAL_CHUNK):
+        block = query[start : start + _SPATIAL_CHUNK]
+        # numpy sums the reference axis of a one-column block pairwise, not
+        # in reference order like every wider block; pad it with a copy.
+        width = block.shape[0]
+        if width == 1:
+            block = np.vstack([block, block])
+        sums = _unit_components(block, reference).sum(axis=1)
+        out[start : start + width] = _spatial_from_sums(sums, reference.shape[0])[:width]
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -134,6 +134,29 @@ def shoelace_hull_area(points: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Spatial depth, one query point and one reference row at a time.
+# ---------------------------------------------------------------------------
+
+
+def spatial_depth_brute(query, reference) -> list[float]:
+    """1 - ||mean_i (x - x_i) / ||x - x_i|| ||, skipping coincident points."""
+    ref = [[float(v) for v in row] for row in np.asarray(reference, dtype=float)]
+    out = []
+    for x in np.asarray(query, dtype=float):
+        acc = [0.0] * len(ref[0])
+        for xi in ref:
+            diff = [float(a) - b for a, b in zip(x, xi)]
+            norm = math.sqrt(sum(v * v for v in diff))
+            if norm == 0.0:
+                continue
+            for j, v in enumerate(diff):
+                acc[j] += v / norm
+        length = math.sqrt(sum((a / len(ref)) ** 2 for a in acc))
+        out.append(min(max(1.0 - length, 0.0), 1.0))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Brute-force rank statistics from given pooled depth rows.
 # ---------------------------------------------------------------------------
 

@@ -30,6 +30,9 @@ from depthtest import (
     product_statistic,
     sum_statistic,
 )
+from depthtest.calibration import _StatisticEngine
+from depthtest.quality import pooled_depth_rows
+from depthtest.rng import TAG_PERMUTATION, substream
 
 MAHAL = DepthKind("mahalanobis")
 
@@ -211,6 +214,60 @@ def test_permutation_report_observed_equals_evaluate_statistics(kind, k, d, extr
     report = permutation_report(groups, names, kind, spec)
     observed = {outcome.statistic_name: outcome.statistic for outcome in report}
     assert observed == evaluate_statistics(groups, names, kind)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize(
+    "kind",
+    (
+        DepthKind("mahalanobis"),
+        DepthKind("spatial"),
+        DepthKind("projection", direction_count=64, direction_seed=5),
+    ),
+    ids=lambda kind: kind.kind,
+)
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(
+    d=st.integers(1, 3),
+    extra=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+    shared_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, seed):
+    # replays every permuted partition through the plain one-partition path:
+    # the reuse caches must give the same depth rows and statistics bit for
+    # bit, hence the same exceedance counts and p-values
+    rng = np.random.default_rng(seed)
+    groups = [rng.normal(size=(d + 3 + e, d)) for e in extra[:k]]
+    if shared_row:  # one point twice: its two depths must tie exactly
+        groups[-1][-1] = groups[0][0]
+    if k == 2:
+        names = ("min", "max", "product", "sum", "dbr", "bdbr", "energy")
+    else:
+        names = ("min", "product", "sum", "dbr")
+    spec = CalibrationSpec(method="permutation", replications=7, seed=seed)
+    report = {o.statistic_name: o for o in permutation_report(groups, names, kind, spec)}
+
+    pooled = np.vstack(groups)
+    sizes = [g.shape[0] for g in groups]
+    engine = _StatisticEngine(groups, kind, names, reuse=True)
+    counts = dict.fromkeys(names, 0)
+    for b in range(spec.replications):
+        order = substream(spec.seed, TAG_PERMUTATION, b).permutation(pooled.shape[0])
+        arranged = pooled[order]
+        cached = engine._depth_rows(order, arranged)
+        plain = pooled_depth_rows(arranged, sizes, kind)
+        assert all(np.array_equal(c, p) for c, p in zip(cached, plain))
+        looped = evaluate_statistics(np.split(arranged, np.cumsum(sizes)[:-1]), names, kind)
+        assert engine.values(order) == looped
+        for name in names:
+            observed = report[name].statistic
+            if default_tail(name) == "upper":
+                counts[name] += looped[name] >= observed
+            else:
+                counts[name] += looped[name] <= observed
+    for name in names:
+        assert report[name].p_value == (1.0 + counts[name]) / (spec.replications + 1.0)
 
 
 class TestMcAsymptotic:

@@ -206,6 +206,11 @@ class TestExitCodes:
             ["power", "--m-grid", "10,3"],
             ["power", "--alpha", "1.5"],
             ["type1", "--alpha", "0"],
+            ["scale-curve", "--alphas", "1.5"],
+            ["scale-curve", "--alphas", "0"],
+            ["scale-curve", "--alphas", "0.5,0.2"],
+            ["scale-curve", "--alphas", "0.2,0.2"],
+            ["scale-curve", "--alphas", ","],
         ),
         ids=lambda argv: " ".join(argv),
     )
@@ -215,6 +220,8 @@ class TestExitCodes:
                 "--input", str(skulls_path()), "--group", "epoch",
                 "--groups", "c4000BC,cAD150", "--stats", "min",
             ]
+        elif argv[0] == "scale-curve":
+            required = ["--input", str(skulls_path()), "--group", "epoch"]
         else:
             required = ["--scenario", "null"]
         # any exception other than argparse's exit would reach the user as a traceback
@@ -227,6 +234,36 @@ class TestExitCodes:
 
 
 class TestSimulationCommands:
+    @pytest.mark.parametrize(
+        "depth, m, need",
+        (("mahalanobis", 4, 3), ("mahalanobis", 8, 3), ("projection", 4, 2)),
+    )
+    def test_group_below_depth_minimum_is_usage_error(self, depth, m, need, capsys):
+        # the half rule gives three_group_a groups of (m, m // 2, m // 4) rows
+        code = main(
+            [
+                "power", "--scenario", "three_group_a", "--size-rule", "half",
+                "--m-grid", f"12,{m}", "--reps", "2", "--depth", depth,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--m-grid {m} with --size-rule half gives a group of {m // 4} row(s)" in err
+        assert f"needs at least {need}" in err
+
+    @pytest.mark.parametrize("depth, m", (("mahalanobis", 12), ("projection", 8), ("spatial", 4)))
+    def test_group_at_depth_minimum_runs(self, depth, m, tmp_path):
+        out = tmp_path / "power.json"
+        code = main(
+            [
+                "power", "--scenario", "three_group_a", "--size-rule", "half",
+                "--m-grid", str(m), "--reps", "2", "--depth", depth, "--directions", "50",
+                "--output", str(out),
+            ]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["results"]
+
     def test_type1_rows(self, tmp_path):
         out = tmp_path / "type1.csv"
         code = main(

@@ -9,6 +9,8 @@ from depthtest import (
     depth_values,
 )
 
+from oracles import spatial_depth_brute
+
 MAHAL = DepthKind("mahalanobis")
 SPATIAL = DepthKind("spatial")
 PROJ = DepthKind("projection", direction_count=128, direction_seed=7)
@@ -34,6 +36,41 @@ class TestHandValues:
     def test_spatial_symmetric_cross_center(self):
         ref = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         assert depth_values([[0.0, 0.0]], ref, SPATIAL)[0] == pytest.approx(1.0, abs=1e-15)
+
+
+class TestSpatialKernel:
+    @pytest.mark.parametrize("offset", (0.0, 1e6))
+    @pytest.mark.parametrize("d", (1, 2, 4))
+    def test_matches_brute_oracle(self, d, offset, rng):
+        ref = offset + rng.normal(size=(23, d))
+        ref[5] = ref[0]
+        ref[17] = ref[0]
+        query = np.vstack([ref[:4], ref[0], offset + 2.0 * rng.normal(size=(9, d))])
+        got = depth_values(query, ref, SPATIAL)
+        assert np.max(np.abs(got - spatial_depth_brute(query, ref))) <= 1e-12
+
+    @pytest.mark.parametrize("d", (2, 3, 9, 10))
+    def test_duplicate_query_rows_tie_exactly(self, d, rng):
+        # 513 query rows: two full blocks of 256, then a block of one row
+        ref = rng.normal(size=(300, d))
+        query = rng.normal(size=(513, d))
+        positions = [0, 1, 255, 256, 300, 511, 512]
+        query[positions] = query[0]
+        got = depth_values(query, ref, SPATIAL)
+        assert len({got[i] for i in positions}) == 1
+        # and a row alone gets the bits it gets among the others
+        for i in (0, 77, 512):
+            assert depth_values(query[i : i + 1], ref, SPATIAL)[0] == got[i]
+
+    def test_univariate_depth_is_count_difference(self, rng):
+        ref = rng.integers(-2, 6, size=(37, 1)).astype(float)
+        query = np.arange(-3.0, 7.0, 0.5).reshape(-1, 1)
+        got = depth_values(query, ref, SPATIAL)
+        m = ref.shape[0]
+        for x, depth in zip(query[:, 0], got):
+            below = int(np.sum(ref[:, 0] < x))
+            above = int(np.sum(ref[:, 0] > x))
+            assert depth == 1.0 - abs(below - above) / m
 
 
 class TestRangeAndDeterminism:
