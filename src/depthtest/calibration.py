@@ -23,16 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .depths import (
-    DepthKind,
-    _directions,
-    _spatial_from_sums,
-    _unit_components,
-    projection_outlyingness,
-)
+from .depths import DepthKind, pooled_depths
 from .errors import DimensionMismatch, DomainError, UnknownStatistic
 from .multi_sample import min_statistic_k, product_statistic_k, sum_statistic_k
-from .quality import pooled_depth_rows, quality_matrix_from_rows
+from .quality import partition_depth_rows, quality_matrix_from_rows
 from .rng import TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, standard_normals, substream
 from .samples import coerce_groups, group_slices
 from .special import chi2_1_sf, norm_sf
@@ -50,6 +44,7 @@ STATISTIC_NAMES = ("min", "max", "product", "sum", "dbr", "bdbr", "energy", "cra
 _LOWER_TAIL = frozenset({"product", "sum"})
 _TWO_GROUP_ONLY = frozenset({"max", "bdbr", "energy", "cramer"})
 _DEPTH_BASED = frozenset({"min", "max", "product", "sum", "dbr", "bdbr"})
+_QUALITY_BASED = frozenset({"min", "max", "product", "sum"})
 
 _MC_CHUNK = 1 << 17
 
@@ -110,13 +105,19 @@ def default_tail(name: str) -> str:
     return "lower" if name in _LOWER_TAIL else "upper"
 
 
-def require_supported(name: str, group_count: int) -> None:
-    """Raise UnknownStatistic for names outside the implemented set or not
-    defined at this group count."""
-    if name not in STATISTIC_NAMES:
-        raise UnknownStatistic(f"unknown statistic {name!r}; expected one of {STATISTIC_NAMES}")
-    if name in _TWO_GROUP_ONLY and group_count != 2:
-        raise UnknownStatistic(f"statistic {name!r} is only defined for 2 groups")
+def require_statistics(names, group_count: int) -> tuple[str, ...]:
+    """The requested names as a tuple; raises UnknownStatistic for a name
+    outside the implemented set, undefined at this group count, or repeated
+    (its exceedances would be counted once per request)."""
+    names = tuple(names)
+    for position, name in enumerate(names):
+        if name not in STATISTIC_NAMES:
+            raise UnknownStatistic(f"unknown statistic {name!r}; expected one of {STATISTIC_NAMES}")
+        if name in _TWO_GROUP_ONLY and group_count != 2:
+            raise UnknownStatistic(f"statistic {name!r} is only defined for 2 groups")
+        if name in names[:position]:
+            raise UnknownStatistic(f"statistic {name!r} is requested more than once")
+    return names
 
 
 def half_normal_pvalue(x: float) -> float:
@@ -134,71 +135,33 @@ def chi2_1_pvalue(x: float) -> float:
 class _StatisticEngine:
     """Shared evaluator for one pooled sample under re-partitioning.
 
-    Depth rows (pooled depths against each reference group) are computed
-    once per partition and reused by every requested depth statistic; the
-    pooled distance matrix, if energy is requested, is computed once per
-    engine and sliced per partition. With ``reuse=True`` (permutation
-    loops) partition-independent geometry is cached up front: spatial
-    depth sums rows gathered from the pooled unit-vector coordinates
-    (d, N, N), and projection depth reuses the pooled projections onto
-    the fixed direction set. Both shortcuts reproduce the plain
-    per-partition evaluation bit for bit (same summands, same order).
+    ``values(order)`` evaluates the partition that puts pooled row
+    ``order[p]`` at position p. The observed partition is the identity
+    order, so one-off evaluation and permutation loops run the same
+    arithmetic. The depth geometry (:func:`~depthtest.depths.pooled_depths`)
+    and, for energy, the pooled distance matrix are built once per engine;
+    each partition's depth rows are formed once and shared by every
+    requested depth statistic.
     """
 
-    _CACHE_ELEMENT_CAP = 20_000_000
-
-    def __init__(self, groups, kind: DepthKind | None, names, reuse: bool = False) -> None:
+    def __init__(self, groups, kind: DepthKind | None, names) -> None:
         self.pooled, self.sizes = coerce_groups(groups)
-        self.k = len(self.sizes)
-        self.kind = kind
-        self.names = tuple(names)
-        for name in self.names:
-            require_supported(name, self.k)
-            if name in _DEPTH_BASED and kind is None:
-                raise ValueError(f"statistic {name!r} needs a DepthKind")
+        self.names = require_statistics(names, len(self.sizes))
+        depth_names = [name for name in self.names if name in _DEPTH_BASED]
+        if depth_names and kind is None:
+            raise ValueError(f"statistic {depth_names[0]!r} needs a DepthKind")
         if "cramer" in self.names and self.pooled.shape[1] != 1:
             raise DimensionMismatch("cramer statistic expects 1-D samples")
         self.slices = group_slices(self.sizes)
         self.total = self.pooled.shape[0]
         self.dist = cdist(self.pooled, self.pooled) if "energy" in self.names else None
-        self._need_rows = any(name in _DEPTH_BASED for name in self.names)
-        self._need_quality = any(
-            name in ("min", "max", "product", "sum") for name in self.names
-        )
-        self._unit_comps: np.ndarray | None = None
-        self._pooled_proj: np.ndarray | None = None
-        if reuse and self._need_rows and kind is not None:
-            n, d = self.pooled.shape
-            if kind.kind == "spatial" and n * n * d <= self._CACHE_ELEMENT_CAP:
-                self._unit_comps = _unit_components(self.pooled, self.pooled)
-            elif kind.kind == "projection":
-                dirs = _directions(kind.direction_seed, kind.direction_count, d)
-                self._pooled_proj = self.pooled @ dirs.T
+        self._depths_against = pooled_depths(self.pooled, kind) if depth_names else None
+        self._need_quality = not _QUALITY_BASED.isdisjoint(self.names)
 
-    def _spatial_row(self, idx: np.ndarray) -> np.ndarray:
-        sums = np.stack([comps[idx].sum(axis=0) for comps in self._unit_comps])
-        return _spatial_from_sums(sums, idx.size)
-
-    def _projection_row(self, idx: np.ndarray) -> np.ndarray:
-        outly = projection_outlyingness(self._pooled_proj[idx], self._pooled_proj)
-        return 1.0 / (1.0 + outly)
-
-    def _depth_rows(self, order: np.ndarray | None, arranged: np.ndarray) -> list[np.ndarray]:
-        if self._unit_comps is None and self._pooled_proj is None:
-            return pooled_depth_rows(arranged, self.sizes, self.kind)
-        row_of = self._spatial_row if self._unit_comps is not None else self._projection_row
-        rows = []
-        for sl in self.slices:
-            idx = np.arange(sl.start, sl.stop) if order is None else order[sl]
-            row = row_of(idx)
-            rows.append(row if order is None else row[order])
-        return rows
-
-    def values(self, order: np.ndarray | None = None) -> dict[str, float]:
-        arranged = self.pooled if order is None else self.pooled[order]
+    def values(self, order: np.ndarray) -> dict[str, float]:
         out: dict[str, float] = {}
-        if self._need_rows:
-            rows = self._depth_rows(order, arranged)
+        if self._depths_against is not None:
+            rows = partition_depth_rows(self._depths_against, self.slices, order)
             if self._need_quality:
                 qm = quality_matrix_from_rows(rows, self.sizes)
                 if "min" in self.names:
@@ -214,8 +177,7 @@ class _StatisticEngine:
             if "bdbr" in self.names:
                 out["bdbr"] = bdbr_from_depth_rows(rows, self.sizes)
         if "energy" in self.names:
-            idx = np.arange(self.total) if order is None else order
-            ia, ib = idx[self.slices[0]], idx[self.slices[1]]
+            ia, ib = order[self.slices[0]], order[self.slices[1]]
             e_hat = _energy_from_blocks(
                 self.dist[np.ix_(ia, ia)],
                 self.dist[np.ix_(ib, ib)],
@@ -225,14 +187,15 @@ class _StatisticEngine:
             out["energy"] = m * n / (m + n) * e_hat
         if "cramer" in self.names:
             out["cramer"] = cramer_univariate(
-                arranged[self.slices[0]], arranged[self.slices[1]]
+                self.pooled[order[self.slices[0]]], self.pooled[order[self.slices[1]]]
             )
         return out
 
 
 def evaluate_statistics(groups, names, kind: DepthKind | None) -> dict[str, float]:
     """Observed values of several statistics on one fixed partition."""
-    return _StatisticEngine(groups, kind, names).values()
+    engine = _StatisticEngine(groups, kind, names)
+    return engine.values(np.arange(engine.total))
 
 
 def statistic_outcome(name, observed, p, method, kind, sizes) -> TestOutcome:
@@ -254,8 +217,8 @@ def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationS
     from substream (seed, b); every statistic sees the same partitions, so
     each entry matches a standalone :func:`permutation_pvalue` call exactly.
     """
-    engine = _StatisticEngine(groups, kind, names, reuse=True)
-    observed = engine.values()
+    engine = _StatisticEngine(groups, kind, names)
+    observed = engine.values(np.arange(engine.total))
     tails = {name: spec.tail or default_tail(name) for name in names}
     counts = {name: 0 for name in names}
     for b in range(spec.replications):

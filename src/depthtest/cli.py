@@ -23,18 +23,16 @@ from .calibration import (
     half_normal_pvalue,
     mc_asymptotic_min_pvalue,
     permutation_report,
-    require_supported,
     statistic_outcome,
 )
 from .dataset import LabeledDataset, load_csv
-from .depths import DEFAULT_DIRECTION_COUNT, VALID_KINDS, DepthKind, min_reference_rows
+from .depths import DEFAULT_DIRECTION_COUNT, VALID_KINDS, DepthKind
 from .errors import DepthTestError, UnknownStatistic
 from .scale_curve import default_alpha_grid, scale_curve
 from .simulation import (
     SCENARIOS,
     SIZE_RULES,
     ScenarioSpec,
-    group_sizes,
     power_table,
     type1_quantiles,
 )
@@ -146,8 +144,6 @@ def _run_tests(config: RunConfig) -> dict:
     depth_names = [s for s in config.statistics if s not in MANOVA_KINDS]
     if manova_names and config.command != "two-sample":
         raise UsageError("MANOVA statistics are two-sample only")
-    for name in depth_names:
-        require_supported(name, k)
 
     # One evaluation of the observed partition: permutation_report already
     # returns the observed values alongside its p-values.
@@ -234,27 +230,18 @@ def _scenario_spec(config: RunConfig) -> ScenarioSpec:
     # reflect the resolved values in the emitted config block
     config.m_grid = m_grid
     config.replications = replications
-    spec = ScenarioSpec(
-        scenario=config.scenario,
-        m_grid=m_grid,
-        size_rule=config.size_rule,
-        depth=config.depth,
-        replications=replications,
-        seed=config.seed,
-        alpha_level=config.alpha_level,
-    )
-    # every group is a depth reference, so a group below the depth's minimum
-    # would end the run midway; refuse it before the first draw
-    dim = SCENARIOS[config.scenario][0][0].size
-    need = min_reference_rows(config.depth, dim)
-    for m in m_grid:
-        smallest = min(group_sizes(spec, m))
-        if smallest < need:
-            raise UsageError(
-                f"--m-grid {m} with --size-rule {config.size_rule} gives a group of "
-                f"{smallest} row(s); {config.depth.kind} depth needs at least {need}"
-            )
-    return spec
+    try:
+        return ScenarioSpec(
+            scenario=config.scenario,
+            m_grid=m_grid,
+            size_rule=config.size_rule,
+            depth=config.depth,
+            replications=replications,
+            seed=config.seed,
+            alpha_level=config.alpha_level,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _run_scale_curve(config: RunConfig) -> dict:

@@ -42,8 +42,11 @@ def load_csv(path, group_column, has_header: bool = True) -> LabeledDataset:
     """Load a labeled dataset; raises ParseError subclasses with row/column
     context on malformed input."""
     path = Path(path)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            rows = list(csv.reader(handle))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows = [row for row in rows if row]
     if not rows:
         raise ParseError(f"{path}: file is empty")

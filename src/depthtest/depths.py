@@ -17,6 +17,10 @@ reference sample:
   approximated by a fixed, seeded set of random directions shared by all
   query points of one call; MAD is the raw median absolute deviation with
   no consistency factor.
+
+Depths of a pooled sample against groups of its own rows come from
+:func:`pooled_depths`, which builds the partition-independent geometry
+once and gathers the reference rows of every partition from it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ VALID_KINDS = ("mahalanobis", "spatial", "projection")
 DEFAULT_DIRECTION_COUNT = 500
 
 _SPATIAL_CHUNK = 256
+
+# largest (d, N, N) spatial coordinate array pooled_depths keeps (160 MB)
+_CACHE_ELEMENT_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -193,3 +200,24 @@ def depth_values(query, reference, kind: DepthKind) -> np.ndarray:
     if kind.kind == "spatial":
         return _spatial_depths(query, reference)
     return _projection_depths(query, reference, kind)
+
+
+def pooled_depths(pooled: np.ndarray, kind: DepthKind):
+    """``against(idx)``: the depths of every row of the sample matrix
+    ``pooled`` against its rows ``pooled[idx]``.
+
+    Spatial depth sums, in ``idx`` order, rows of the pooled unit-vector
+    coordinates (d, N, N) while they fit ``_CACHE_ELEMENT_CAP``; projection
+    depth gathers rows of the pooled projections. Otherwise each call runs
+    the plain kernel.
+    """
+    n, d = pooled.shape
+    if kind.kind == "spatial" and n * n * d <= _CACHE_ELEMENT_CAP:
+        comps = _unit_components(pooled, pooled)
+        return lambda idx: _spatial_from_sums(
+            np.stack([coord[idx].sum(axis=0) for coord in comps]), len(idx)
+        )
+    if kind.kind == "projection":
+        proj = pooled @ _directions(kind.direction_seed, kind.direction_count, d).T
+        return lambda idx: 1.0 / (1.0 + projection_outlyingness(proj[idx], proj))
+    return lambda idx: depth_values(pooled, pooled[idx], kind)

@@ -34,7 +34,7 @@ class DomainError(DepthTestError):
 
 
 class UnknownStatistic(DepthTestError):
-    """Statistic name not in the implemented set."""
+    """Statistic name unknown, undefined at this group count, or repeated."""
 
 
 class ParseError(DepthTestError):

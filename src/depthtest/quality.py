@@ -9,7 +9,9 @@ on 1/2.
 For k groups every ordered pair (i, j) gives one index, with group i as
 reference. All of them come from the same depth rows: the groups are
 pooled once and the whole pooled sample is depthed against each group's
-empirical distribution (:func:`pooled_depth_rows`). The two-sample pair
+empirical distribution (:func:`pooled_depth_rows`, the identity order of
+:func:`partition_depth_rows`, which permutation loops call per
+re-partition). The two-sample pair
 :func:`quality` is entries (0, 1) and (1, 0) of the k = 2 matrix.
 """
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depths import DepthKind, depth_values
+from .depths import DepthKind, depth_values, pooled_depths
 from .errors import SizeLimit
 from .samples import as_sample_matrix, coerce_groups, group_slices, require_same_dimension
 
@@ -73,11 +75,19 @@ def directed_quality(ref_depths: np.ndarray, other_depths: np.ndarray) -> float:
     return int(counts.sum()) / (ref_depths.size * other_depths.size)
 
 
+def partition_depth_rows(depths_against, slices, order: np.ndarray) -> list[np.ndarray]:
+    """Depth rows of the partition that puts pooled row ``order[p]`` at
+    position p and group g at positions ``slices[g]``: row g holds every
+    position's depth against group g, from :func:`~depthtest.depths.pooled_depths`."""
+    return [depths_against(order[sl])[order] for sl in slices]
+
+
 def pooled_depth_rows(pooled: np.ndarray, sizes, kind: DepthKind) -> list[np.ndarray]:
     """Depths of every pooled row against each group's empirical
     distribution; one row per reference group, the groups being the
-    consecutive ``sizes`` blocks of ``pooled``."""
-    return [depth_values(pooled, pooled[sl], kind) for sl in group_slices(sizes)]
+    consecutive ``sizes`` blocks of ``pooled`` (the identity partition)."""
+    order = np.arange(pooled.shape[0])
+    return partition_depth_rows(pooled_depths(pooled, kind), group_slices(sizes), order)
 
 
 def quality_matrix_from_rows(rows: list[np.ndarray], sizes) -> QualityMatrix:

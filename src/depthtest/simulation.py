@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import default_tail, evaluate_statistics, require_supported
-from .depths import DepthKind
+from .calibration import default_tail, evaluate_statistics, require_statistics
+from .depths import DepthKind, min_reference_rows
 from .errors import DomainError
 from .rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
 
@@ -72,6 +72,15 @@ class ScenarioSpec:
             raise ValueError("alpha_level must be inside (0, 1)")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        # every group is a depth reference: refuse one too small before any draw
+        need = min_reference_rows(self.depth, SCENARIOS[self.scenario][0][0].size)
+        for m in self.m_grid:
+            smallest = min(group_sizes(self, m))
+            if smallest < need:
+                raise ValueError(
+                    f"m_grid entry {m} with size_rule {self.size_rule!r} gives a group of "
+                    f"{smallest} row(s); {self.depth.kind} depth needs at least {need}"
+                )
 
     @property
     def group_count(self) -> int:
@@ -179,10 +188,7 @@ def _rejects(value: float, crit: float, tail: str) -> bool:
 def power_table(spec: ScenarioSpec, statistics) -> PowerTable:
     """Rejection rates under the scenario, against critical values estimated
     from a null run of the same sizes and depth."""
-    statistics = tuple(statistics)
-    k = spec.group_count
-    for name in statistics:
-        require_supported(name, k)
+    statistics = require_statistics(statistics, spec.group_count)
     tails = {name: default_tail(name) for name in statistics}
     eval_names = statistics if "min" in statistics else statistics + ("min",)
 

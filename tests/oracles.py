@@ -157,6 +157,22 @@ def spatial_depth_brute(query, reference) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# Depth rows of an arranged pooled sample, one depth call per group.
+# ---------------------------------------------------------------------------
+
+
+def arranged_depth_rows(arranged, sizes, depth) -> list:
+    """Depths of every row of ``arranged`` against each consecutive block of
+    ``sizes`` rows, by ``depth(query, reference)`` on the arranged rows
+    themselves, with no geometry shared between groups or partitions."""
+    rows, start = [], 0
+    for size in sizes:
+        rows.append(depth(arranged, arranged[start : start + size]))
+        start += size
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # Brute-force rank statistics from given pooled depth rows.
 # ---------------------------------------------------------------------------
 

@@ -11,6 +11,7 @@ from depthtest import (
     UnknownStatistic,
     chi2_1_pvalue,
     default_tail,
+    depth_values,
     evaluate_statistics,
     half_normal_pvalue,
     mc_asymptotic_min_pvalue,
@@ -31,8 +32,9 @@ from depthtest import (
     sum_statistic,
 )
 from depthtest.calibration import _StatisticEngine
-from depthtest.quality import pooled_depth_rows
+from depthtest.quality import partition_depth_rows
 from depthtest.rng import TAG_PERMUTATION, substream
+from oracles import arranged_depth_rows
 
 MAHAL = DepthKind("mahalanobis")
 
@@ -114,6 +116,14 @@ class TestEvaluation:
         for name in ("max", "bdbr", "energy"):
             with pytest.raises(UnknownStatistic):
                 evaluate_statistics(groups, (name,), MAHAL)[name]
+
+    def test_repeated_name_rejected(self, rng):
+        groups = [rng.normal(size=(8, 2)) for _ in range(2)]
+        spec = CalibrationSpec(method="permutation", replications=9, seed=0)
+        with pytest.raises(UnknownStatistic, match="'min' is requested more than once"):
+            permutation_report(groups, ("min", "min"), MAHAL, spec)
+        with pytest.raises(UnknownStatistic, match="'dbr' is requested more than once"):
+            evaluate_statistics(groups, ("dbr", "min", "dbr"), MAHAL)
 
     def test_unknown_name(self, rng):
         with pytest.raises(UnknownStatistic):
@@ -202,8 +212,8 @@ class TestPermutation:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_permutation_report_observed_equals_evaluate_statistics(kind, k, d, extra, seed):
-    # the reuse caches (spatial unit tensor, pooled projections) against the
-    # uncached per-partition evaluation, on the observed partition
+    # the observed values of the permutation loop against a one-off
+    # evaluation of the same groups
     rng = np.random.default_rng(seed)
     groups = [rng.normal(size=(d + 2 + e, d)) for e in extra[:k]]
     if k == 2:
@@ -234,9 +244,10 @@ def test_permutation_report_observed_equals_evaluate_statistics(kind, k, d, extr
     seed=st.integers(0, 2**32 - 1),
 )
 def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, seed):
-    # replays every permuted partition through the plain one-partition path:
-    # the reuse caches must give the same depth rows and statistics bit for
-    # bit, hence the same exceedance counts and p-values
+    # replays every permuted partition through a fresh one-partition
+    # evaluation of the arranged groups: the same statistics, hence the same
+    # exceedance counts and p-values; the depth rows also match the
+    # per-group depth_values oracle on the arranged sample
     rng = np.random.default_rng(seed)
     groups = [rng.normal(size=(d + 3 + e, d)) for e in extra[:k]]
     if shared_row:  # one point twice: its two depths must tie exactly
@@ -250,14 +261,17 @@ def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, 
 
     pooled = np.vstack(groups)
     sizes = [g.shape[0] for g in groups]
-    engine = _StatisticEngine(groups, kind, names, reuse=True)
+    engine = _StatisticEngine(groups, kind, names)
     counts = dict.fromkeys(names, 0)
     for b in range(spec.replications):
         order = substream(spec.seed, TAG_PERMUTATION, b).permutation(pooled.shape[0])
         arranged = pooled[order]
-        cached = engine._depth_rows(order, arranged)
-        plain = pooled_depth_rows(arranged, sizes, kind)
-        assert all(np.array_equal(c, p) for c, p in zip(cached, plain))
+        rows = partition_depth_rows(engine._depths_against, engine.slices, order)
+        oracle = arranged_depth_rows(arranged, sizes, lambda q, r: depth_values(q, r, kind))
+        # depth_values projects the reference and the query rows by separate
+        # matrix products, whose last bit can depend on a row's position
+        rtol = 1e-12 if kind.kind == "projection" else 0.0
+        assert all(np.allclose(got, want, rtol=rtol, atol=0.0) for got, want in zip(rows, oracle))
         looped = evaluate_statistics(np.split(arranged, np.cumsum(sizes)[:-1]), names, kind)
         assert engine.values(order) == looped
         for name in names:

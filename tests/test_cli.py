@@ -188,6 +188,34 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "binary.csv"
+        data.write_bytes(b"\x7fELF\x02\x01\x01\x00\xd0\x8f\xff,grp\n")
+        code = main(["two-sample", "--input", str(data), "--group", "grp", "--stats", "min"])
+        assert code == 1
+        assert f"{data}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["two-sample", "--stats", "min,min", "--perms", "19"],
+            ["two-sample", "--stats", "min,sum,min", "--perms", "0"],
+            ["power", "--stats", "min,min"],
+        ),
+        ids=("perms", "no-perms", "power"),
+    )
+    def test_repeated_statistic_is_usage_error(self, argv, capsys):
+        if argv[0] == "power":
+            required = ["--scenario", "null", "--m-grid", "10", "--reps", "2"]
+        else:
+            required = [
+                "--input", str(skulls_path()), "--group", "epoch",
+                "--groups", "c4000BC,c3300BC",
+            ]
+        code = main([*argv, *required])
+        assert code == 2
+        assert "statistic 'min' is requested more than once" in capsys.readouterr().err
+
     def test_missing_group_column(self, tmp_path):
         data = tmp_path / "two.csv"
         data.write_text("v,grp\n1,a\n2,b\n")
@@ -248,7 +276,7 @@ class TestSimulationCommands:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"--m-grid {m} with --size-rule half gives a group of {m // 4} row(s)" in err
+        assert f"m_grid entry {m} with size_rule 'half' gives a group of {m // 4} row(s)" in err
         assert f"needs at least {need}" in err
 
     @pytest.mark.parametrize("depth, m", (("mahalanobis", 12), ("projection", 8), ("spatial", 4)))

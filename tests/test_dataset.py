@@ -82,6 +82,12 @@ class TestLoadCsv:
         with pytest.raises(NonNumericCell, match="row 3, column 2"):
             load_csv(path, "grp")
 
+    def test_non_utf8_bytes_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"v,grp\n1,a\n\x7fELF\x02\x01\xd0\xff,b\n")
+        with pytest.raises(ParseError, match=r"binary\.csv: not UTF-8 text"):
+            load_csv(path, "grp")
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("v,w,grp\n1,2,a\n1,a\n")

@@ -7,8 +7,11 @@ from depthtest import (
     DimensionMismatch,
     SingularCovariance,
     depth_values,
+    depths,
 )
-
+from depthtest.depths import pooled_depths
+from depthtest.quality import partition_depth_rows
+from depthtest.samples import group_slices
 from oracles import spatial_depth_brute
 
 MAHAL = DepthKind("mahalanobis")
@@ -71,6 +74,56 @@ class TestSpatialKernel:
             below = int(np.sum(ref[:, 0] < x))
             above = int(np.sum(ref[:, 0] > x))
             assert depth == 1.0 - abs(below - above) / m
+
+
+def _partition_rows(pooled, sizes, kind, order):
+    return partition_depth_rows(pooled_depths(pooled, kind), group_slices(sizes), order)
+
+
+class TestPooledDepths:
+    @pytest.mark.parametrize("kind", (MAHAL, SPATIAL, DepthKind("projection", 500, 3)),
+                             ids=lambda kind: kind.kind)
+    @pytest.mark.parametrize("d", (2, 4, 10))
+    def test_duplicated_row_ties_in_every_depth_row(self, kind, d, rng):
+        # N = 301 over three groups; one point sits in every group, at the
+        # start, the middle and the end of the pooled sample
+        sizes = [100, 120, 81]
+        pooled = rng.normal(size=(sum(sizes), d))
+        positions = [0, 57, 99, 100, 150, 219, 220, 255, 256, 300]
+        pooled[positions] = pooled[3]
+        positions.append(3)
+        permuted = rng.permutation(pooled.shape[0])
+        for order in (np.arange(pooled.shape[0]), permuted):
+            where = np.flatnonzero(np.isin(order, positions))
+            for row in _partition_rows(pooled, sizes, kind, order):
+                assert len(set(row[where])) == 1
+
+    def test_projection_rows_ignore_order_within_groups(self, skulls, rng):
+        # an order that only shuffles rows inside their groups is the observed
+        # partition again, and must give the observed depths bit for bit
+        groups = [skulls.groups[label] for label in ("c4000BC", "c3300BC", "c1850BC")]
+        pooled, sizes = np.vstack(groups), [len(g) for g in groups]
+        identity = np.arange(pooled.shape[0])
+        for seed in range(10):
+            kind = DepthKind("projection", 500, seed)
+            observed = _partition_rows(pooled, sizes, kind, identity)
+            for _ in range(2):
+                shuffled = np.concatenate(
+                    [rng.permutation(identity[sl]) for sl in group_slices(sizes)]
+                )
+                got = _partition_rows(pooled, sizes, kind, shuffled)
+                assert all(np.array_equal(o[shuffled], g) for o, g in zip(observed, got))
+
+    @pytest.mark.parametrize("d", (1, 2, 4))
+    def test_spatial_over_cap_matches_cached_rows(self, d, rng, monkeypatch):
+        sizes = [130, 140]
+        pooled = rng.integers(-3, 4, size=(sum(sizes), d)).astype(float)
+        orders = (np.arange(pooled.shape[0]), rng.permutation(pooled.shape[0]))
+        cached = [_partition_rows(pooled, sizes, SPATIAL, order) for order in orders]
+        monkeypatch.setattr(depths, "_CACHE_ELEMENT_CAP", 0)
+        for order, want in zip(orders, cached):
+            got = _partition_rows(pooled, sizes, SPATIAL, order)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestRangeAndDeterminism:

@@ -86,6 +86,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             _spec(replications=0)
 
+    @pytest.mark.parametrize(
+        "depth, m, smallest, need",
+        ((MAHAL, 4, 1, 3), (MAHAL, 8, 2, 3), (DepthKind("projection"), 4, 1, 2)),
+    )
+    def test_group_below_depth_minimum_rejected(self, depth, m, smallest, need):
+        # three_group_a under the half rule has groups of (m, m // 2, m // 4)
+        with pytest.raises(
+            ValueError,
+            match=rf"m_grid entry {m} with size_rule 'half' gives a group of {smallest} row\(s\); "
+            rf"{depth.kind} depth needs at least {need}",
+        ):
+            _spec(scenario="three_group_a", m_grid=(12, m), size_rule="half", depth=depth)
+        _spec(scenario="three_group_a", m_grid=(12,), size_rule="half", depth=depth)
+
 
 class TestTypeOne:
     def test_single_replication_degenerates_to_observation(self):
@@ -136,6 +150,10 @@ class TestPower:
     def test_unknown_statistic_rejected(self):
         with pytest.raises(UnknownStatistic):
             power_table(_spec(), ("min", "mystery"))
+
+    def test_repeated_statistic_rejected(self):
+        with pytest.raises(UnknownStatistic, match="'min' is requested more than once"):
+            power_table(_spec(), ("min", "sum", "min"))
 
     def test_two_group_only_names_rejected_for_three_groups(self):
         spec = _spec(scenario="three_group_a")
