@@ -29,7 +29,6 @@ from .multi_sample import min_statistic_k, product_statistic_k, sum_statistic_k
 from .quality import partition_depth_rows, quality_matrix_from_rows
 from .rng import TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, standard_normals, substream
 from .samples import coerce_groups, group_slices
-from .special import chi2_1_sf, norm_sf
 from .two_sample import (
     TestOutcome,
     _energy_from_blocks,
@@ -122,14 +121,14 @@ def require_statistics(names, group_count: int) -> tuple[str, ...]:
 
 def half_normal_pvalue(x: float) -> float:
     """Upper-tail p-value of |N(0, 1)|; negative statistics map to 1."""
-    return 2.0 * norm_sf(max(float(x), 0.0))
+    return math.erfc(max(float(x), 0.0) / math.sqrt(2.0))
 
 
 def chi2_1_pvalue(x: float) -> float:
     """Upper-tail p-value of chi-square with one degree of freedom."""
     if x < 0.0:
         raise DomainError(f"chi-square statistic must be >= 0, got {x}")
-    return chi2_1_sf(float(x))
+    return math.erfc(math.sqrt(float(x) / 2.0))
 
 
 class _StatisticEngine:

@@ -105,11 +105,24 @@ def _outcome_row(outcome: TestOutcome, seed: int) -> dict:
     }
 
 
+def _first_repeat(items):
+    """The first item that also occurs earlier in ``items``, or None."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
+
+
 def _load_groups(config: RunConfig) -> tuple[LabeledDataset, list]:
     if config.input_path is None:
         raise UsageError(f"{config.command} requires --input")
     if config.group_column is None:
         raise UsageError(f"{config.command} requires --group")
+    repeated = _first_repeat(config.group_filter or ())
+    if repeated is not None:
+        raise UsageError(f"group {repeated!r} is listed more than once in --groups")
     dataset = load_csv(config.input_path, config.group_column)
     if config.group_filter:
         dataset = dataset.subset(config.group_filter)
@@ -138,6 +151,10 @@ def _run_tests(config: RunConfig) -> dict:
         )
     if not config.statistics:
         raise UsageError("--stats must name at least one statistic")
+    # MANOVA names are split off below, before the engine checks for repeats
+    repeated = _first_repeat(config.statistics)
+    if repeated is not None:
+        raise UsageError(f"statistic {repeated!r} is requested more than once")
     sizes = tuple(g.shape[0] for g in groups)
 
     manova_names = [s for s in config.statistics if s in MANOVA_KINDS]

@@ -25,7 +25,6 @@ once and gathers the reference rows of every partition from it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,18 +72,17 @@ def _spd_cholesky(matrix: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix, refusing near-singular
     input: any pivot at or below 1e-12 times the largest diagonal raises
     SingularCovariance instead of regularizing."""
-    d = matrix.shape[0]
     tol = 1e-12 * float(np.max(np.diag(matrix)))
-    lower = np.zeros_like(matrix)
-    for j in range(d):
-        pivot = matrix[j, j] - np.dot(lower[j, :j], lower[j, :j])
-        if pivot <= tol:
-            raise SingularCovariance(
-                f"covariance pivot {pivot:.3e} at column {j} (tolerance {tol:.3e})"
-            )
-        lower[j, j] = math.sqrt(pivot)
-        if j + 1 < d:
-            lower[j + 1 :, j] = (matrix[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    try:
+        lower = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance("covariance is not positive definite") from exc
+    pivots = np.diag(lower) ** 2
+    j = int(np.argmin(pivots))
+    if pivots[j] <= tol:
+        raise SingularCovariance(
+            f"covariance pivot {pivots[j]:.3e} at column {j} (tolerance {tol:.3e})"
+        )
     return lower
 
 

@@ -10,8 +10,7 @@ reordered or parallelized without changing any result.
 from __future__ import annotations
 
 import numpy as np
-
-from .special import norm_ppf
+from scipy.special import ndtri
 
 # Stream tags; values are arbitrary but frozen (part of the reproducibility
 # contract: changing them changes every seeded result).
@@ -31,13 +30,15 @@ def substream(*key: int) -> np.random.Generator:
 
 
 def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal variates via inverse CDF on the uniform stream.
+    """Standard normal variates: the inverse normal CDF
+    (``scipy.special.ndtri``) of the uniform stream.
 
     No rejection loop: one uniform consumed per variate, so the stream
     position is a pure function of the draw count.
     """
     u = rng.random(shape)
-    # rng.random() can return exactly 0.0; nudge into the open interval.
+    # rng.random() can return exactly 0.0, where ndtri gives -inf; nudge
+    # into the open interval.
     tiny = np.finfo(float).tiny
     u = np.where(u < tiny, tiny, u)
-    return norm_ppf(u)
+    return ndtri(u)

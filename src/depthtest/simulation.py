@@ -148,13 +148,6 @@ def _sample_null(spec: ScenarioSpec, m: int, replication: int) -> list[np.ndarra
     return _draw_groups(params, sizes, (spec.seed, TAG_NULL_CALIBRATION, m, replication))
 
 
-def _upper_order_statistic(values: np.ndarray, level: float) -> float:
-    """Order statistic at ceil(level * R), 1-based."""
-    ordered = np.sort(values)
-    index = math.ceil(level * values.size)
-    return float(ordered[max(index, 1) - 1])
-
-
 def type1_quantiles(spec: ScenarioSpec) -> TypeOneTable:
     """Empirical upper (1 - alpha_level) quantile of the minimum statistic
     per grid point, under the null scenario only."""
@@ -167,12 +160,14 @@ def type1_quantiles(spec: ScenarioSpec) -> TypeOneTable:
         for r in range(spec.replications):
             groups = sample_scenario(spec, m, r)
             values[r] = evaluate_statistics(groups, ("min",), spec.depth)["min"]
-        quantile = _upper_order_statistic(values, 1.0 - spec.alpha_level)
+        quantile = _critical_value(values, "upper", spec.alpha_level)
         rows.append(TypeOneRow(m=m, sizes=sizes, quantile=quantile))
     return TypeOneTable(rows=tuple(rows), reference=ASYMPTOTIC_UPPER_95, spec=spec)
 
 
 def _critical_value(null_values: np.ndarray, tail: str, alpha: float) -> float:
+    """Upper tail: the order statistic at ceil((1 - alpha) R), 1-based;
+    lower tail: the one at floor(alpha R), 0-based."""
     ordered = np.sort(null_values)
     if tail == "upper":
         index = math.ceil((1.0 - alpha) * null_values.size)

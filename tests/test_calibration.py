@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from depthtest import (
     CalibrationSpec,
@@ -34,7 +35,7 @@ from depthtest import (
 from depthtest.calibration import _StatisticEngine
 from depthtest.quality import partition_depth_rows
 from depthtest.rng import TAG_PERMUTATION, substream
-from oracles import arranged_depth_rows
+from oracles import arranged_depth_rows, norm_cdf_quadrature
 
 MAHAL = DepthKind("mahalanobis")
 
@@ -45,10 +46,15 @@ class TestClosedFormPvalues:
         assert half_normal_pvalue(0.0) == 1.0
         assert half_normal_pvalue(2.449490) == pytest.approx(0.01430, abs=2e-4)
         assert half_normal_pvalue(-3.0) == 1.0
+        for x in np.linspace(0.0, 8.0, 33):
+            assert abs(half_normal_pvalue(x) - 2.0 * (1.0 - norm_cdf_quadrature(x))) < 1e-12
+        assert half_normal_pvalue(10.0) > 0.0
 
     def test_chi2_reference_points(self):
         assert chi2_1_pvalue(3.8415) == pytest.approx(0.05, abs=2e-4)
         assert chi2_1_pvalue(0.0) == 1.0
+        for x in (0.0, 0.01, 1.0, 3.8415, 10.0, 30.0):
+            assert chi2_1_pvalue(x) == pytest.approx(chi2.sf(x, 1), rel=1e-12, abs=1e-300)
         with pytest.raises(DomainError):
             chi2_1_pvalue(-1.0)
 

@@ -201,8 +201,9 @@ class TestExitCodes:
             ["two-sample", "--stats", "min,min", "--perms", "19"],
             ["two-sample", "--stats", "min,sum,min", "--perms", "0"],
             ["power", "--stats", "min,min"],
+            ["two-sample", "--stats", "wilks,wilks", "--perms", "0"],
         ),
-        ids=("perms", "no-perms", "power"),
+        ids=("perms", "no-perms", "power", "manova"),
     )
     def test_repeated_statistic_is_usage_error(self, argv, capsys):
         if argv[0] == "power":
@@ -214,7 +215,24 @@ class TestExitCodes:
             ]
         code = main([*argv, *required])
         assert code == 2
-        assert "statistic 'min' is requested more than once" in capsys.readouterr().err
+        name = argv[2].split(",")[0]
+        assert f"statistic '{name}' is requested more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        (
+            (["k-sample", "--groups", "c4000BC,c3300BC,c4000BC", "--stats", "min"], "c4000BC"),
+            (["k-sample", "--groups", "c4000BC,c4000BC", "--stats", "min"], "c4000BC"),
+            (["scale-curve", "--groups", "c200BC,cAD150,c3300BC,cAD150"], "cAD150"),
+        ),
+        ids=("k-sample", "k-sample-one-label", "scale-curve"),
+    )
+    def test_repeated_group_label_is_usage_error(self, argv, label, capsys):
+        code = main([*argv, "--input", str(skulls_path()), "--group", "epoch"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"group '{label}' is listed more than once in --groups" in err
+        assert "Traceback" not in err
 
     def test_missing_group_column(self, tmp_path):
         data = tmp_path / "two.csv"

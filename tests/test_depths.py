@@ -6,8 +6,10 @@ from depthtest import (
     DepthKind,
     DimensionMismatch,
     SingularCovariance,
+    SingularScatter,
     depth_values,
     depths,
+    manova,
 )
 from depthtest.depths import pooled_depths
 from depthtest.quality import partition_depth_rows
@@ -218,6 +220,31 @@ class TestErrors:
         # fewer than d+1 reference rows cannot span an invertible covariance
         with pytest.raises(SingularCovariance):
             depth_values([[0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], MAHAL)
+
+    @pytest.mark.parametrize("second_pivot, refused", ((1e-13, True), (1e-11, False)))
+    def test_cholesky_refusal_boundary(self, second_pivot, refused):
+        # max diagonal 1, so the tolerance is 1e-12
+        cov = np.array([[1.0, 0.5], [0.5, 0.25 + second_pivot]])
+        if refused:
+            with pytest.raises(SingularCovariance):
+                depths._spd_cholesky(cov)
+        else:
+            lower = depths._spd_cholesky(cov)
+            assert lower[1, 1] ** 2 == pytest.approx(second_pivot, rel=1e-3)
+
+    @pytest.mark.parametrize("shape", ("zero-variance column", "not positive semidefinite"))
+    def test_failed_factorization_is_singular(self, shape):
+        # LAPACK itself refuses both covariances; its LinAlgError must not escape
+        t = np.arange(8.0)
+        ref = np.column_stack([np.ones(8), t] if shape == "zero-variance column" else [t, 0.3 * t])
+        centered = ref - ref.mean(axis=0)
+        assert np.linalg.eigvalsh(centered.T @ centered)[0] <= 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(centered.T @ centered)
+        with pytest.raises(SingularCovariance):
+            depth_values([[0.0, 0.0]], ref, MAHAL)
+        with pytest.raises(SingularScatter):
+            manova(ref, ref, "wilks")
 
     def test_degenerate_projection_sample(self):
         with pytest.raises(DegenerateSample):

@@ -37,3 +37,14 @@ def test_standard_normals_deterministic_and_sane():
 def test_standard_normals_shape():
     z = standard_normals(substream(1), (3, 4))
     assert z.shape == (3, 4)
+
+
+def test_standard_normals_finite_at_zero_uniform():
+    # the uniform stream can return exactly 0.0, where the inverse CDF is -inf
+    class ZeroStream:
+        def random(self, shape):
+            return np.zeros(shape)
+
+    z = standard_normals(ZeroStream(), (3,))
+    assert np.isfinite(z).all()
+    assert (z < -37.0).all()
