@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -380,3 +383,13 @@ class TestScaleCurveCommand:
         for grp in groups:
             vols = [float(line.split(",")[2]) for line in lines[1:] if line.startswith(grp)]
             assert vols == sorted(vols, reverse=True)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up; nothing in the CLI needs it
+    code = "import sys, depthtest.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.stdout.strip() == "False"

@@ -128,6 +128,75 @@ class TestPooledDepths:
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def _with_exact_zeros(matrix, rng, share=0.1):
+    # ties: a tenth of the entries become exact zeros, half of them -0.0
+    hit = rng.random(matrix.shape) < share
+    matrix[hit] = np.where(rng.random(int(hit.sum())) < 0.5, 0.0, -0.0)
+    return matrix
+
+
+def _outlyingness_reference(ref_proj, query_proj):
+    # one query row at a time, from np.median
+    med = np.median(ref_proj, axis=0)
+    mad = np.median(np.abs(ref_proj - med), axis=0)
+    usable = mad > 0.0
+    out = np.empty(query_proj.shape[0])
+    for i, row in enumerate(query_proj):
+        dev = np.abs(row - med)
+        escaped = bool((dev[~usable] > 0.0).any())
+        out[i] = np.inf if escaped else (dev[usable] / mad[usable]).max()
+    return out
+
+
+class TestProjectionMedians:
+    # from about 500 rows up, the row just above a single-kth selection is
+    # often not the lower middle, so the max over the lower part is needed
+    @pytest.mark.parametrize("m", (2, 3, 4, 5, 29, 30, 31, 100, 500))
+    def test_column_medians_equal_numpy_median(self, m, rng):
+        for _ in range(5):
+            plain = rng.normal(size=(m, 500))
+            zeros = _with_exact_zeros(rng.normal(size=(m, 500)), rng)
+            ties = rng.integers(-2, 3, size=(m, 500)).astype(float)
+            for matrix in (plain, zeros, ties):
+                want = np.median(matrix, axis=0)
+                assert np.array_equal(depths._column_medians(matrix), want)
+
+    @pytest.mark.parametrize("m", (4, 5, 30, 31))
+    def test_outlyingness_matches_median_reference(self, m, rng):
+        ref_proj = _with_exact_zeros(rng.normal(size=(m, 40)), rng)
+        query_proj = np.vstack([ref_proj, 3.0 * rng.normal(size=(12, 40))])
+        got = depths.projection_outlyingness(ref_proj, query_proj)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, _outlyingness_reference(ref_proj, query_proj))
+
+    @pytest.mark.parametrize("m", (6, 7, 30, 31))
+    def test_zero_mad_directions_escape_or_sit(self, m, rng):
+        # columns 0, 3 and 5 hold one value in over half their rows: zero MAD
+        ref_proj = rng.normal(size=(m, 8))
+        flat = {0: 1.5, 3: 0.0, 5: -2.0}
+        for col, value in flat.items():
+            ref_proj[: m // 2 + 1, col] = value
+        query_proj = 2.0 * rng.normal(size=(9, 8))
+        sits = [0, 4, 8]
+        for col, value in flat.items():
+            query_proj[sits, col] = value
+        query_proj[4, 3] = -0.0
+        query_proj[8, 5] = np.nextafter(-2.0, 0.0)  # one ULP off escapes
+        got = depths.projection_outlyingness(ref_proj, query_proj)
+        want = _outlyingness_reference(ref_proj, query_proj)
+        assert np.array_equal(got, want)
+        assert np.isinf(got[8]) and np.all(np.isfinite(got[[0, 4]]))
+        assert np.all(np.isinf(np.delete(got, sits)))
+
+    def test_cached_directions_are_read_only(self):
+        dirs = depths._directions(11, 16, 3)
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            dirs *= 2.0
+        assert depths._directions(11, 16, 3) is dirs
+
+
 class TestRangeAndDeterminism:
     def test_values_in_unit_interval(self, any_kind, rng):
         for _ in range(20):
