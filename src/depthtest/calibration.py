@@ -6,8 +6,8 @@ Three routes:
   chi-square(1) for the maximum, both at k = 2);
 * permutation calibration: the pooled sample is re-partitioned into the
   original group sizes B times and the add-one estimator
-  (1 + #{as extreme}) / (B + 1) is returned, lower tail for product/sum
-  and upper tail for everything else;
+  (1 + #{as extreme}) / (B + 1) is returned on the tail that the
+  statistic table :data:`STATISTICS` gives each statistic;
 * Monte-Carlo evaluation of the k-sample limit law of the minimum
   statistic, built from pairwise combinations of independent normals.
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -31,39 +32,65 @@ from .rng import TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, standard_normals, substream
 from .samples import coerce_groups, group_slices
 from .two_sample import (
     TestOutcome,
-    _energy_from_blocks,
+    _energy_from_distances,
+    _require_distance_budget,
     bdbr_from_depth_rows,
     cramer_univariate,
     dbr_from_depth_rows,
     max_statistic,
 )
 
-STATISTIC_NAMES = ("min", "max", "product", "sum", "dbr", "bdbr", "energy", "cramer")
 
-_LOWER_TAIL = frozenset({"product", "sum"})
-_TWO_GROUP_ONLY = frozenset({"max", "bdbr", "energy", "cramer"})
-_DEPTH_BASED = frozenset({"min", "max", "product", "sum", "dbr", "bdbr"})
-_QUALITY_BASED = frozenset({"min", "max", "product", "sum"})
+@dataclass(frozen=True)
+class Statistic:
+    """One statistic: its rejecting tail ("upper" or "lower"), whether it
+    is defined only at k = 2, the per-partition input it ``reads``
+    (``q_matrix``, ``depth_rows``, ``distances`` or ``values_1d``), and its
+    ``formula`` of that input and the group sizes."""
+
+    tail: str
+    two_group_only: bool
+    reads: str
+    formula: Callable[..., float]
+
+    @property
+    def depth_based(self) -> bool:
+        return self.reads in ("q_matrix", "depth_rows")
+
+    def defined_at(self, group_count: int) -> bool:
+        return group_count == 2 or not self.two_group_only
+
+
+# The k = 2 rows are the two-sample statistics; MANOVA stays outside, with
+# its own F-law p-value and no permutation path.
+STATISTICS = {
+    "min": Statistic("upper", False, "q_matrix", lambda qm, sizes: min_statistic_k(qm)),
+    "max": Statistic("upper", True, "q_matrix", lambda qm, sizes: max_statistic(qm)),
+    "product": Statistic("lower", False, "q_matrix", lambda qm, sizes: product_statistic_k(qm)),
+    "sum": Statistic("lower", False, "q_matrix", lambda qm, sizes: sum_statistic_k(qm)),
+    "dbr": Statistic("upper", False, "depth_rows", dbr_from_depth_rows),
+    "bdbr": Statistic("upper", True, "depth_rows", bdbr_from_depth_rows),
+    "energy": Statistic("upper", True, "distances", _energy_from_distances),
+    "cramer": Statistic("upper", True, "values_1d", lambda xy, sizes: cramer_univariate(*xy)),
+}
+
+STATISTIC_NAMES = tuple(STATISTICS)
 
 _MC_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
 class CalibrationSpec:
-    """How to calibrate: method, replication count, seed, and tail.
+    """How to calibrate: replication count, seed, and tail.
 
-    ``tail=None`` defers to the statistic's own convention
-    (lower for product/sum, upper otherwise).
+    ``tail=None`` defers to the statistic's tail in :data:`STATISTICS`.
     """
 
-    method: str
     replications: int
     seed: int
     tail: str | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("asymptotic", "permutation", "monte_carlo"):
-            raise ValueError(f"unknown calibration method {self.method!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.tail not in (None, "upper", "lower"):
@@ -98,10 +125,14 @@ def pair_coefficients(sizes) -> PairCoefficients:
     return PairCoefficients(c=c, c_tilde=ct, sizes=sizes)
 
 
-def default_tail(name: str) -> str:
-    if name not in STATISTIC_NAMES:
+def _statistic(name: str) -> Statistic:
+    if name not in STATISTICS:
         raise UnknownStatistic(f"unknown statistic {name!r}; expected one of {STATISTIC_NAMES}")
-    return "lower" if name in _LOWER_TAIL else "upper"
+    return STATISTICS[name]
+
+
+def default_tail(name: str) -> str:
+    return _statistic(name).tail
 
 
 def require_statistics(names, group_count: int) -> tuple[str, ...]:
@@ -110,9 +141,7 @@ def require_statistics(names, group_count: int) -> tuple[str, ...]:
     (its exceedances would be counted once per request)."""
     names = tuple(names)
     for position, name in enumerate(names):
-        if name not in STATISTIC_NAMES:
-            raise UnknownStatistic(f"unknown statistic {name!r}; expected one of {STATISTIC_NAMES}")
-        if name in _TWO_GROUP_ONLY and group_count != 2:
+        if not _statistic(name).defined_at(group_count):
             raise UnknownStatistic(f"statistic {name!r} is only defined for 2 groups")
         if name in names[:position]:
             raise UnknownStatistic(f"statistic {name!r} is requested more than once")
@@ -139,56 +168,43 @@ class _StatisticEngine:
     order, so one-off evaluation and permutation loops run the same
     arithmetic. The depth geometry (:func:`~depthtest.depths.pooled_depths`)
     and, for energy, the pooled distance matrix are built once per engine;
-    each partition's depth rows are formed once and shared by every
-    requested depth statistic.
+    each partition builds only the inputs the requested statistics read,
+    once, and shares them among those statistics.
     """
 
     def __init__(self, groups, kind: DepthKind | None, names) -> None:
         self.pooled, self.sizes = coerce_groups(groups)
         self.names = require_statistics(names, len(self.sizes))
-        depth_names = [name for name in self.names if name in _DEPTH_BASED]
+        depth_names = [name for name in self.names if STATISTICS[name].depth_based]
         if depth_names and kind is None:
             raise ValueError(f"statistic {depth_names[0]!r} needs a DepthKind")
-        if "cramer" in self.names and self.pooled.shape[1] != 1:
-            raise DimensionMismatch("cramer statistic expects 1-D samples")
+        self._entries = [(name, STATISTICS[name]) for name in self.names]
+        self.reads = frozenset(statistic.reads for _, statistic in self._entries)
+        if "values_1d" in self.reads and self.pooled.shape[1] != 1:
+            one_d = next(name for name, s in self._entries if s.reads == "values_1d")
+            raise DimensionMismatch(f"{one_d} statistic expects 1-D samples")
         self.slices = group_slices(self.sizes)
         self.total = self.pooled.shape[0]
-        self.dist = cdist(self.pooled, self.pooled) if "energy" in self.names else None
+        self.dist = None
+        if "distances" in self.reads:
+            _require_distance_budget(self.total)
+            self.dist = cdist(self.pooled, self.pooled)
         self._depths_against = pooled_depths(self.pooled, kind) if depth_names else None
-        self._need_quality = not _QUALITY_BASED.isdisjoint(self.names)
 
     def values(self, order: np.ndarray) -> dict[str, float]:
-        out: dict[str, float] = {}
+        inputs = {}
         if self._depths_against is not None:
             rows = partition_depth_rows(self._depths_against, self.slices, order)
-            if self._need_quality:
-                qm = quality_matrix_from_rows(rows, self.sizes)
-                if "min" in self.names:
-                    out["min"] = min_statistic_k(qm)
-                if "product" in self.names:
-                    out["product"] = product_statistic_k(qm)
-                if "sum" in self.names:
-                    out["sum"] = sum_statistic_k(qm)
-                if "max" in self.names:
-                    out["max"] = max_statistic(qm.pair())
-            if "dbr" in self.names:
-                out["dbr"] = dbr_from_depth_rows(rows, self.sizes)
-            if "bdbr" in self.names:
-                out["bdbr"] = bdbr_from_depth_rows(rows, self.sizes)
-        if "energy" in self.names:
+            inputs["depth_rows"] = rows
+            if "q_matrix" in self.reads:
+                inputs["q_matrix"] = quality_matrix_from_rows(rows, self.sizes)
+        if "distances" in self.reads:
             ia, ib = order[self.slices[0]], order[self.slices[1]]
-            e_hat = _energy_from_blocks(
-                self.dist[np.ix_(ia, ia)],
-                self.dist[np.ix_(ib, ib)],
-                self.dist[np.ix_(ia, ib)],
-            )
-            m, n = self.sizes
-            out["energy"] = m * n / (m + n) * e_hat
-        if "cramer" in self.names:
-            out["cramer"] = cramer_univariate(
-                self.pooled[order[self.slices[0]]], self.pooled[order[self.slices[1]]]
-            )
-        return out
+            blocks = ((ia, ia), (ib, ib), (ia, ib))
+            inputs["distances"] = [self.dist[np.ix_(a, b)] for a, b in blocks]
+        if "values_1d" in self.reads:
+            inputs["values_1d"] = [self.pooled[order[sl]] for sl in self.slices]
+        return {name: s.formula(inputs[s.reads], self.sizes) for name, s in self._entries}
 
 
 def evaluate_statistics(groups, names, kind: DepthKind | None) -> dict[str, float]:
@@ -204,7 +220,7 @@ def statistic_outcome(name, observed, p, method, kind, sizes) -> TestOutcome:
         statistic=float(observed),
         p_value=p,
         method=method,
-        depth_kind=kind if name in _DEPTH_BASED else None,
+        depth_kind=kind if STATISTICS[name].depth_based else None,
         sizes=tuple(sizes),
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import (
-    STATISTIC_NAMES,
+    STATISTICS,
     CalibrationSpec,
     chi2_1_pvalue,
     evaluate_statistics,
@@ -137,7 +137,7 @@ def _asymptotic_pvalue(name: str, value: float, sizes, config: RunConfig) -> tup
         return chi2_1_pvalue(value), "asymptotic"
     if len(sizes) == 2:
         return half_normal_pvalue(value), "asymptotic"
-    spec = CalibrationSpec(method="monte_carlo", replications=config.mc_draws, seed=config.seed)
+    spec = CalibrationSpec(replications=config.mc_draws, seed=config.seed)
     return mc_asymptotic_min_pvalue(value, sizes, spec), "monte_carlo"
 
 
@@ -167,9 +167,7 @@ def _run_tests(config: RunConfig) -> dict:
     perm_outcomes: dict[str, TestOutcome] = {}
     observed: dict[str, float] = {}
     if depth_names and config.permutations > 0:
-        spec = CalibrationSpec(
-            method="permutation", replications=config.permutations, seed=config.seed
-        )
+        spec = CalibrationSpec(replications=config.permutations, seed=config.seed)
         report = permutation_report(groups, depth_names, config.depth, spec)
         perm_outcomes = {outcome.statistic_name: outcome for outcome in report}
         observed = {name: outcome.statistic for name, outcome in perm_outcomes.items()}
@@ -199,7 +197,10 @@ def _run_tests(config: RunConfig) -> dict:
 
 def _run_power(config: RunConfig) -> dict:
     spec = _scenario_spec(config)
-    names = config.statistics or _default_sim_statistics(spec)
+    names = config.statistics or tuple(
+        name for name, statistic in STATISTICS.items()
+        if statistic.depth_based and statistic.defined_at(spec.group_count)
+    )
     table = power_table(spec, names)
     rows = []
     for name in table.statistics:
@@ -228,12 +229,6 @@ def _sim_row(name: str, m: int, sizes, config: RunConfig, value: float) -> dict:
         "depth": config.depth.kind,
         "value": _fmt_stat(value),
     }
-
-
-def _default_sim_statistics(spec: ScenarioSpec) -> tuple[str, ...]:
-    if spec.group_count == 2:
-        return ("min", "max", "product", "sum", "dbr", "bdbr")
-    return ("min", "product", "sum", "dbr")
 
 
 def _scenario_spec(config: RunConfig) -> ScenarioSpec:
@@ -407,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} homogeneity tests")
         add_input(p)
         p.add_argument("--stats", type=_str_list, required=True,
-                       help=f"comma list from {', '.join(STATISTIC_NAMES + MANOVA_KINDS)}")
+                       help=f"comma list from {', '.join((*STATISTICS, *MANOVA_KINDS))}")
         p.add_argument("--perms", type=_checked(int, lambda v: v >= 0, "must be >= 0"),
                        default=0, help="permutation replications B")
         p.add_argument("--asymptotic", action="store_true",
@@ -418,7 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("power", "type1"):
         p = sub.add_parser(name, help=f"{name} simulation study")
-        p.add_argument("--scenario", choices=tuple(SCENARIOS), required=True)
+        # type-I quantiles exist only under the null
+        scenarios = tuple(SCENARIOS) if name == "power" else ("null",)
+        p.add_argument("--scenario", choices=scenarios, required=True)
         p.add_argument("--m-grid", default=None,
                        type=_checked(_int_list, lambda grid: all(m >= 4 for m in grid),
                                      "every entry must be >= 4"),

@@ -18,7 +18,7 @@ class DegenerateSample(DepthTestError):
 
 
 class SizeLimit(DepthTestError):
-    """Input exceeds a hard cap (brute-force oracles only)."""
+    """Input exceeds a hard cap (brute-force oracles, energy's distance matrix)."""
 
 
 class TiedRanks(DepthTestError):

@@ -5,8 +5,8 @@ The matrix itself (:class:`~depthtest.quality.QualityMatrix`) comes from
 directed quality index, with the first group of the pair as reference.
 The minimum statistic generalizes to the maximum of the standardized
 centered terms over all ordered pairs; product and sum aggregate all
-ordered-pair indices. At k = 2 each statistic here equals its two-sample
-form in :mod:`depthtest.two_sample`, which is this k = 2 case.
+ordered-pair indices. At k = 2 they are the two-sample statistics, the
+k = 2 rows of the statistic table in :mod:`depthtest.calibration`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .two_sample import _pair_scale, dbr_from_depth_rows
 def min_statistic_k(qm: QualityMatrix) -> float:
     """Largest standardized centered term over ordered group pairs.
 
-    Reduces to the two-sample minimum statistic at k = 2.
+    At k = 2, the two-sample minimum statistic: asymptotically half-normal
+    under homogeneity, upper-tail rejection; below zero when both indices exceed 1/2.
     """
     best = -np.inf
     for i in range(qm.k):

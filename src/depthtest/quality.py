@@ -56,13 +56,6 @@ class QualityMatrix:
     def k(self) -> int:
         return len(self.sizes)
 
-    def pair(self) -> QualityPair:
-        """The two-sample view of groups 0 and 1: entries (0, 1) and (1, 0)."""
-        return QualityPair(
-            q_fg=float(self.q[0, 1]), q_gf=float(self.q[1, 0]),
-            m=self.sizes[0], n=self.sizes[1],
-        )
-
 
 def directed_quality(ref_depths: np.ndarray, other_depths: np.ndarray) -> float:
     """Q with the first argument's sample as reference.
@@ -111,8 +104,9 @@ def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
 
 
 def quality(x, y, kind: DepthKind) -> QualityPair:
-    """Both directed quality indices Q(F_m, G_n) and Q(G_n, F_m)."""
-    return quality_matrix([x, y], kind).pair()
+    """Q(F_m, G_n) and Q(G_n, F_m): entries (0, 1) and (1, 0) of the k = 2 matrix."""
+    qm = quality_matrix([x, y], kind)
+    return QualityPair(float(qm.q[0, 1]), float(qm.q[1, 0]), m=qm.sizes[0], n=qm.sizes[1])
 
 
 def quality_brute_oracle(x, y, kind: DepthKind) -> QualityPair:

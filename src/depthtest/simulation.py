@@ -3,8 +3,8 @@
 Scenarios are the bivariate-normal families of the original experiments:
 a shared null, correlation (scale) shifts, mean shifts, a combined shift,
 and their three-group versions. Critical values for the power runs come
-from a fresh null calibration at the same sizes/depth (the tail rule is
-lower for product/sum, upper otherwise); the minimum statistic's power
+from a fresh null calibration at the same sizes/depth, on each
+statistic's tail in the statistic table; the minimum statistic's power
 at the fixed asymptotic cutoff 1.96 is reported as a secondary column.
 
 Replication r of grid point m draws from substream (seed, tag, m, r), so

@@ -1,15 +1,14 @@
 """Two-sample homogeneity statistics.
 
-Depth-based statistics (maximum, minimum, product, sum, depth-rank, and
-the modified depth-rank test) plus the classical baselines they are
-benchmarked against: the MANOVA trio, the univariate Cramer statistic,
-and the energy distance. All functions return raw statistic values;
-p-values live in :mod:`depthtest.calibration`.
+The formulas defined only at two groups: the maximum statistic (on the
+k = 2 quality matrix), the depth-rank and modified depth-rank tests, and
+the baselines they are benchmarked against: the MANOVA trio, the
+univariate Cramer statistic, and the energy distance. All functions
+return raw statistic values; p-values live in :mod:`depthtest.calibration`.
 
-The depth statistics are the k = 2 case of the k-sample machinery: their
-quality pair and depth rows come from :mod:`depthtest.quality`, and at
-two groups the k-sample statistics of :mod:`depthtest.multi_sample`
-reproduce them exactly.
+Two-sample statistics are the k = 2 rows of the statistic table in
+:mod:`depthtest.calibration`: minimum, product and sum are the formulas
+of :mod:`depthtest.multi_sample` on the k = 2 quality matrix.
 """
 
 from __future__ import annotations
@@ -20,15 +19,16 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import fdtrc
 
-from .depths import DepthKind, _spd_cholesky
+from .depths import _CACHE_ELEMENT_CAP, DepthKind, _spd_cholesky
 from .errors import (
     DimensionMismatch,
     SingularCovariance,
     SingularScatter,
+    SizeLimit,
     TiedRanks,
     UnknownStatistic,
 )
-from .quality import QualityPair, pooled_depth_rows
+from .quality import QualityMatrix, pooled_depth_rows
 from .samples import as_sample_matrix, coerce_groups, group_slices, require_same_dimension
 
 MANOVA_KINDS = ("wilks", "hotelling", "pillai")
@@ -67,33 +67,15 @@ def _pair_scale(m: int, n: int) -> float:
     return (1.0 / 12.0) * (1.0 / m + 1.0 / n)
 
 
-def max_statistic(q: QualityPair) -> float:
-    """Larger squared centered quality index, variance-normalized.
+def max_statistic(qm: QualityMatrix) -> float:
+    """Larger squared centered quality index of a k = 2 matrix (entries
+    (0, 1) and (1, 0)), variance-normalized.
 
     Asymptotically chi-square(1) under homogeneity; upper-tail rejection.
     """
-    scale = _pair_scale(q.m, q.n)
-    return max((q.q_fg - 0.5) ** 2, (q.q_gf - 0.5) ** 2) / scale
-
-
-def min_statistic(q: QualityPair) -> float:
-    """Centered smaller quality index on the standard-deviation scale.
-
-    Asymptotically half-normal under homogeneity; upper-tail rejection.
-    Can dip below zero in finite samples when both indices exceed 1/2.
-    """
-    scale = _pair_scale(q.m, q.n)
-    return (0.5 - min(q.q_fg, q.q_gf)) / scale**0.5
-
-
-def product_statistic(q: QualityPair) -> float:
-    """Product of the two directed indices; small values reject (lower tail)."""
-    return q.q_fg * q.q_gf
-
-
-def sum_statistic(q: QualityPair) -> float:
-    """Sum of the two directed indices; small values reject (lower tail)."""
-    return q.q_fg + q.q_gf
+    scale = _pair_scale(qm.sizes[0], qm.sizes[1])
+    q_01, q_10 = float(qm.q[0, 1]), float(qm.q[1, 0])
+    return max((q_01 - 0.5) ** 2, (q_10 - 0.5) ** 2) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +265,22 @@ def cramer_univariate(x, y) -> float:
     return m * n / (m + n) * float(gap_sq.mean())
 
 
+def _require_distance_budget(total: int) -> None:
+    """Refuse energy on N pooled rows before allocating its N x N distances."""
+    if total * total > _CACHE_ELEMENT_CAP:
+        raise SizeLimit(f"energy needs a {total} x {total} distance matrix, over the cap of "
+                        f"{_CACHE_ELEMENT_CAP} elements")
+
+
 def _energy_from_blocks(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> float:
     # V-statistic means: within-sample blocks keep their zero diagonals.
     return 2.0 * float(xy.mean()) - float(xx.mean()) - float(yy.mean())
+
+
+def _energy_from_distances(blocks, sizes) -> float:
+    """mn/(m+n) * E_hat from the (xx, yy, xy) distance blocks of a partition."""
+    m, n = sizes
+    return m * n / (m + n) * _energy_from_blocks(*blocks)
 
 
 def energy_statistic(x, y) -> float:
@@ -293,9 +288,9 @@ def energy_statistic(x, y) -> float:
     x = as_sample_matrix(x, "x")
     y = as_sample_matrix(y, "y")
     require_same_dimension(x, y)
-    m, n = x.shape[0], y.shape[0]
-    e_hat = _energy_from_blocks(cdist(x, x), cdist(y, y), cdist(x, y))
-    return m * n / (m + n) * e_hat
+    _require_distance_budget(x.shape[0] + y.shape[0])
+    blocks = (cdist(x, x), cdist(y, y), cdist(x, y))
+    return _energy_from_distances(blocks, (x.shape[0], y.shape[0]))
 
 
 def energy_normalized(x, y) -> float:
@@ -304,6 +299,7 @@ def energy_normalized(x, y) -> float:
     x = as_sample_matrix(x, "x")
     y = as_sample_matrix(y, "y")
     require_same_dimension(x, y)
+    _require_distance_budget(x.shape[0] + y.shape[0])
     between = cdist(x, y)
     denom = 2.0 * float(between.mean())
     if denom == 0.0:

@@ -165,7 +165,7 @@ def test_criterion_7_skull_table1():
     for kind_name in ("mahalanobis", "spatial", "projection"):
         kind = dt.DepthKind(kind_name, direction_seed=SKULL_SEED)
         dataset = dt.load_csv(SKULLS, "epoch").subset(EASY_EPOCHS.split(","))
-        spec = dt.CalibrationSpec(method="permutation", replications=5000, seed=SKULL_SEED)
+        spec = dt.CalibrationSpec(replications=5000, seed=SKULL_SEED)
         outs = dt.permutation_report(
             list(dataset.groups.values()), ("min", "product", "sum", "dbr"), kind, spec
         )
@@ -178,9 +178,9 @@ def test_criterion_7_skull_table1():
 def test_criterion_8_asymptotic_min_pvalue(hard_epochs_report):
     rows = {r["statistic_name"]: r for r in json.loads(hard_epochs_report)["results"]}
     observed = rows["min"]["statistic"]
-    spec = dt.CalibrationSpec(method="monte_carlo", replications=1_000_000, seed=1)
+    spec = dt.CalibrationSpec(replications=1_000_000, seed=1)
     p_k3 = dt.mc_asymptotic_min_pvalue(observed, (30, 30, 30), spec)
-    spec2 = dt.CalibrationSpec(method="monte_carlo", replications=1_000_000, seed=2)
+    spec2 = dt.CalibrationSpec(replications=1_000_000, seed=2)
     p_k2 = dt.mc_asymptotic_min_pvalue(1.96, (200, 200), spec2)
     ok = p_k3 <= 0.01 and abs(p_k2 - 0.050) <= 0.002
     _report(8, ok, f"asymptotic p at observed min {observed:.4f}: {p_k3:.6f}; k=2 check at 1.96: {p_k2:.4f}")

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from depthtest import (
+    STATISTIC_NAMES,
     CalibrationSpec,
     DepthKind,
     DomainError,
     ScenarioSpec,
+    SizeLimit,
     UnknownStatistic,
     chi2_1_pvalue,
     default_tail,
@@ -19,7 +21,7 @@ from depthtest import (
     pair_coefficients,
     permutation_pvalue,
     permutation_report,
-    quality,
+    quality_matrix,
     sample_scenario,
 )
 from depthtest import (
@@ -28,9 +30,9 @@ from depthtest import (
     dbr_statistic,
     energy_statistic,
     max_statistic,
-    min_statistic,
-    product_statistic,
-    sum_statistic,
+    min_statistic_k,
+    product_statistic_k,
+    sum_statistic_k,
 )
 from depthtest.calibration import _StatisticEngine
 from depthtest.quality import partition_depth_rows
@@ -84,9 +86,9 @@ class TestPairCoefficients:
 
 class TestTails:
     def test_defaults(self):
-        assert default_tail("product") == "lower"
-        assert default_tail("sum") == "lower"
-        for name in ("min", "max", "dbr", "bdbr", "energy", "cramer"):
+        lower = {name for name in STATISTIC_NAMES if default_tail(name) == "lower"}
+        assert lower == {"product", "sum"}
+        for name in set(STATISTIC_NAMES) - lower:
             assert default_tail(name) == "upper"
 
     def test_unknown_statistic(self):
@@ -101,11 +103,11 @@ class TestEvaluation:
         values = evaluate_statistics(
             [x, y], ("min", "max", "product", "sum", "dbr", "bdbr", "energy"), any_kind
         )
-        pair = quality(x, y, any_kind)
-        assert values["min"] == min_statistic(pair)
-        assert values["max"] == max_statistic(pair)
-        assert values["product"] == product_statistic(pair)
-        assert values["sum"] == sum_statistic(pair)
+        qm = quality_matrix([x, y], any_kind)
+        assert values["min"] == min_statistic_k(qm)
+        assert values["max"] == max_statistic(qm)
+        assert values["product"] == product_statistic_k(qm)
+        assert values["sum"] == sum_statistic_k(qm)
         assert values["dbr"] == dbr_statistic(x, y, any_kind)
         assert values["bdbr"] == bdbr_multivariate(x, y, any_kind)
         assert values["energy"] == pytest.approx(energy_statistic(x, y), rel=1e-12)
@@ -119,13 +121,24 @@ class TestEvaluation:
 
     def test_two_group_only_guard(self, rng):
         groups = [rng.normal(size=(5, 2)) for _ in range(3)]
-        for name in ("max", "bdbr", "energy"):
-            with pytest.raises(UnknownStatistic):
-                evaluate_statistics(groups, (name,), MAHAL)[name]
+        rejected = set()
+        for name in STATISTIC_NAMES:
+            try:
+                evaluate_statistics(groups, (name,), MAHAL)
+            except UnknownStatistic as exc:
+                assert f"statistic {name!r} is only defined for 2 groups" in str(exc)
+                rejected.add(name)
+        assert rejected == {"max", "bdbr", "energy", "cramer"}
+
+    def test_energy_distance_matrix_over_cap_is_refused(self):
+        # 2 x 2,237 pooled rows: N^2 = 20,016,676 exceeds the 20M-element cap
+        x = np.zeros((2237, 1))
+        with pytest.raises(SizeLimit):
+            evaluate_statistics([x, x + 1.0], ("energy",), None)
 
     def test_repeated_name_rejected(self, rng):
         groups = [rng.normal(size=(8, 2)) for _ in range(2)]
-        spec = CalibrationSpec(method="permutation", replications=9, seed=0)
+        spec = CalibrationSpec(replications=9, seed=0)
         with pytest.raises(UnknownStatistic, match="'min' is requested more than once"):
             permutation_report(groups, ("min", "min"), MAHAL, spec)
         with pytest.raises(UnknownStatistic, match="'dbr' is requested more than once"):
@@ -140,7 +153,7 @@ class TestPermutation:
     def test_constant_statistic_gives_p_one(self):
         x = np.zeros((6, 2))
         y = np.zeros((5, 2))
-        spec = CalibrationSpec(method="permutation", replications=60, seed=3)
+        spec = CalibrationSpec(replications=60, seed=3)
         out = permutation_pvalue([x, y], "energy", None, spec)
         assert out.p_value == 1.0
         assert out.method == "permutation"
@@ -148,7 +161,7 @@ class TestPermutation:
     def test_pvalue_bounds(self, rng):
         x = rng.normal(size=(10, 2))
         y = rng.normal(size=(10, 2)) + 3.0  # far-separated: p pinned at 1/(B+1)
-        spec = CalibrationSpec(method="permutation", replications=99, seed=5)
+        spec = CalibrationSpec(replications=99, seed=5)
         out = permutation_pvalue([x, y], "min", MAHAL, spec)
         assert out.p_value == pytest.approx(1.0 / 100.0)
         for name in ("product", "sum"):
@@ -157,7 +170,7 @@ class TestPermutation:
 
     def test_deterministic_and_batch_consistent(self, rng):
         groups = [rng.normal(size=(8, 2)), rng.normal(size=(9, 2)) + 0.4]
-        spec = CalibrationSpec(method="permutation", replications=149, seed=11)
+        spec = CalibrationSpec(replications=149, seed=11)
         names = ("min", "product", "dbr")
         batch = {o.statistic_name: o for o in permutation_report(groups, names, MAHAL, spec)}
         for name in names:
@@ -168,8 +181,8 @@ class TestPermutation:
 
     def test_explicit_tail_override(self, rng):
         groups = [rng.normal(size=(8, 2)), rng.normal(size=(8, 2))]
-        upper = CalibrationSpec(method="permutation", replications=99, seed=2, tail="upper")
-        lower = CalibrationSpec(method="permutation", replications=99, seed=2, tail="lower")
+        upper = CalibrationSpec(replications=99, seed=2, tail="upper")
+        lower = CalibrationSpec(replications=99, seed=2, tail="lower")
         p_up = permutation_pvalue(groups, "sum", MAHAL, upper).p_value
         p_lo = permutation_pvalue(groups, "sum", MAHAL, lower).p_value
         # the two tails use complementary count conventions
@@ -177,7 +190,7 @@ class TestPermutation:
 
     def test_three_group_permutation(self, rng):
         groups = [rng.normal(size=(7, 2)) for _ in range(3)]
-        spec = CalibrationSpec(method="permutation", replications=99, seed=13)
+        spec = CalibrationSpec(replications=99, seed=13)
         for name in ("min", "product", "sum", "dbr"):
             out = permutation_pvalue(groups, name, MAHAL, spec)
             assert 0.01 <= out.p_value <= 1.0
@@ -193,7 +206,7 @@ class TestPermutation:
         hits = 0
         for r in range(reps):
             groups = sample_scenario(spec, 20, r)
-            cal = CalibrationSpec(method="permutation", replications=b_count, seed=1000 + r)
+            cal = CalibrationSpec(replications=b_count, seed=1000 + r)
             out = permutation_pvalue(groups, "min", MAHAL, cal)
             hits += out.p_value <= 0.05
         bound = 0.05 + 1.0 / (b_count + 1)
@@ -226,7 +239,7 @@ def test_permutation_report_observed_equals_evaluate_statistics(kind, k, d, extr
         names = ("min", "max", "product", "sum", "dbr", "bdbr", "energy")
     else:
         names = ("min", "product", "sum", "dbr")
-    spec = CalibrationSpec(method="permutation", replications=1, seed=seed)
+    spec = CalibrationSpec(replications=1, seed=seed)
     report = permutation_report(groups, names, kind, spec)
     observed = {outcome.statistic_name: outcome.statistic for outcome in report}
     assert observed == evaluate_statistics(groups, names, kind)
@@ -262,7 +275,7 @@ def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, 
         names = ("min", "max", "product", "sum", "dbr", "bdbr", "energy")
     else:
         names = ("min", "product", "sum", "dbr")
-    spec = CalibrationSpec(method="permutation", replications=7, seed=seed)
+    spec = CalibrationSpec(replications=7, seed=seed)
     report = {o.statistic_name: o for o in permutation_report(groups, names, kind, spec)}
 
     pooled = np.vstack(groups)
@@ -292,27 +305,27 @@ def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, 
 
 class TestMcAsymptotic:
     def test_k2_reduces_to_half_normal(self):
-        spec = CalibrationSpec(method="monte_carlo", replications=400_000, seed=4)
+        spec = CalibrationSpec(replications=400_000, seed=4)
         p = mc_asymptotic_min_pvalue(1.96, (200, 200), spec)
         assert p == pytest.approx(half_normal_pvalue(1.96), abs=2.5e-3)
 
     def test_zero_threshold_gives_one(self):
-        spec = CalibrationSpec(method="monte_carlo", replications=1000, seed=4)
+        spec = CalibrationSpec(replications=1000, seed=4)
         assert mc_asymptotic_min_pvalue(0.0, (30, 30, 30), spec) == 1.0
 
     def test_monotone_nonincreasing_in_x(self):
-        spec = CalibrationSpec(method="monte_carlo", replications=100_000, seed=9)
+        spec = CalibrationSpec(replications=100_000, seed=9)
         ps = [mc_asymptotic_min_pvalue(x, (30, 40, 50), spec) for x in (0.5, 1.0, 1.5, 2.0, 3.0)]
         assert all(a >= b for a, b in zip(ps, ps[1:]))
 
     def test_deterministic(self):
-        spec = CalibrationSpec(method="monte_carlo", replications=50_000, seed=77)
+        spec = CalibrationSpec(replications=50_000, seed=77)
         a = mc_asymptotic_min_pvalue(2.2, (30, 30, 30), spec)
         b = mc_asymptotic_min_pvalue(2.2, (30, 30, 30), spec)
         assert a == b
 
     def test_domain_errors(self):
-        spec = CalibrationSpec(method="monte_carlo", replications=100, seed=0)
+        spec = CalibrationSpec(replications=100, seed=0)
         with pytest.raises(DomainError):
             mc_asymptotic_min_pvalue(1.0, (10, -1), spec)
         with pytest.raises(DomainError):
@@ -324,8 +337,6 @@ class TestMcAsymptotic:
 class TestCalibrationSpecValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
-            CalibrationSpec(method="bootstrap", replications=10, seed=0)
+            CalibrationSpec(replications=0, seed=0)
         with pytest.raises(ValueError):
-            CalibrationSpec(method="permutation", replications=0, seed=0)
-        with pytest.raises(ValueError):
-            CalibrationSpec(method="permutation", replications=10, seed=0, tail="middle")
+            CalibrationSpec(replications=10, seed=0, tail="middle")

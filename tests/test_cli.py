@@ -122,6 +122,13 @@ class TestTwoSampleCommand:
             "energy": "", "cramer": "", "min": "spatial",
         }
 
+    def test_stats_help_lists_table_then_manova(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["two-sample", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        names = "min, max, product, sum, dbr, bdbr, energy, cramer, wilks, hotelling, pillai"
+        assert f"comma list from {names}" in help_text
+
 
 class TestKSampleCommand:
     def test_skulls_easy_epochs_do_not_reject(self, tmp_path):
@@ -237,6 +244,17 @@ class TestExitCodes:
         assert f"group '{label}' is listed more than once in --groups" in err
         assert "Traceback" not in err
 
+    def test_energy_over_distance_cap_is_data_error(self, tmp_path, capsys):
+        # 2 x 2,237 pooled rows: N^2 = 20,016,676 exceeds the 20M-element cap
+        data = tmp_path / "big.csv"
+        rows = [f"{i}.5,{'a' if i < 2237 else 'b'}" for i in range(2 * 2237)]
+        data.write_text("\n".join(["v,grp", *rows]) + "\n")
+        code = main(["two-sample", "--input", str(data), "--group", "grp", "--stats", "energy"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: energy needs a 4474 x 4474 distance matrix")
+        assert "Traceback" not in err
+
     def test_missing_group_column(self, tmp_path):
         data = tmp_path / "two.csv"
         data.write_text("v,grp\n1,a\n2,b\n")
@@ -255,6 +273,7 @@ class TestExitCodes:
             ["power", "--m-grid", "10,3"],
             ["power", "--alpha", "1.5"],
             ["type1", "--alpha", "0"],
+            ["type1", "--scenario", "mean_shift"],
             ["scale-curve", "--alphas", "1.5"],
             ["scale-curve", "--alphas", "0"],
             ["scale-curve", "--alphas", "0.5,0.2"],
@@ -342,11 +361,24 @@ class TestSimulationCommands:
         assert names == {"min", "sum", "min_asymptotic"}
         assert all(0.0 <= r["value"] <= 1.0 for r in rows)
 
-    def test_type1_rejects_alternative_scenario(self, tmp_path):
+    @pytest.mark.parametrize(
+        "scenario, defaults",
+        (
+            ("mean_shift", ["min", "max", "product", "sum", "dbr", "bdbr"]),
+            ("three_group_a", ["min", "product", "sum", "dbr"]),
+        ),
+    )
+    def test_power_defaults_to_depth_statistics_defined_at_k(self, scenario, defaults, tmp_path):
+        out = tmp_path / "power.json"
         code = main(
-            ["type1", "--scenario", "mean_shift", "--m-grid", "10", "--reps", "5", "--seed", "1"]
+            [
+                "power", "--scenario", scenario, "--m-grid", "12", "--reps", "2",
+                "--output", str(out),
+            ]
         )
-        assert code == 1
+        assert code == 0
+        rows = json.loads(out.read_text())["results"]
+        assert [r["statistic"] for r in rows] == [*defaults, "min_asymptotic"]
 
     def test_profile_defaults_are_recorded(self, tmp_path):
         out = tmp_path / "power.json"

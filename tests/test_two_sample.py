@@ -5,8 +5,9 @@ from scipy.stats import f as f_dist
 from depthtest import (
     DepthKind,
     DimensionMismatch,
-    QualityPair,
+    QualityMatrix,
     SingularScatter,
+    SizeLimit,
     TiedRanks,
     UnknownStatistic,
     bdbr_multivariate,
@@ -18,9 +19,9 @@ from depthtest import (
     manova,
     manova_eigen,
     max_statistic,
-    min_statistic,
-    product_statistic,
-    sum_statistic,
+    min_statistic_k,
+    product_statistic_k,
+    sum_statistic_k,
 )
 from depthtest.depths import depth_values
 from depthtest.two_sample import depth_ranks
@@ -45,50 +46,55 @@ Y6 = np.array([[2.0, 2.0], [3.0, 2.0], [2.0, 3.0], [3.0, 3.0], [4.0, 2.0], [2.0,
 BDBR_GOLDEN = 6.861538461538465
 
 
+def _pair(q_fg, q_gf, m, n):
+    """The k = 2 quality matrix with Q(F_m, G_n) = q_fg and Q(G_n, F_m) = q_gf."""
+    return QualityMatrix(q=np.array([[np.nan, q_fg], [q_gf, np.nan]]), sizes=(m, n))
+
+
 class TestQualityPairStatistics:
     def test_max_arithmetic(self):
-        pair = QualityPair(q_fg=0.4, q_gf=0.58, m=100, n=100)
+        pair = _pair(q_fg=0.4, q_gf=0.58, m=100, n=100)
         assert max_statistic(pair) == pytest.approx(6.0, rel=1e-12)
 
     def test_min_arithmetic(self):
-        pair = QualityPair(q_fg=0.4, q_gf=0.58, m=100, n=100)
-        assert min_statistic(pair) == pytest.approx(600.0**0.5 * 0.1, rel=1e-12)
+        pair = _pair(q_fg=0.4, q_gf=0.58, m=100, n=100)
+        assert min_statistic_k(pair) == pytest.approx(600.0**0.5 * 0.1, rel=1e-12)
 
     def test_null_center_zeroes(self):
-        pair = QualityPair(q_fg=0.5, q_gf=0.5, m=50, n=70)
+        pair = _pair(q_fg=0.5, q_gf=0.5, m=50, n=70)
         assert max_statistic(pair) == 0.0
-        assert min_statistic(pair) == 0.0
-        assert product_statistic(pair) == 0.25
-        assert sum_statistic(pair) == 1.0
+        assert min_statistic_k(pair) == 0.0
+        assert product_statistic_k(pair) == 0.25
+        assert sum_statistic_k(pair) == 1.0
 
     def test_product_annihilator_and_sum(self):
-        assert product_statistic(QualityPair(0.0, 0.7, 5, 5)) == 0.0
-        assert sum_statistic(QualityPair(0.4, 0.58, 5, 5)) == pytest.approx(0.98)
-        assert sum_statistic(QualityPair(0.0, 0.0, 5, 5)) == 0.0
+        assert product_statistic_k(_pair(0.0, 0.7, 5, 5)) == 0.0
+        assert sum_statistic_k(_pair(0.4, 0.58, 5, 5)) == pytest.approx(0.98)
+        assert sum_statistic_k(_pair(0.0, 0.0, 5, 5)) == 0.0
 
     def test_zero_iff_centered(self, rng):
         for _ in range(50):
             q_fg, q_gf = rng.uniform(0, 1, size=2)
-            pair = QualityPair(q_fg, q_gf, 30, 40)
+            pair = _pair(q_fg, q_gf, 30, 40)
             assert max_statistic(pair) >= 0.0
             if max_statistic(pair) == 0.0:
                 assert q_fg == 0.5 and q_gf == 0.5
-            if min_statistic(pair) == 0.0:
+            if min_statistic_k(pair) == 0.0:
                 assert min(q_fg, q_gf) == 0.5
 
     def test_am_gm_inequality(self, rng):
         for _ in range(100):
-            pair = QualityPair(*rng.uniform(0, 1, size=2), m=10, n=10)
-            assert product_statistic(pair) <= (sum_statistic(pair) / 2.0) ** 2 + 1e-15
+            pair = _pair(*rng.uniform(0, 1, size=2), m=10, n=10)
+            assert product_statistic_k(pair) <= (sum_statistic_k(pair) / 2.0) ** 2 + 1e-15
 
     def test_label_exchange(self, rng):
         q_fg, q_gf = rng.uniform(0, 1, size=2)
-        a = QualityPair(q_fg, q_gf, 30, 50)
-        b = QualityPair(q_gf, q_fg, 50, 30)
+        a = _pair(q_fg, q_gf, 30, 50)
+        b = _pair(q_gf, q_fg, 50, 30)
         assert max_statistic(a) == max_statistic(b)
-        assert min_statistic(a) == min_statistic(b)
-        assert product_statistic(a) == product_statistic(b)
-        assert sum_statistic(a) == sum_statistic(b)
+        assert min_statistic_k(a) == min_statistic_k(b)
+        assert product_statistic_k(a) == product_statistic_k(b)
+        assert sum_statistic_k(a) == sum_statistic_k(b)
 
 
 class TestDepthRank:
@@ -298,3 +304,11 @@ class TestEnergy:
             x = rng.normal(size=(int(rng.integers(2, 9)), 2))
             y = rng.normal(size=(int(rng.integers(2, 9)), 2))
             assert energy_statistic(x, y) == pytest.approx(brute_energy(x, y), rel=1e-12)
+
+    def test_distance_matrix_over_cap_is_refused(self):
+        # 2 x 2,237 pooled rows: N^2 = 20,016,676 exceeds the 20M-element cap
+        x = np.zeros((2237, 1))
+        with pytest.raises(SizeLimit):
+            energy_statistic(x, x + 1.0)
+        with pytest.raises(SizeLimit):
+            energy_normalized(x, x + 1.0)
