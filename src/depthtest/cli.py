@@ -3,7 +3,13 @@
 Subcommands: ``two-sample``, ``k-sample``, ``power``, ``type1``,
 ``scale-curve``. Everything is driven by flags (no environment variables),
 all randomness derives from ``--seed``, and reports are emitted as CSV or
-JSON. Exit status: 0 success, 1 data/numeric error, 2 usage error.
+JSON. Each subcommand's parser names the handler that runs it and the
+columns of its CSV report, and the handlers read the parsed flags
+directly. The JSON report's ``config`` block names every flag of every
+subcommand; a subcommand reports the parser-level default for each flag
+it does not have. Comma lists (``--groups``, ``--stats``, ``--m-grid``,
+``--alphas``) must be nonempty. Exit status: 0 success, 1 data/numeric
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import (
@@ -38,34 +43,9 @@ from .simulation import (
 )
 from .two_sample import MANOVA_KINDS, TestOutcome, manova
 
-TEST_COMMANDS = ("two-sample", "k-sample")
-
 
 class UsageError(Exception):
     """Bad flag combination detected after argparse; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    depth: DepthKind
-    seed: int
-    output_format: str = "json"
-    output_path: str | None = None
-    input_path: str | None = None
-    group_column: str | int | None = None
-    group_filter: tuple[str, ...] | None = None
-    statistics: tuple[str, ...] = ()
-    permutations: int = 0
-    asymptotic: bool = False
-    mc_draws: int = 1_000_000
-    scenario: str | None = None
-    m_grid: tuple[int, ...] = ()
-    size_rule: str = "equal"
-    replications: int | None = None
-    profile: str = "desk"
-    alpha_level: float = 0.05
-    alphas: tuple[float, ...] = ()
 
 
 # Simulation scale profiles: grid of first-group sizes and replication count
@@ -83,6 +63,10 @@ def _fmt_stat(value: float) -> float:
 
 def _fmt_p(value: float | None) -> float | None:
     return None if value is None else float(f"{value:.6g}")
+
+
+def _depth(args: argparse.Namespace) -> DepthKind:
+    return DepthKind(kind=args.depth, direction_count=args.directions, direction_seed=args.seed)
 
 
 def _sha256(path: str) -> str:
@@ -115,89 +99,85 @@ def _first_repeat(items):
     return None
 
 
-def _load_groups(config: RunConfig) -> tuple[LabeledDataset, list]:
-    if config.input_path is None:
-        raise UsageError(f"{config.command} requires --input")
-    if config.group_column is None:
-        raise UsageError(f"{config.command} requires --group")
-    repeated = _first_repeat(config.group_filter or ())
+def _load_groups(args: argparse.Namespace) -> LabeledDataset:
+    repeated = _first_repeat(args.groups or ())
     if repeated is not None:
         raise UsageError(f"group {repeated!r} is listed more than once in --groups")
-    dataset = load_csv(config.input_path, config.group_column)
-    if config.group_filter:
-        dataset = dataset.subset(config.group_filter)
-    if len(dataset.groups) < 2:
-        raise UsageError("need at least 2 groups for a test command")
-    return dataset, list(dataset.groups.values())
+    dataset = load_csv(args.input, args.group)
+    if args.groups:
+        dataset = dataset.subset(args.groups)
+    return dataset
 
 
-def _asymptotic_pvalue(name: str, value: float, sizes, config: RunConfig) -> tuple[float, str]:
+def _asymptotic_pvalue(
+    name: str, value: float, sizes, args: argparse.Namespace
+) -> tuple[float, str]:
     """Limit-law p-value of ``min`` (or ``max``, two groups only) and its method."""
     if name == "max":
         return chi2_1_pvalue(value), "asymptotic"
     if len(sizes) == 2:
         return half_normal_pvalue(value), "asymptotic"
-    spec = CalibrationSpec(replications=config.mc_draws, seed=config.seed)
+    spec = CalibrationSpec(replications=args.mc_draws, seed=args.seed)
     return mc_asymptotic_min_pvalue(value, sizes, spec), "monte_carlo"
 
 
-def _run_tests(config: RunConfig) -> dict:
-    dataset, groups = _load_groups(config)
+def _run_tests(args: argparse.Namespace) -> dict:
+    dataset = _load_groups(args)
+    groups = list(dataset.groups.values())
     k = len(groups)
-    if config.command == "two-sample" and k != 2:
+    if k < 2:
+        raise UsageError("need at least 2 groups for a test command")
+    if args.command == "two-sample" and k != 2:
         raise UsageError(
             f"two-sample requires exactly 2 groups, found {k} ({', '.join(dataset.labels)}); "
             "use --groups or the k-sample command"
         )
-    if not config.statistics:
-        raise UsageError("--stats must name at least one statistic")
     # MANOVA names are split off below, before the engine checks for repeats
-    repeated = _first_repeat(config.statistics)
+    repeated = _first_repeat(args.stats)
     if repeated is not None:
         raise UsageError(f"statistic {repeated!r} is requested more than once")
     sizes = tuple(g.shape[0] for g in groups)
+    depth = _depth(args)
 
-    manova_names = [s for s in config.statistics if s in MANOVA_KINDS]
-    depth_names = [s for s in config.statistics if s not in MANOVA_KINDS]
-    if manova_names and config.command != "two-sample":
+    manova_names = [s for s in args.stats if s in MANOVA_KINDS]
+    depth_names = [s for s in args.stats if s not in MANOVA_KINDS]
+    if manova_names and args.command != "two-sample":
         raise UsageError("MANOVA statistics are two-sample only")
 
     # One evaluation of the observed partition: permutation_report already
     # returns the observed values alongside its p-values.
     perm_outcomes: dict[str, TestOutcome] = {}
     observed: dict[str, float] = {}
-    if depth_names and config.permutations > 0:
-        spec = CalibrationSpec(replications=config.permutations, seed=config.seed)
-        report = permutation_report(groups, depth_names, config.depth, spec)
+    if depth_names and args.perms > 0:
+        spec = CalibrationSpec(replications=args.perms, seed=args.seed)
+        report = permutation_report(groups, depth_names, depth, spec)
         perm_outcomes = {outcome.statistic_name: outcome for outcome in report}
         observed = {name: outcome.statistic for name, outcome in perm_outcomes.items()}
     elif depth_names:
-        observed = evaluate_statistics(groups, depth_names, config.depth)
+        observed = evaluate_statistics(groups, depth_names, depth)
 
     outcomes = []
-    for name in config.statistics:
+    for name in args.stats:
         if name in MANOVA_KINDS:
             outcomes.append(manova(groups[0], groups[1], name))
             continue
-        asymptotic = config.asymptotic and name in ("min", "max")
+        asymptotic = args.asymptotic and name in ("min", "max")
         if name in perm_outcomes:
             outcomes.append(perm_outcomes[name])
         elif not asymptotic:
             outcomes.append(
-                statistic_outcome(name, observed[name], None, "none", config.depth, sizes)
+                statistic_outcome(name, observed[name], None, "none", depth, sizes)
             )
         if asymptotic:
-            p, method = _asymptotic_pvalue(name, observed[name], sizes, config)
-            outcomes.append(
-                statistic_outcome(name, observed[name], p, method, config.depth, sizes)
-            )
-    rows = [_outcome_row(outcome, config.seed) for outcome in outcomes]
+            p, method = _asymptotic_pvalue(name, observed[name], sizes, args)
+            outcomes.append(statistic_outcome(name, observed[name], p, method, depth, sizes))
+    rows = [_outcome_row(outcome, args.seed) for outcome in outcomes]
     return {"results": rows, "labels": list(dataset.labels)}
 
 
-def _run_power(config: RunConfig) -> dict:
-    spec = _scenario_spec(config)
-    names = config.statistics or tuple(
+def _run_power(args: argparse.Namespace) -> dict:
+    spec = _scenario_spec(args)
+    names = args.stats or tuple(
         name for name, statistic in STATISTICS.items()
         if statistic.depth_based and statistic.defined_at(spec.group_count)
     )
@@ -205,63 +185,59 @@ def _run_power(config: RunConfig) -> dict:
     rows = []
     for name in table.statistics:
         for m in spec.m_grid:
-            rows.append(_sim_row(name, m, table.sizes[m], config, table.rates[(name, m)]))
+            rows.append(_sim_row(name, m, table.sizes[m], args, table.rates[(name, m)]))
     for m in spec.m_grid:
-        rows.append(_sim_row("min_asymptotic", m, table.sizes[m], config, table.asymptotic_min[m]))
+        rows.append(_sim_row("min_asymptotic", m, table.sizes[m], args, table.asymptotic_min[m]))
     return {"results": rows}
 
 
-def _run_type1(config: RunConfig) -> dict:
-    spec = _scenario_spec(config)
+def _run_type1(args: argparse.Namespace) -> dict:
+    spec = _scenario_spec(args)
     table = type1_quantiles(spec)
     rows = []
     for row in table.rows:
-        rows.append(_sim_row("min_quantile", row.m, row.sizes, config, row.quantile))
-        rows.append(_sim_row("asymptotic_reference", row.m, row.sizes, config, table.reference))
+        rows.append(_sim_row("min_quantile", row.m, row.sizes, args, row.quantile))
+        rows.append(_sim_row("asymptotic_reference", row.m, row.sizes, args, table.reference))
     return {"results": rows}
 
 
-def _sim_row(name: str, m: int, sizes, config: RunConfig, value: float) -> dict:
+def _sim_row(name: str, m: int, sizes, args: argparse.Namespace, value: float) -> dict:
     return {
         "statistic": name,
         "m": m,
         "n": ";".join(str(s) for s in sizes[1:]),
-        "depth": config.depth.kind,
+        "depth": args.depth,
         "value": _fmt_stat(value),
     }
 
 
-def _scenario_spec(config: RunConfig) -> ScenarioSpec:
-    if config.scenario is None:
-        raise UsageError(f"{config.command} requires --scenario")
-    profile = PROFILES[config.profile]
-    m_grid = config.m_grid or profile["m_grid"]
-    replications = config.replications
-    if replications is None:
-        replications = profile["type1" if config.command == "type1" else "power"]
+def _scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
+    profile = PROFILES[args.profile]
     # reflect the resolved values in the emitted config block
-    config.m_grid = m_grid
-    config.replications = replications
+    args.m_grid = args.m_grid or profile["m_grid"]
+    if args.reps is None:
+        args.reps = profile[args.command]
     try:
         return ScenarioSpec(
-            scenario=config.scenario,
-            m_grid=m_grid,
-            size_rule=config.size_rule,
-            depth=config.depth,
-            replications=replications,
-            seed=config.seed,
-            alpha_level=config.alpha_level,
+            scenario=args.scenario,
+            m_grid=args.m_grid,
+            size_rule=args.size_rule,
+            depth=_depth(args),
+            replications=args.reps,
+            seed=args.seed,
+            alpha_level=args.alpha,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _run_scale_curve(config: RunConfig) -> dict:
-    dataset, _ = _load_groups(config)
-    alphas = list(config.alphas) if config.alphas else default_alpha_grid()
+def _run_scale_curve(args: argparse.Namespace) -> dict:
+    dataset = _load_groups(args)
+    alphas = list(args.alphas) if args.alphas else default_alpha_grid()
+    depth = _depth(args)
     rows = []
     for label, sample in dataset.groups.items():
-        curve = scale_curve(sample, alphas, config.depth)
+        curve = scale_curve(sample, alphas, depth)
         for alpha, volume in zip(curve.alphas, curve.volumes):
             rows.append(
                 {"group": label, "alpha": float(f"{alpha:.6g}"), "volume": _fmt_stat(volume)}
@@ -269,50 +245,39 @@ def _run_scale_curve(config: RunConfig) -> dict:
     return {"results": rows}
 
 
-_CSV_COLUMNS = {
-    "two-sample": ("statistic_name", "statistic", "p_value", "method", "depth", "sizes", "seed"),
-    "k-sample": ("statistic_name", "statistic", "p_value", "method", "depth", "sizes", "seed"),
-    "power": ("statistic", "m", "n", "depth", "value"),
-    "type1": ("statistic", "m", "n", "depth", "value"),
-    "scale-curve": ("group", "alpha", "volume"),
-}
-
-
-def _config_dict(config: RunConfig) -> dict:
+def _config_dict(args: argparse.Namespace) -> dict:
     return {
-        "command": config.command,
-        "input": config.input_path,
-        "group_column": config.group_column,
-        "groups": list(config.group_filter) if config.group_filter else None,
-        "depth": config.depth.kind,
-        "directions": config.depth.direction_count,
-        "statistics": list(config.statistics) if config.statistics else None,
-        "permutations": config.permutations,
-        "asymptotic": config.asymptotic,
-        "mc_draws": config.mc_draws,
-        "scenario": config.scenario,
-        "m_grid": list(config.m_grid) if config.m_grid else None,
-        "size_rule": config.size_rule,
-        "replications": config.replications,
-        "profile": config.profile,
-        "alpha_level": config.alpha_level,
-        "seed": config.seed,
-        "format": config.output_format,
+        "command": args.command,
+        "input": args.input,
+        "group_column": args.group,
+        "groups": list(args.groups) if args.groups else None,
+        "depth": args.depth,
+        "directions": args.directions,
+        "statistics": list(args.stats) if args.stats else None,
+        "permutations": args.perms,
+        "asymptotic": args.asymptotic,
+        "mc_draws": args.mc_draws,
+        "scenario": args.scenario,
+        "m_grid": list(args.m_grid) if args.m_grid else None,
+        "size_rule": args.size_rule,
+        "replications": args.reps,
+        "profile": args.profile,
+        "alpha_level": args.alpha,
+        "seed": args.seed,
+        "format": args.format,
     }
 
 
-def _emit(config: RunConfig, body: dict) -> None:
-    if config.output_format == "json":
+def _emit(args: argparse.Namespace, body: dict) -> None:
+    if args.format == "json":
         report = {
-            "config": _config_dict(config),
+            "config": _config_dict(args),
             "results": body["results"],
-            "fixture_hashes": (
-                {config.input_path: _sha256(config.input_path)} if config.input_path else {}
-            ),
+            "fixture_hashes": {args.input: _sha256(args.input)} if args.input else {},
         }
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
-        columns = _CSV_COLUMNS[config.command]
+        columns = args.columns
         lines = [",".join(columns)]
         for row in body["results"]:
             cells = []
@@ -326,25 +291,15 @@ def _emit(config: RunConfig, body: dict) -> None:
                     cells.append(str(value))
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
-    if config.output_path:
-        Path(config.output_path).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured pipeline and emit its report; returns 0."""
-    if config.command in TEST_COMMANDS:
-        body = _run_tests(config)
-    elif config.command == "power":
-        body = _run_power(config)
-    elif config.command == "type1":
-        body = _run_type1(config)
-    elif config.command == "scale-curve":
-        body = _run_scale_curve(config)
-    else:
-        raise UsageError(f"unknown command {config.command!r}")
-    _emit(config, body)
+def run(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand's handler and emit its report; returns 0."""
+    _emit(args, args.handler(args))
     return 0
 
 
@@ -375,6 +330,7 @@ def _checked(convert, valid, requirement: str):
 
 
 _COUNT = _checked(int, lambda v: v >= 1, "must be >= 1")
+_NAMES = _checked(_str_list, bool, "must be a nonempty list")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -383,6 +339,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Depth-based multivariate homogeneity tests, simulations, and scale curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # what the config block reports for the flags a subcommand does not have;
+    # each subcommand's own defaults override these
+    parser.set_defaults(
+        input=None, group=None, groups=None, stats=None, perms=0, asymptotic=False,
+        mc_draws=1_000_000, scenario=None, m_grid=None, size_rule="equal", reps=None,
+        profile="desk", alpha=0.05,
+    )
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--depth", choices=VALID_KINDS, default="mahalanobis")
@@ -395,13 +358,17 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", required=True, help="CSV file with a group-label column")
         p.add_argument("--group", required=True, help="group column name or 0-based index")
-        p.add_argument("--groups", type=_str_list, default=None,
+        p.add_argument("--groups", type=_NAMES, default=None,
                        help="comma-separated group labels to keep")
 
-    for name in TEST_COMMANDS:
+    for name in ("two-sample", "k-sample"):
         p = sub.add_parser(name, help=f"{name} homogeneity tests")
+        p.set_defaults(
+            handler=_run_tests,
+            columns=("statistic_name", "statistic", "p_value", "method", "depth", "sizes", "seed"),
+        )
         add_input(p)
-        p.add_argument("--stats", type=_str_list, required=True,
+        p.add_argument("--stats", type=_NAMES, required=True,
                        help=f"comma list from {', '.join((*STATISTICS, *MANOVA_KINDS))}")
         p.add_argument("--perms", type=_checked(int, lambda v: v >= 0, "must be >= 0"),
                        default=0, help="permutation replications B")
@@ -413,11 +380,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("power", "type1"):
         p = sub.add_parser(name, help=f"{name} simulation study")
+        p.set_defaults(handler=_run_power if name == "power" else _run_type1,
+                       columns=("statistic", "m", "n", "depth", "value"))
         # type-I quantiles exist only under the null
         scenarios = tuple(SCENARIOS) if name == "power" else ("null",)
         p.add_argument("--scenario", choices=scenarios, required=True)
         p.add_argument("--m-grid", default=None,
-                       type=_checked(_int_list, lambda grid: all(m >= 4 for m in grid),
+                       type=_checked(_checked(_int_list, bool, "must be a nonempty list"),
+                                     lambda grid: all(m >= 4 for m in grid),
                                      "every entry must be >= 4"),
                        help="comma list of first-group sizes; default from --profile")
         p.add_argument("--size-rule", choices=SIZE_RULES, default="equal")
@@ -428,10 +398,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=_checked(float, lambda v: 0.0 < v < 1.0,
                                                 "must be inside (0, 1)"), default=0.05)
         if name == "power":
-            p.add_argument("--stats", type=_str_list, default=None)
+            p.add_argument("--stats", type=_NAMES, default=None)
         add_common(p)
 
     p = sub.add_parser("scale-curve", help="depth-trimmed region volumes per group")
+    p.set_defaults(handler=_run_scale_curve, columns=("group", "alpha", "volume"))
     add_input(p)
     p.add_argument("--alphas", default=None,
                    type=_checked(_float_list,
@@ -444,49 +415,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    depth = DepthKind(
-        kind=args.depth,
-        direction_count=args.directions,
-        direction_seed=args.seed,
-    )
-    config = RunConfig(
-        command=args.command,
-        depth=depth,
-        seed=args.seed,
-        output_format=args.format,
-        output_path=args.output,
-    )
-    if args.command in TEST_COMMANDS:
-        config.input_path = args.input
-        config.group_column = args.group
-        config.group_filter = args.groups
-        config.statistics = args.stats or ()
-        config.permutations = args.perms
-        config.asymptotic = args.asymptotic
-        config.mc_draws = args.mc_draws
-    elif args.command in ("power", "type1"):
-        config.scenario = args.scenario
-        config.m_grid = args.m_grid or ()
-        config.size_rule = args.size_rule
-        config.replications = args.reps
-        config.profile = args.profile
-        config.alpha_level = args.alpha
-        if args.command == "power":
-            config.statistics = args.stats or ()
-    else:
-        config.input_path = args.input
-        config.group_column = args.group
-        config.group_filter = args.groups
-        config.alphas = args.alphas or ()
-    return config
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return run(_config_from_args(args))
+        return run(args)
     except (UsageError, UnknownStatistic) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -68,6 +68,9 @@ class ScenarioSpec:
             raise ValueError(f"unknown size rule {self.size_rule!r}")
         if not self.m_grid or any(m < 4 for m in self.m_grid):
             raise ValueError("m_grid entries must be >= 4")
+        for i, m in enumerate(self.m_grid):
+            if m in self.m_grid[:i]:
+                raise ValueError(f"m_grid entry {m} is listed more than once")
         if not 0.0 < self.alpha_level < 1.0:
             raise ValueError("alpha_level must be inside (0, 1)")
         if self.replications < 1:

@@ -279,6 +279,11 @@ class TestExitCodes:
             ["scale-curve", "--alphas", "0.5,0.2"],
             ["scale-curve", "--alphas", "0.2,0.2"],
             ["scale-curve", "--alphas", ","],
+            ["k-sample", "--groups", ","],
+            ["scale-curve", "--groups", " , "],
+            ["two-sample", "--stats", ","],
+            ["power", "--stats", ","],
+            ["type1", "--m-grid", ","],
         ),
         ids=lambda argv: " ".join(argv),
     )
@@ -299,6 +304,100 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"argument {argv[1]}:" in err
         assert "Traceback" not in err
+
+
+def _config_block(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    return json.loads(out.read_text())["config"]
+
+
+# The config block names every flag of every command; a command reports the
+# parser-level value for each flag it does not have.
+_UNSET_TEST_FLAGS = {
+    "scenario": None, "m_grid": None, "size_rule": "equal", "replications": None,
+    "profile": "desk", "alpha_level": 0.05,
+}
+_UNSET_SIMULATION_FLAGS = {
+    "input": None, "group_column": None, "groups": None,
+    "permutations": 0, "asymptotic": False, "mc_draws": 1_000_000,
+}
+
+
+class TestConfigBlock:
+    def test_two_sample(self, tmp_path):
+        skulls = str(skulls_path())
+        argv = [
+            "two-sample", "--input", skulls, "--group", "epoch", "--groups", "cAD150,c4000BC",
+            "--stats", "min,wilks", "--perms", "9", "--seed", "3",
+        ]
+        assert _config_block(argv, tmp_path) == {
+            "command": "two-sample", "input": skulls, "group_column": "epoch",
+            "groups": ["cAD150", "c4000BC"], "depth": "mahalanobis", "directions": 500,
+            "statistics": ["min", "wilks"], "permutations": 9, "asymptotic": False,
+            "mc_draws": 1_000_000, "seed": 3, "format": "json", **_UNSET_TEST_FLAGS,
+        }
+
+    def test_k_sample(self, tmp_path):
+        skulls = str(skulls_path())
+        argv = [
+            "k-sample", "--input", skulls, "--group", "4", "--stats", "min,product",
+            "--asymptotic", "--mc-draws", "1000", "--depth", "spatial", "--directions", "7",
+            "--format", "json",
+        ]
+        assert _config_block(argv, tmp_path) == {
+            "command": "k-sample", "input": skulls, "group_column": "4", "groups": None,
+            "depth": "spatial", "directions": 7, "statistics": ["min", "product"],
+            "permutations": 0, "asymptotic": True, "mc_draws": 1000, "seed": 0,
+            "format": "json", **_UNSET_TEST_FLAGS,
+        }
+
+    def test_power(self, tmp_path):
+        argv = [
+            "power", "--scenario", "mean_shift", "--m-grid", "12,10", "--size-rule", "half",
+            "--alpha", "0.1", "--seed", "4",
+        ]
+        assert _config_block([*argv, "--stats", "min,sum", "--reps", "2"], tmp_path) == {
+            "command": "power", "depth": "mahalanobis", "directions": 500,
+            "statistics": ["min", "sum"], "scenario": "mean_shift", "m_grid": [12, 10],
+            "size_rule": "half", "replications": 2, "profile": "desk", "alpha_level": 0.1,
+            "seed": 4, "format": "json", **_UNSET_SIMULATION_FLAGS,
+        }
+        # without --stats and --reps: no statistics list, and the profile's power count
+        config = _config_block(
+            ["power", "--scenario", "null", "--m-grid", "4", "--depth", "spatial",
+             "--profile", "full"], tmp_path,
+        )
+        assert (config["statistics"], config["replications"]) == (None, 1000)
+
+    def test_type1(self, tmp_path):
+        argv = ["type1", "--scenario", "null", "--reps", "3", "--depth", "projection",
+                "--directions", "20", "--seed", "2"]
+        assert _config_block(argv, tmp_path) == {
+            "command": "type1", "depth": "projection", "directions": 20, "statistics": None,
+            "scenario": "null", "m_grid": [100, 200, 300, 400, 500], "size_rule": "equal",
+            "replications": 3, "profile": "desk", "alpha_level": 0.05, "seed": 2,
+            "format": "json", **_UNSET_SIMULATION_FLAGS,
+        }
+        # the full profile's type-I count differs from its power count
+        config = _config_block(
+            ["type1", "--scenario", "null", "--m-grid", "4", "--depth", "spatial",
+             "--profile", "full"], tmp_path,
+        )
+        assert config["replications"] == 10_000
+
+    def test_scale_curve(self, tmp_path):
+        skulls = str(skulls_path())
+        argv = [
+            "scale-curve", "--input", skulls, "--group", "epoch", "--groups", "c200BC,cAD150",
+            "--alphas", "0.5", "--depth", "projection", "--directions", "20", "--seed", "1",
+        ]
+        assert _config_block(argv, tmp_path) == {
+            "command": "scale-curve", "input": skulls, "group_column": "epoch",
+            "groups": ["c200BC", "cAD150"], "depth": "projection", "directions": 20,
+            "statistics": None, "permutations": 0, "asymptotic": False,
+            "mc_draws": 1_000_000, "seed": 1, "format": "json", **_UNSET_TEST_FLAGS,
+        }
 
 
 class TestSimulationCommands:
@@ -395,6 +494,14 @@ class TestSimulationCommands:
         assert config["replications"] == 10
 
 
+    def test_repeated_grid_entry_is_usage_error(self, capsys):
+        code = main(["power", "--scenario", "null", "--m-grid", "10,12,10", "--reps", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "m_grid entry 10 is listed more than once" in err
+        assert "Traceback" not in err
+
+
 class TestScaleCurveCommand:
     def test_emits_group_rows(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -415,6 +522,16 @@ class TestScaleCurveCommand:
         for grp in groups:
             vols = [float(line.split(",")[2]) for line in lines[1:] if line.startswith(grp)]
             assert vols == sorted(vols, reverse=True)
+
+    def test_single_group_rows_match_all_groups_run(self, capsys):
+        argv = ["scale-curve", "--input", str(skulls_path()), "--group", "epoch",
+                "--alphas", "0.1,0.5,0.9", "--format", "csv"]
+        assert main(argv) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--groups", "c4000BC"]) == 0
+        single = capsys.readouterr().out.splitlines()
+        assert single == [header, *(row for row in rows if row.startswith("c4000BC,"))]
+        assert len(single) == 4
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -85,6 +85,8 @@ class TestSpecValidation:
             _spec(size_rule="third")
         with pytest.raises(ValueError):
             _spec(replications=0)
+        with pytest.raises(ValueError, match="m_grid entry 20 is listed more than once"):
+            _spec(m_grid=(20, 30, 20))
 
     @pytest.mark.parametrize(
         "depth, m, smallest, need",
