@@ -24,34 +24,35 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .depths import DepthKind, pooled_depths
-from .errors import DimensionMismatch, DomainError, UnknownStatistic
-from .multi_sample import min_statistic_k, product_statistic_k, sum_statistic_k
-from .quality import partition_depth_rows, quality_matrix_from_rows
+from .depths import DepthKind, pooled_depths, stacked_elements
+from .errors import DepthTestError, DimensionMismatch, DomainError, UnknownStatistic
+from .multi_sample import _min_stack, _product_stack, _sum_stack
+from .quality import partition_depth_rows, quality_indices
 from .rng import TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, standard_normals, substream
 from .samples import coerce_groups, group_slices
 from .two_sample import (
     TestOutcome,
+    _bdbr_stack,
+    _dbr_stack,
     _energy_from_distances,
+    _max_stack,
     _require_distance_budget,
-    bdbr_from_depth_rows,
     cramer_univariate,
-    dbr_from_depth_rows,
-    max_statistic,
 )
 
 
 @dataclass(frozen=True)
 class Statistic:
     """One statistic: its rejecting tail ("upper" or "lower"), whether it
-    is defined only at k = 2, the per-partition input it ``reads``
-    (``q_matrix``, ``depth_rows``, ``distances`` or ``values_1d``), and its
-    ``formula`` of that input and the group sizes."""
+    is defined only at k = 2, the input it ``reads`` for a stack of P
+    partitions (``q_matrix`` (P, k, k), ``depth_rows`` (P, k, N), or one
+    ``distances`` or ``values_1d`` entry per partition), and its
+    ``formula``: the (P,) statistics of that input and the group sizes."""
 
     tail: str
     two_group_only: bool
     reads: str
-    formula: Callable[..., float]
+    formula: Callable[..., np.ndarray]
 
     @property
     def depth_based(self) -> bool:
@@ -61,22 +62,34 @@ class Statistic:
         return group_count == 2 or not self.two_group_only
 
 
+def _per_partition(formula):
+    """A stacked formula from one that takes a single partition's input."""
+    return lambda inputs, sizes: np.array([formula(one, sizes) for one in inputs])
+
+
 # The k = 2 rows are the two-sample statistics; MANOVA stays outside, with
 # its own F-law p-value and no permutation path.
 STATISTICS = {
-    "min": Statistic("upper", False, "q_matrix", lambda qm, sizes: min_statistic_k(qm)),
-    "max": Statistic("upper", True, "q_matrix", lambda qm, sizes: max_statistic(qm)),
-    "product": Statistic("lower", False, "q_matrix", lambda qm, sizes: product_statistic_k(qm)),
-    "sum": Statistic("lower", False, "q_matrix", lambda qm, sizes: sum_statistic_k(qm)),
-    "dbr": Statistic("upper", False, "depth_rows", dbr_from_depth_rows),
-    "bdbr": Statistic("upper", True, "depth_rows", bdbr_from_depth_rows),
-    "energy": Statistic("upper", True, "distances", _energy_from_distances),
-    "cramer": Statistic("upper", True, "values_1d", lambda xy, sizes: cramer_univariate(*xy)),
+    "min": Statistic("upper", False, "q_matrix", _min_stack),
+    "max": Statistic("upper", True, "q_matrix", _max_stack),
+    "product": Statistic("lower", False, "q_matrix", _product_stack),
+    "sum": Statistic("lower", False, "q_matrix", _sum_stack),
+    "dbr": Statistic("upper", False, "depth_rows", _dbr_stack),
+    "bdbr": Statistic("upper", True, "depth_rows", _bdbr_stack),
+    "energy": Statistic("upper", True, "distances", _per_partition(_energy_from_distances)),
+    "cramer": Statistic(
+        "upper", True, "values_1d", _per_partition(lambda xy, sizes: cramer_univariate(*xy))
+    ),
 }
 
 STATISTIC_NAMES = tuple(STATISTICS)
 
 _MC_CHUNK = 1 << 17
+
+# Element budget of every per-chunk temporary of permutation calibration
+# (2 MiB of float64): a chunk stacks as many partitions as fit, and at
+# least one.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -163,13 +176,16 @@ def chi2_1_pvalue(x: float) -> float:
 class _StatisticEngine:
     """Shared evaluator for one pooled sample under re-partitioning.
 
-    ``values(order)`` evaluates the partition that puts pooled row
-    ``order[p]`` at position p. The observed partition is the identity
-    order, so one-off evaluation and permutation loops run the same
-    arithmetic. The depth geometry (:func:`~depthtest.depths.pooled_depths`)
-    and, for energy, the pooled distance matrix are built once per engine;
-    each partition builds only the inputs the requested statistics read,
-    once, and shares them among those statistics.
+    ``values(orders)`` evaluates, for a (P, N) stack of orders, the P
+    partitions that put pooled row ``orders[p, t]`` at position t, and
+    returns each statistic's (P,) values. The observed partition is the
+    identity order, so one-off evaluation (P = 1) and permutation chunks
+    run the same arithmetic. The depth geometry
+    (:func:`~depthtest.depths.pooled_depths`) and, for energy, the pooled
+    distance matrix are built once per engine; each stack builds only the
+    inputs the requested statistics read, once, and shares them among
+    those statistics. ``partition_elements`` is the size of the largest
+    per-partition temporary, which chunk sizes are measured in.
     """
 
     def __init__(self, groups, kind: DepthKind | None, names) -> None:
@@ -184,33 +200,48 @@ class _StatisticEngine:
             one_d = next(name for name, s in self._entries if s.reads == "values_1d")
             raise DimensionMismatch(f"{one_d} statistic expects 1-D samples")
         self.slices = group_slices(self.sizes)
-        self.total = self.pooled.shape[0]
+        self.total, dim = self.pooled.shape
+        # per partition, the largest temporary of a stack: the (k, N) depth
+        # rows and their sort and rank arrays, energy's N x N distance
+        # blocks, or the depth kernel's own (stacked_elements)
+        self.partition_elements = len(self.sizes) * self.total
         self.dist = None
         if "distances" in self.reads:
             _require_distance_budget(self.total)
             self.dist = cdist(self.pooled, self.pooled)
-        self._depths_against = pooled_depths(self.pooled, kind) if depth_names else None
+            self.partition_elements = max(self.partition_elements, self.total**2)
+        self._depths_against = None
+        if depth_names:
+            self._depths_against = pooled_depths(self.pooled, kind)
+            self.partition_elements = max(
+                self.partition_elements,
+                stacked_elements(kind, self.total, dim, max(self.sizes)),
+            )
 
-    def values(self, order: np.ndarray) -> dict[str, float]:
+    def values(self, orders: np.ndarray) -> dict[str, np.ndarray]:
         inputs = {}
         if self._depths_against is not None:
-            rows = partition_depth_rows(self._depths_against, self.slices, order)
+            rows = partition_depth_rows(self._depths_against, self.slices, orders)
             inputs["depth_rows"] = rows
             if "q_matrix" in self.reads:
-                inputs["q_matrix"] = quality_matrix_from_rows(rows, self.sizes)
+                inputs["q_matrix"] = quality_indices(rows, self.sizes)
         if "distances" in self.reads:
-            ia, ib = order[self.slices[0]], order[self.slices[1]]
-            blocks = ((ia, ia), (ib, ib), (ia, ib))
-            inputs["distances"] = [self.dist[np.ix_(a, b)] for a, b in blocks]
+            inputs["distances"] = [self._distance_blocks(order) for order in orders]
         if "values_1d" in self.reads:
-            inputs["values_1d"] = [self.pooled[order[sl]] for sl in self.slices]
+            inputs["values_1d"] = [[self.pooled[order[sl]] for sl in self.slices] for order in orders]
         return {name: s.formula(inputs[s.reads], self.sizes) for name, s in self._entries}
+
+    def _distance_blocks(self, order: np.ndarray) -> list[np.ndarray]:
+        """The (xx, yy, xy) distance blocks of one two-group partition."""
+        ia, ib = order[self.slices[0]], order[self.slices[1]]
+        return [self.dist[np.ix_(a, b)] for a, b in ((ia, ia), (ib, ib), (ia, ib))]
 
 
 def evaluate_statistics(groups, names, kind: DepthKind | None) -> dict[str, float]:
     """Observed values of several statistics on one fixed partition."""
     engine = _StatisticEngine(groups, kind, names)
-    return engine.values(np.arange(engine.total))
+    values = engine.values(np.arange(engine.total)[None])
+    return {name: float(value[0]) for name, value in values.items()}
 
 
 def statistic_outcome(name, observed, p, method, kind, sizes) -> TestOutcome:
@@ -225,26 +256,53 @@ def statistic_outcome(name, observed, p, method, kind, sizes) -> TestOutcome:
     )
 
 
+def _stack_values(engine: _StatisticEngine, orders: np.ndarray, first: int) -> dict[str, np.ndarray]:
+    """``engine.values(orders)``; when the stack fails, the error of its
+    first failing partition, naming the replication if it is permuted."""
+    try:
+        return engine.values(orders)
+    except DepthTestError:
+        for t, order in enumerate(orders, start=first):
+            try:
+                engine.values(order[None])
+            except DepthTestError as exc:
+                if t == 0:
+                    raise
+                raise type(exc)(f"{exc} (permutation replication b={t - 1})") from exc
+        raise
+
+
 def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationSpec) -> list[TestOutcome]:
     """Permutation p-values for several statistics from one shared stream.
 
     Replication b re-partitions the pooled sample by the permutation drawn
-    from substream (seed, b); every statistic sees the same partitions, so
-    each entry matches a standalone :func:`permutation_pvalue` call exactly.
+    from substream (seed, TAG_PERMUTATION, b); every statistic sees the same
+    partitions, so each entry matches a standalone :func:`permutation_pvalue`
+    call exactly. The observed partition and the B permuted ones are
+    evaluated in chunks that stack as many partitions as
+    ``_CHUNK_ELEMENTS`` allows (at least one); exceedances are counted per
+    chunk by vectorised comparisons.
     """
     engine = _StatisticEngine(groups, kind, names)
-    observed = engine.values(np.arange(engine.total))
     tails = {name: spec.tail or default_tail(name) for name in names}
-    counts = {name: 0 for name in names}
-    for b in range(spec.replications):
-        rng = substream(spec.seed, TAG_PERMUTATION, b)
-        order = rng.permutation(engine.total)
-        permuted = engine.values(order)
+    chunk = max(1, _CHUNK_ELEMENTS // engine.partition_elements)
+    partitions = spec.replications + 1
+    counts = dict.fromkeys(names, 0)
+    for first in range(0, partitions, chunk):
+        # partition 0 is the observed (identity) one, partition t replication t - 1
+        orders = np.stack([
+            substream(spec.seed, TAG_PERMUTATION, t - 1).permutation(engine.total)
+            if t else np.arange(engine.total)
+            for t in range(first, min(first + chunk, partitions))
+        ])
+        values = _stack_values(engine, orders, first)
+        if first == 0:
+            observed = {name: value[0] for name, value in values.items()}
+            values = {name: value[1:] for name, value in values.items()}
         for name in names:
-            if tails[name] == "upper":
-                counts[name] += permuted[name] >= observed[name]
-            else:
-                counts[name] += permuted[name] <= observed[name]
+            upper = tails[name] == "upper"
+            exceeds = values[name] >= observed[name] if upper else values[name] <= observed[name]
+            counts[name] += int(np.count_nonzero(exceeds))
     outcomes = []
     for name in names:
         p = (1.0 + counts[name]) / (spec.replications + 1.0)
@@ -258,9 +316,9 @@ def permutation_pvalue(groups, statistic_name: str, kind: DepthKind | None, spec
     """Permutation p-value for one named statistic.
 
     Pools all observations, re-partitions into the original group sizes
-    uniformly at random ``spec.replications`` times (substream (seed, b)
-    per replication) and applies the add-one estimator on the statistic's
-    tail. Deterministic given the seed.
+    uniformly at random ``spec.replications`` times (substream
+    (seed, TAG_PERMUTATION, b) for replication b) and applies the add-one
+    estimator on the statistic's tail. Deterministic given the seed.
     """
     return permutation_report(groups, (statistic_name,), kind, spec)[0]
 

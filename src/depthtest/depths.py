@@ -20,7 +20,8 @@ reference sample:
 
 Depths of a pooled sample against groups of its own rows come from
 :func:`pooled_depths`, which builds the partition-independent geometry
-once and gathers the reference rows of every partition from it.
+once and gathers the reference rows of a whole stack of partitions from
+it.
 """
 
 from __future__ import annotations
@@ -68,35 +69,41 @@ def min_reference_rows(kind: DepthKind, dim: int) -> int:
     return {"mahalanobis": dim + 1, "projection": 2, "spatial": 1}[kind.kind]
 
 
-def _spd_cholesky(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric matrix, refusing near-singular
-    input: any pivot at or below 1e-12 times the largest diagonal raises
-    SingularCovariance instead of regularizing."""
-    tol = 1e-12 * float(np.max(np.diag(matrix)))
+def _spd_cholesky(matrices: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a symmetric matrix or a (P, d, d) stack of
+    them, refusing near-singular input: any pivot at or below 1e-12 times
+    its matrix's largest diagonal raises SingularCovariance, for the first
+    such matrix of the stack, instead of regularizing."""
+    tol = 1e-12 * np.diagonal(matrices, axis1=-2, axis2=-1).max(axis=-1)
     try:
-        lower = np.linalg.cholesky(matrix)
+        lower = np.linalg.cholesky(matrices)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("covariance is not positive definite") from exc
-    pivots = np.diag(lower) ** 2
-    j = int(np.argmin(pivots))
-    if pivots[j] <= tol:
+    pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
+    refused = pivots.min(axis=-1) <= tol
+    if refused.any():
+        pivots, tol = pivots.reshape(-1, pivots.shape[-1]), tol.reshape(-1)
+        p = int(np.argmax(refused.reshape(-1)))
+        j = int(np.argmin(pivots[p]))
         raise SingularCovariance(
-            f"covariance pivot {pivots[j]:.3e} at column {j} (tolerance {tol:.3e})"
+            f"covariance pivot {pivots[p, j]:.3e} at column {j} (tolerance {tol[p]:.3e})"
         )
     return lower
 
 
-def _mahalanobis_depths(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    m = reference.shape[0]
+def _mahalanobis_depths(query: np.ndarray, references: np.ndarray) -> np.ndarray:
+    """(P, q) depths of the query rows against each reference of a (P, m, d)
+    stack, from stacked means, covariances, Cholesky factors and solves."""
+    m = references.shape[1]
     if m < 2:
         raise SingularCovariance("mahalanobis depth needs at least 2 reference rows")
-    mean = reference.mean(axis=0)
-    centered = reference - mean
-    cov = centered.T @ centered / (m - 1)
+    mean = references.mean(axis=1)
+    centered = references - mean[:, None, :]
+    cov = np.matmul(centered.transpose(0, 2, 1), centered) / (m - 1)
     lower = _spd_cholesky(cov)
-    dev = (query - mean).T
+    dev = (query - mean[:, None, :]).transpose(0, 2, 1)
     half = np.linalg.solve(lower, dev)
-    quad = np.einsum("ij,ij->j", half, half)
+    quad = np.einsum("pij,pij->pj", half, half)
     return 1.0 / (1.0 + quad)
 
 
@@ -114,7 +121,7 @@ def _unit_components(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _spatial_from_sums(sums: np.ndarray, m: int) -> np.ndarray:
-    """Spatial depths from the (d, q) unit-vector sums over m reference rows."""
+    """Spatial depths from the (d, ...) unit-vector sums over m reference rows."""
     avg = sums / m
     return np.clip(1.0 - np.sqrt((avg * avg).sum(axis=0)), 0.0, 1.0)
 
@@ -205,28 +212,53 @@ def depth_values(query, reference, kind: DepthKind) -> np.ndarray:
     reference = as_sample_matrix(reference, "reference")
     require_same_dimension(query, reference)
     if kind.kind == "mahalanobis":
-        return _mahalanobis_depths(query, reference)
+        return _mahalanobis_depths(query, reference[None])[0]
     if kind.kind == "spatial":
         return _spatial_depths(query, reference)
     return _projection_depths(query, reference, kind)
 
 
-def pooled_depths(pooled: np.ndarray, kind: DepthKind):
-    """``against(idx)``: the depths of every row of the sample matrix
-    ``pooled`` against its rows ``pooled[idx]``.
+def _spatial_cache_fits(n: int, d: int) -> bool:
+    return n * n * d <= _CACHE_ELEMENT_CAP
 
-    Spatial depth sums, in ``idx`` order, rows of the pooled unit-vector
-    coordinates (d, N, N) while they fit ``_CACHE_ELEMENT_CAP``; projection
-    depth gathers rows of the pooled projections. Otherwise each call runs
-    the plain kernel.
+
+def stacked_elements(kind: DepthKind, n: int, d: int, m: int) -> int:
+    """Elements per partition of the largest temporary that
+    :func:`pooled_depths` builds for m-row references of n pooled rows in d
+    dimensions: Mahalanobis' (d, n) deviations, cached spatial's (m, n)
+    gather and (d, n) sums; the kernels run once per partition otherwise,
+    so one depth row."""
+    if kind.kind == "mahalanobis":
+        return d * n
+    if kind.kind == "spatial" and _spatial_cache_fits(n, d):
+        return max(m, d) * n
+    return n
+
+
+def pooled_depths(pooled: np.ndarray, kind: DepthKind):
+    """``against(idx)``: for a (P, m) stack of row indices, the (P, N)
+    depths of every row of the sample matrix ``pooled`` against each
+    reference ``pooled[idx[p]]``.
+
+    Mahalanobis depth runs stacked over P. Spatial depth sums, in ``idx``
+    order, rows of the pooled unit-vector coordinates (d, N, N) while they
+    fit ``_CACHE_ELEMENT_CAP``, one coordinate at a time as a (P, m, N)
+    gather. Projection depth gathers rows of the pooled projections and
+    runs once per partition; so does the plain spatial kernel past the cap.
+    :func:`stacked_elements` gives the per-partition size of the largest
+    temporary.
     """
     n, d = pooled.shape
-    if kind.kind == "spatial" and n * n * d <= _CACHE_ELEMENT_CAP:
+    if kind.kind == "mahalanobis":
+        return lambda idx: _mahalanobis_depths(pooled, pooled[idx])
+    if kind.kind == "spatial" and _spatial_cache_fits(n, d):
         comps = _unit_components(pooled, pooled)
         return lambda idx: _spatial_from_sums(
-            np.stack([coord[idx].sum(axis=0) for coord in comps]), len(idx)
+            np.stack([coord[idx].sum(axis=1) for coord in comps]), idx.shape[1]
         )
     if kind.kind == "projection":
         proj = pooled @ _directions(kind.direction_seed, kind.direction_count, d).T
-        return lambda idx: 1.0 / (1.0 + projection_outlyingness(proj[idx], proj))
-    return lambda idx: depth_values(pooled, pooled[idx], kind)
+        return lambda idx: np.stack(
+            [1.0 / (1.0 + projection_outlyingness(proj[ref], proj)) for ref in idx]
+        )
+    return lambda idx: np.stack([depth_values(pooled, pooled[ref], kind) for ref in idx])

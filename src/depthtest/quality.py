@@ -9,15 +9,19 @@ on 1/2.
 For k groups every ordered pair (i, j) gives one index, with group i as
 reference. All of them come from the same depth rows: the groups are
 pooled once and the whole pooled sample is depthed against each group's
-empirical distribution (:func:`pooled_depth_rows`, the identity order of
-:func:`partition_depth_rows`, which permutation loops call per
-re-partition). The two-sample pair
-:func:`quality` is entries (0, 1) and (1, 0) of the k = 2 matrix.
+empirical distribution. :func:`partition_depth_rows` forms the rows of a
+whole stack of partitions at once, and :func:`quality_indices` their
+(P, k, k) indices; permutation calibration feeds both chunks of
+re-partitions, and one-off evaluation (:func:`pooled_depth_rows`,
+:func:`quality_matrix`) is the stack of one identity partition. The
+two-sample pair :func:`quality` is entries (0, 1) and (1, 0) of the
+k = 2 matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,50 +61,83 @@ class QualityMatrix:
         return len(self.sizes)
 
 
-def directed_quality(ref_depths: np.ndarray, other_depths: np.ndarray) -> float:
-    """Q with the first argument's sample as reference.
+def partition_depth_rows(depths_against, slices, orders: np.ndarray) -> np.ndarray:
+    """(P, k, N) depth rows of the P partitions of a (P, N) stack of orders.
 
-    ``ref_depths`` are the reference sample's depths against itself,
-    ``other_depths`` the other sample's depths against the same reference.
-    """
-    ordered = np.sort(ref_depths)
-    counts = np.searchsorted(ordered, other_depths, side="right")
-    return int(counts.sum()) / (ref_depths.size * other_depths.size)
-
-
-def partition_depth_rows(depths_against, slices, order: np.ndarray) -> list[np.ndarray]:
-    """Depth rows of the partition that puts pooled row ``order[p]`` at
-    position p and group g at positions ``slices[g]``: row g holds every
-    position's depth against group g, from :func:`~depthtest.depths.pooled_depths`."""
-    return [depths_against(order[sl])[order] for sl in slices]
+    Partition p puts pooled row ``orders[p, t]`` at position t and group g
+    at positions ``slices[g]``; its row g holds every position's depth
+    against group g, from :func:`~depthtest.depths.pooled_depths`."""
+    p, n = orders.shape
+    depths = np.empty((p, len(slices), n))
+    for g, sl in enumerate(slices):
+        depths[:, g] = depths_against(orders[:, sl])
+    # row (p, g) gathers its depths in the order of partition p
+    flat = orders[:, None, :] + n * np.arange(p * len(slices)).reshape(p, -1, 1)
+    return depths.reshape(-1)[flat]
 
 
-def pooled_depth_rows(pooled: np.ndarray, sizes, kind: DepthKind) -> list[np.ndarray]:
-    """Depths of every pooled row against each group's empirical
+def pooled_depth_rows(pooled: np.ndarray, sizes, kind: DepthKind) -> np.ndarray:
+    """(k, N) depths of every pooled row against each group's empirical
     distribution; one row per reference group, the groups being the
     consecutive ``sizes`` blocks of ``pooled`` (the identity partition)."""
-    order = np.arange(pooled.shape[0])
-    return partition_depth_rows(pooled_depths(pooled, kind), group_slices(sizes), order)
+    order = np.arange(pooled.shape[0])[None]
+    return partition_depth_rows(pooled_depths(pooled, kind), group_slices(sizes), order)[0]
 
 
-def quality_matrix_from_rows(rows: list[np.ndarray], sizes) -> QualityMatrix:
-    """All k(k-1) directed quality indices from :func:`pooled_depth_rows`."""
-    k = len(sizes)
-    slices = group_slices(sizes)
-    q = np.full((k, k), np.nan)
-    for i in range(k):
-        ref_depths = rows[i][slices[i]]
-        for j in range(k):
-            if i == j:
-                continue
-            q[i, j] = directed_quality(ref_depths, rows[i][slices[j]])
-    return QualityMatrix(q=q, sizes=tuple(sizes))
+@lru_cache(maxsize=64)
+def _counting_layout(sizes: tuple[int, ...]):
+    """The read-only arrays :func:`quality_indices` reuses for one set of
+    group sizes: ``flat``, each row i's positions in the flattened (k * N)
+    rows with group i's block moved first; ``row_offsets``, where each row
+    starts in them; ``bins``, the count bin i * k + j of each moved position
+    of group j; ``own``, the group sizes as a column; and the count
+    denominators mᵢmⱼ, NaN on the diagonal."""
+    k, n = len(sizes), sum(sizes)
+    labels = np.repeat(np.arange(k), sizes)
+    front = np.stack(
+        [np.concatenate([np.flatnonzero(labels == i), np.flatnonzero(labels != i)])
+         for i in range(k)]
+    )
+    reference_rows = np.arange(k)[:, None]
+    row_offsets = n * reference_rows
+    flat = front + row_offsets
+    bins = (labels[front] + k * reference_rows).ravel()
+    own = np.array(sizes)[:, None]
+    denominators = (own * own.T).astype(float)
+    denominators[np.diag_indices(k)] = np.nan
+    layout = (flat, row_offsets, bins, own, denominators)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def quality_indices(rows: np.ndarray, sizes) -> np.ndarray:
+    """(P, k, k) directed quality indices of a (P, k, N) stack of depth rows
+    (:func:`partition_depth_rows`); the diagonal is NaN.
+
+    Entry (i, j) counts, over group j's positions of row i, the group-i
+    depths at or below each. Each row is sorted once, stably, with group
+    i's block moved first, so every group-i depth precedes the equal depths
+    of the other groups (-0.0 equals 0.0): the running count of group-i
+    depths at a group-j position is that position's count. The counts are
+    exact integers, so each index is the count over mᵢmⱼ correctly rounded.
+    """
+    p, k, n = rows.shape
+    flat, row_offsets, bins, own, denominators = _counting_layout(tuple(sizes))
+    order = np.argsort(rows.reshape(p, k * n)[:, flat], axis=-1, kind="stable")
+    below = np.add.accumulate(order < own, axis=-1, dtype=np.intp)
+    # partition p's bins follow partition p - 1's; float sums of the counts are exact
+    keys = bins[order + row_offsets]
+    keys += (k * k * np.arange(p)).reshape(p, 1, 1)
+    counts = np.bincount(keys.ravel(), weights=below.ravel(), minlength=p * k * k)
+    return counts.reshape(p, k, k) / denominators
 
 
 def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
     """All k(k-1) directed quality indices for a list of groups."""
     pooled, sizes = coerce_groups(groups)
-    return quality_matrix_from_rows(pooled_depth_rows(pooled, sizes, kind), sizes)
+    rows = pooled_depth_rows(pooled, sizes, kind)
+    return QualityMatrix(q=quality_indices(rows[None], sizes)[0], sizes=tuple(sizes))
 
 
 def quality(x, y, kind: DepthKind) -> QualityPair:
@@ -113,7 +150,7 @@ def quality_brute_oracle(x, y, kind: DepthKind) -> QualityPair:
     """Independent double-loop evaluation of the quality pair.
 
     Counts every depth comparison explicitly; exists to pin down the
-    sorted/searchsorted production path. Capped at 64 x 64.
+    stable-sort running-count production path. Capped at 64 x 64.
     """
     x = as_sample_matrix(x, "x")
     y = as_sample_matrix(y, "y")

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+import depthtest.calibration as calibration
 from depthtest import (
     STATISTIC_NAMES,
     CalibrationSpec,
     DepthKind,
     DomainError,
     ScenarioSpec,
+    SingularCovariance,
     SizeLimit,
     UnknownStatistic,
     chi2_1_pvalue,
@@ -35,6 +37,7 @@ from depthtest import (
     sum_statistic_k,
 )
 from depthtest.calibration import _StatisticEngine
+from depthtest.cli import main
 from depthtest.quality import partition_depth_rows
 from depthtest.rng import TAG_PERMUTATION, substream
 from oracles import arranged_depth_rows, norm_cdf_quadrature
@@ -263,10 +266,10 @@ def test_permutation_report_observed_equals_evaluate_statistics(kind, k, d, extr
     seed=st.integers(0, 2**32 - 1),
 )
 def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, seed):
-    # replays every permuted partition through a fresh one-partition
-    # evaluation of the arranged groups: the same statistics, hence the same
-    # exceedance counts and p-values; the depth rows also match the
-    # per-group depth_values oracle on the arranged sample
+    # replays every partition of a (B, N) stack through a fresh
+    # one-partition evaluation of the arranged groups: the same statistics,
+    # hence the same exceedance counts and p-values; the stacked depth rows
+    # also match the per-group depth_values oracle on the arranged sample
     rng = np.random.default_rng(seed)
     groups = [rng.normal(size=(d + 3 + e, d)) for e in extra[:k]]
     if shared_row:  # one point twice: its two depths must tie exactly
@@ -281,18 +284,24 @@ def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, 
     pooled = np.vstack(groups)
     sizes = [g.shape[0] for g in groups]
     engine = _StatisticEngine(groups, kind, names)
+    orders = np.stack([
+        substream(spec.seed, TAG_PERMUTATION, b).permutation(pooled.shape[0])
+        for b in range(spec.replications)
+    ])
+    stacked_rows = partition_depth_rows(engine._depths_against, engine.slices, orders)
+    stacked = engine.values(orders)
     counts = dict.fromkeys(names, 0)
-    for b in range(spec.replications):
-        order = substream(spec.seed, TAG_PERMUTATION, b).permutation(pooled.shape[0])
+    for b, order in enumerate(orders):
         arranged = pooled[order]
-        rows = partition_depth_rows(engine._depths_against, engine.slices, order)
         oracle = arranged_depth_rows(arranged, sizes, lambda q, r: depth_values(q, r, kind))
         # depth_values projects the reference and the query rows by separate
         # matrix products, whose last bit can depend on a row's position
         rtol = 1e-12 if kind.kind == "projection" else 0.0
-        assert all(np.allclose(got, want, rtol=rtol, atol=0.0) for got, want in zip(rows, oracle))
+        assert all(
+            np.allclose(got, want, rtol=rtol, atol=0.0) for got, want in zip(stacked_rows[b], oracle)
+        )
         looped = evaluate_statistics(np.split(arranged, np.cumsum(sizes)[:-1]), names, kind)
-        assert engine.values(order) == looped
+        assert {name: values[b] for name, values in stacked.items()} == looped
         for name in names:
             observed = report[name].statistic
             if default_tail(name) == "upper":
@@ -301,6 +310,97 @@ def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, 
                 counts[name] += looped[name] <= observed
     for name in names:
         assert report[name].p_value == (1.0 + counts[name]) / (spec.replications + 1.0)
+
+
+@pytest.mark.parametrize("k", (2, 3, 5))
+@pytest.mark.parametrize(
+    "kind",
+    (
+        DepthKind("mahalanobis"),
+        DepthKind("spatial"),
+        DepthKind("projection", direction_count=64, direction_seed=5),
+    ),
+    ids=lambda kind: kind.kind,
+)
+def test_chunk_size_leaves_report_unchanged(kind, k, monkeypatch):
+    # one partition per chunk, two per chunk (the last holding one) and all
+    # nine partitions in one chunk give the same statistics and p-values;
+    # at k = 5 the sum adds 20 indices, where numpy's pairwise summation
+    # departs from a sequential one
+    rng = np.random.default_rng(2026 + k)
+    groups = [rng.normal(size=(6 + g, 2)) for g in range(k)]
+    if k == 2:
+        names = ("min", "max", "product", "sum", "dbr", "bdbr", "energy")
+    else:
+        names = ("min", "product", "sum", "dbr")
+    spec = CalibrationSpec(replications=8, seed=11)
+    per_partition = _StatisticEngine(groups, kind, names).partition_elements
+    stack_sizes = []
+    values = _StatisticEngine.values
+
+    def recording(self, orders):
+        stack_sizes.append(len(orders))
+        return values(self, orders)
+
+    monkeypatch.setattr(_StatisticEngine, "values", recording)
+    reports = []
+    for budget, chunks in ((1, [1] * 9), (2 * per_partition, [2, 2, 2, 2, 1]), (1 << 40, [9])):
+        monkeypatch.setattr(calibration, "_CHUNK_ELEMENTS", budget)
+        stack_sizes.clear()
+        report = permutation_report(groups, names, kind, spec)
+        assert stack_sizes == chunks
+        reports.append([(o.statistic_name, o.statistic, o.p_value) for o in report])
+    assert reports[0] == reports[1] == reports[2]
+
+
+def _collinear_triples():
+    # groups of 3 in 2-D: six of the nine rows lie on one line, and each
+    # observed group holds one row off it, so only a permuted group can be
+    # singular
+    line = [[t, 2.0 * t] for t in range(6)]
+    off = [[0.0, 5.0], [3.0, -1.0], [5.0, 4.0]]
+    return [np.array([line[2 * g], line[2 * g + 1], off[g]]) for g in range(3)]
+
+
+class TestPermutedSingularCovariance:
+    NAMES = ("min", "dbr")
+
+    @staticmethod
+    def _first_failure(groups, names, spec):
+        pooled = np.vstack(groups)
+        for b in range(spec.replications):
+            order = substream(spec.seed, TAG_PERMUTATION, b).permutation(pooled.shape[0])
+            try:
+                evaluate_statistics(np.split(pooled[order], len(groups)), names, MAHAL)
+            except SingularCovariance as exc:
+                return b, str(exc)
+        raise AssertionError("no permuted partition is singular")
+
+    # seed 1 first fails in the Cholesky call, seed 3 first on the pivot
+    # rule; each has a later failure of the other kind in the same chunk
+    @pytest.mark.parametrize("seed, first_kind", ((1, "not positive definite"), (3, "pivot")))
+    @pytest.mark.parametrize("budget", (1, None), ids=("one-per-chunk", "default"))
+    def test_error_names_first_failing_replication(self, seed, first_kind, budget, monkeypatch):
+        groups = _collinear_triples()
+        spec = CalibrationSpec(replications=40, seed=seed)
+        evaluate_statistics(groups, self.NAMES, MAHAL)  # the observed partition is regular
+        b, message = self._first_failure(groups, self.NAMES, spec)
+        assert b > 0 and first_kind in message
+        if budget is not None:
+            monkeypatch.setattr(calibration, "_CHUNK_ELEMENTS", budget)
+        with pytest.raises(SingularCovariance) as info:
+            permutation_report(groups, self.NAMES, MAHAL, spec)
+        assert str(info.value) == f"{message} (permutation replication b={b})"
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "collinear.csv"
+        rows = [f"{x!r},{y!r},{label}" for label, group in zip("abc", _collinear_triples())
+                for x, y in group.tolist()]
+        data.write_text("\n".join(["u,v,grp", *rows]) + "\n")
+        code = main(["k-sample", "--input", str(data), "--group", "grp", "--stats", "min,dbr",
+                     "--perms", "40", "--seed", "3", "--depth", "mahalanobis"])
+        assert code == 1
+        assert "(permutation replication b=1)" in capsys.readouterr().err
 
 
 class TestMcAsymptotic:

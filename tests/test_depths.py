@@ -79,7 +79,7 @@ class TestSpatialKernel:
 
 
 def _partition_rows(pooled, sizes, kind, order):
-    return partition_depth_rows(pooled_depths(pooled, kind), group_slices(sizes), order)
+    return partition_depth_rows(pooled_depths(pooled, kind), group_slices(sizes), order[None])[0]
 
 
 class TestPooledDepths:
@@ -300,6 +300,19 @@ class TestErrors:
         else:
             lower = depths._spd_cholesky(cov)
             assert lower[1, 1] ** 2 == pytest.approx(second_pivot, rel=1e-3)
+
+    def test_stacked_refusal_names_first_refused_matrix(self):
+        # the pivot rule holds per matrix of a stack: each matrix against its
+        # own largest diagonal, and the error is the first refused one's
+        good = np.array([[1.0, 0.5], [0.5, 0.25 + 1e-11]])
+        refused = [np.array([[1.0, 0.5], [0.5, 0.25 + 1e-13]]), np.array([[4.0, 2.0], [2.0, 1.0 + 1e-13]])]
+        lower = depths._spd_cholesky(np.stack([good, 1e6 * good]))
+        assert np.array_equal(lower[0], depths._spd_cholesky(good))
+        with pytest.raises(SingularCovariance) as first:
+            depths._spd_cholesky(refused[0])
+        with pytest.raises(SingularCovariance) as stacked:
+            depths._spd_cholesky(np.stack([good, *refused]))
+        assert str(stacked.value) == str(first.value)
 
     @pytest.mark.parametrize("shape", ("zero-variance column", "not positive semidefinite"))
     def test_failed_factorization_is_singular(self, shape):
