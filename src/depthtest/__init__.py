@@ -17,7 +17,6 @@ from .calibration import (
     half_normal_pvalue,
     mc_asymptotic_min_pvalue,
     pair_coefficients,
-    permutation_pvalue,
     permutation_report,
 )
 from .dataset import LabeledDataset, dump_csv, load_csv, skulls_path
@@ -36,7 +35,6 @@ from .errors import (
     TiedRanks,
     UnknownStatistic,
 )
-from .multi_sample import dbr_statistic_k, min_statistic_k, product_statistic_k, sum_statistic_k
 from .quality import QualityMatrix, QualityPair, quality, quality_brute_oracle, quality_matrix
 from .scale_curve import ScaleCurve, default_alpha_grid, hull_volume, scale_curve, trimmed_region_points
 from .simulation import (
@@ -52,15 +50,11 @@ from .simulation import (
 from .two_sample import (
     EigenSummary,
     TestOutcome,
-    bdbr_multivariate,
     bdbr_univariate,
     cramer_univariate,
-    dbr_statistic,
     energy_normalized,
-    energy_statistic,
     manova,
     manova_eigen,
-    max_statistic,
 )
 
 __version__ = "0.1.0"
@@ -93,39 +87,30 @@ __all__ = [
     "TiedRanks",
     "TypeOneTable",
     "UnknownStatistic",
-    "bdbr_multivariate",
     "bdbr_univariate",
     "chi2_1_pvalue",
     "cramer_univariate",
-    "dbr_statistic",
-    "dbr_statistic_k",
     "default_alpha_grid",
     "default_tail",
     "depth_values",
     "dump_csv",
     "energy_normalized",
-    "energy_statistic",
     "evaluate_statistics",
     "half_normal_pvalue",
     "hull_volume",
     "load_csv",
     "manova",
     "manova_eigen",
-    "max_statistic",
     "mc_asymptotic_min_pvalue",
-    "min_statistic_k",
     "pair_coefficients",
-    "permutation_pvalue",
     "permutation_report",
     "power_table",
-    "product_statistic_k",
     "quality",
     "quality_brute_oracle",
     "quality_matrix",
     "sample_scenario",
     "scale_curve",
     "skulls_path",
-    "sum_statistic_k",
     "trimmed_region_points",
     "type1_quantiles",
 ]

@@ -26,7 +26,7 @@ from scipy.spatial.distance import cdist
 
 from .depths import DepthKind, pooled_depths, stacked_elements
 from .errors import DepthTestError, DimensionMismatch, DomainError, UnknownStatistic
-from .multi_sample import _min_stack, _product_stack, _sum_stack
+from .multi_sample import _max_stack, _min_stack, _product_stack, _sum_stack
 from .quality import partition_depth_rows, quality_indices
 from .rng import TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, standard_normals, substream
 from .samples import coerce_groups, group_slices
@@ -35,7 +35,6 @@ from .two_sample import (
     _bdbr_stack,
     _dbr_stack,
     _energy_from_distances,
-    _max_stack,
     _require_distance_budget,
     cramer_univariate,
 )
@@ -275,15 +274,19 @@ def _stack_values(engine: _StatisticEngine, orders: np.ndarray, first: int) -> d
 def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationSpec) -> list[TestOutcome]:
     """Permutation p-values for several statistics from one shared stream.
 
-    Replication b re-partitions the pooled sample by the permutation drawn
-    from substream (seed, TAG_PERMUTATION, b); every statistic sees the same
-    partitions, so each entry matches a standalone :func:`permutation_pvalue`
-    call exactly. The observed partition and the B permuted ones are
-    evaluated in chunks that stack as many partitions as
-    ``_CHUNK_ELEMENTS`` allows (at least one); exceedances are counted per
-    chunk by vectorised comparisons.
+    Pools all observations and re-partitions them into the original group
+    sizes ``spec.replications`` times: replication b uses the permutation
+    drawn from substream (seed, TAG_PERMUTATION, b). Each p-value is the
+    add-one estimator on the statistic's tail, deterministic given the
+    seed. Every statistic sees the same partitions, so each entry equals
+    the report of that statistic alone,
+    ``permutation_report(groups, (name,), kind, spec)[0]``. The observed
+    partition and the B permuted ones are evaluated in chunks that stack
+    as many partitions as ``_CHUNK_ELEMENTS`` allows (at least one);
+    exceedances are counted per chunk by vectorised comparisons.
     """
     engine = _StatisticEngine(groups, kind, names)
+    names = engine.names
     tails = {name: spec.tail or default_tail(name) for name in names}
     chunk = max(1, _CHUNK_ELEMENTS // engine.partition_elements)
     partitions = spec.replications + 1
@@ -310,17 +313,6 @@ def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationS
             statistic_outcome(name, observed[name], p, "permutation", kind, engine.sizes)
         )
     return outcomes
-
-
-def permutation_pvalue(groups, statistic_name: str, kind: DepthKind | None, spec: CalibrationSpec) -> TestOutcome:
-    """Permutation p-value for one named statistic.
-
-    Pools all observations, re-partitions into the original group sizes
-    uniformly at random ``spec.replications`` times (substream
-    (seed, TAG_PERMUTATION, b) for replication b) and applies the add-one
-    estimator on the statistic's tail. Deterministic given the seed.
-    """
-    return permutation_report(groups, (statistic_name,), kind, spec)[0]
 
 
 def mc_asymptotic_min_pvalue(x: float, sizes, spec: CalibrationSpec) -> float:

@@ -42,7 +42,7 @@ def load_csv(path, group_column, has_header: bool = True) -> LabeledDataset:
     """Load a labeled dataset; raises ParseError subclasses with row/column
     context on malformed input."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
             rows = list(csv.reader(handle))
         except UnicodeDecodeError as exc:
@@ -58,9 +58,10 @@ def load_csv(path, group_column, has_header: bool = True) -> LabeledDataset:
         if not rows:
             raise ParseError(f"{path}: no data rows after header")
 
+    width = len(header) if header is not None else len(rows[0])
     if isinstance(group_column, int) or (isinstance(group_column, str) and group_column.isdigit()):
         group_idx = int(group_column)
-        if not 0 <= group_idx < len(rows[0]):
+        if not 0 <= group_idx < width:
             raise MissingGroupColumn(f"group column index {group_idx} out of range")
     else:
         if header is None:
@@ -69,7 +70,6 @@ def load_csv(path, group_column, has_header: bool = True) -> LabeledDataset:
             raise MissingGroupColumn(f"group column {group_column!r} not in header {header}")
         group_idx = header.index(group_column)
 
-    width = len(rows[0])
     if width < 2:
         raise ParseError(f"{path}: need at least one numeric column besides the group column")
     data: dict[str, list[list[float]]] = {}

@@ -1,12 +1,11 @@
-"""k-sample statistics built on the pairwise quality-index matrix.
+"""The statistics that read the directed quality-index matrix.
 
-The matrix itself (:class:`~depthtest.quality.QualityMatrix`) comes from
-:mod:`depthtest.quality`: every ordered pair of groups contributes one
-directed quality index, with the first group of the pair as reference.
-The minimum statistic generalizes to the maximum of the standardized
-centered terms over all ordered pairs; product and sum aggregate all
-ordered-pair indices. At k = 2 they are the two-sample statistics, the
-k = 2 rows of the statistic table in :mod:`depthtest.calibration`.
+Every ordered pair (i, j) of groups has one directed quality index, with
+group i as reference (:func:`~depthtest.quality.quality_indices`). Each
+formula maps a (P, k, k) stack of these matrices to (P,) statistics: the
+``q_matrix`` rows of :data:`depthtest.calibration.STATISTICS`. Minimum,
+product and sum are defined at every k >= 2 and the maximum at k = 2.
+One-off values come from :func:`~depthtest.calibration.evaluate_statistics`.
 """
 
 from __future__ import annotations
@@ -15,10 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .depths import DepthKind
-from .quality import QualityMatrix, pooled_depth_rows
-from .samples import coerce_groups
-from .two_sample import _pair_scale, dbr_from_depth_rows
+
+def _pair_scale(m: int, n: int) -> float:
+    """The (1/12)(1/m + 1/n) variance factor of a directed quality index."""
+    return (1.0 / 12.0) * (1.0 / m + 1.0 / n)
 
 
 @lru_cache(maxsize=64)
@@ -42,46 +41,38 @@ def _off_diagonal(q: np.ndarray, sizes) -> np.ndarray:
 
 
 def _min_stack(q: np.ndarray, sizes) -> np.ndarray:
-    """(P,) minimum statistics of a (P, k, k) stack of quality indices."""
+    """(P,) minimum statistics: the largest standardized centered term
+    (1/2 - q[i, j]) / sqrt(_pair_scale) over the ordered pairs.
+
+    Below zero when every index exceeds 1/2; upper-tail rejection. At
+    k = 2 it is asymptotically half-normal under homogeneity; at k > 2 its
+    limit law is :func:`~depthtest.calibration.mc_asymptotic_min_pvalue`'s.
+    """
     _, root_scales = _ordered_pairs(tuple(sizes))
     return ((0.5 - _off_diagonal(q, sizes)) / root_scales).max(axis=1)
 
 
+def _max_stack(q: np.ndarray, sizes) -> np.ndarray:
+    """(P,) maximum statistics of a (P, 2, 2) stack: the larger squared
+    centered index of entries (0, 1) and (1, 0), variance-normalized.
+
+    Asymptotically chi-square(1) under homogeneity; upper-tail rejection.
+    Squares by Python's float power (the C library's ``pow``), which
+    differs from ``x * x`` in the last bit of about 1 in 1,200 random values and
+    has always defined this statistic.
+    """
+    pairs = q.reshape(-1, 4)[:, 1:3].tolist()
+    squares = [max((q_01 - 0.5) ** 2, (q_10 - 0.5) ** 2) for q_01, q_10 in pairs]
+    return np.array(squares) / _pair_scale(sizes[0], sizes[1])
+
+
 def _product_stack(q: np.ndarray, sizes) -> np.ndarray:
-    """(P,) products over all ordered-pair indices."""
+    """(P,) products over all ordered-pair indices; in [0, 1], lower-tail
+    rejection."""
     return _off_diagonal(q, sizes).prod(axis=1)
 
 
 def _sum_stack(q: np.ndarray, sizes) -> np.ndarray:
-    """(P,) sums over all ordered-pair indices."""
+    """(P,) sums over all ordered-pair indices; in [0, k(k-1)], lower-tail
+    rejection."""
     return _off_diagonal(q, sizes).sum(axis=1)
-
-
-def min_statistic_k(qm: QualityMatrix) -> float:
-    """Largest standardized centered term over ordered group pairs.
-
-    At k = 2, the two-sample minimum statistic: asymptotically half-normal
-    under homogeneity, upper-tail rejection; below zero when both indices exceed 1/2.
-    """
-    return float(_min_stack(qm.q[None], qm.sizes)[0])
-
-
-def product_statistic_k(qm: QualityMatrix) -> float:
-    """Product over all ordered-pair indices; in [0, 1], lower-tail rejection."""
-    return float(_product_stack(qm.q[None], qm.sizes)[0])
-
-
-def sum_statistic_k(qm: QualityMatrix) -> float:
-    """Sum over all ordered-pair indices; in [0, k(k-1)], lower-tail rejection."""
-    return float(_sum_stack(qm.q[None], qm.sizes)[0])
-
-
-def dbr_statistic_k(groups, kind: DepthKind) -> float:
-    """Depth-rank statistic extended to k groups.
-
-    For k = 2 this is exactly the two-sample depth-rank statistic; for
-    k > 2 it averages the Kruskal-Wallis-type rank aggregate over the k
-    reference distributions (natural extension, calibrated by permutation).
-    """
-    pooled, sizes = coerce_groups(groups)
-    return dbr_from_depth_rows(pooled_depth_rows(pooled, sizes, kind), sizes)

@@ -12,10 +12,10 @@ pooled once and the whole pooled sample is depthed against each group's
 empirical distribution. :func:`partition_depth_rows` forms the rows of a
 whole stack of partitions at once, and :func:`quality_indices` their
 (P, k, k) indices; permutation calibration feeds both chunks of
-re-partitions, and one-off evaluation (:func:`pooled_depth_rows`,
-:func:`quality_matrix`) is the stack of one identity partition. The
-two-sample pair :func:`quality` is entries (0, 1) and (1, 0) of the
-k = 2 matrix.
+re-partitions, and :func:`quality_matrix` is the stack of one identity
+partition. The two-sample pair :func:`quality` is entries (0, 1) and
+(1, 0) of the k = 2 matrix. The statistics on these matrices are the
+formulas of :mod:`depthtest.multi_sample`.
 """
 
 from __future__ import annotations
@@ -76,14 +76,6 @@ def partition_depth_rows(depths_against, slices, orders: np.ndarray) -> np.ndarr
     return depths.reshape(-1)[flat]
 
 
-def pooled_depth_rows(pooled: np.ndarray, sizes, kind: DepthKind) -> np.ndarray:
-    """(k, N) depths of every pooled row against each group's empirical
-    distribution; one row per reference group, the groups being the
-    consecutive ``sizes`` blocks of ``pooled`` (the identity partition)."""
-    order = np.arange(pooled.shape[0])[None]
-    return partition_depth_rows(pooled_depths(pooled, kind), group_slices(sizes), order)[0]
-
-
 @lru_cache(maxsize=64)
 def _counting_layout(sizes: tuple[int, ...]):
     """The read-only arrays :func:`quality_indices` reuses for one set of
@@ -136,8 +128,9 @@ def quality_indices(rows: np.ndarray, sizes) -> np.ndarray:
 def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
     """All k(k-1) directed quality indices for a list of groups."""
     pooled, sizes = coerce_groups(groups)
-    rows = pooled_depth_rows(pooled, sizes, kind)
-    return QualityMatrix(q=quality_indices(rows[None], sizes)[0], sizes=tuple(sizes))
+    identity = np.arange(pooled.shape[0])[None]
+    rows = partition_depth_rows(pooled_depths(pooled, kind), group_slices(sizes), identity)
+    return QualityMatrix(q=quality_indices(rows, sizes)[0], sizes=tuple(sizes))
 
 
 def quality(x, y, kind: DepthKind) -> QualityPair:

@@ -1,14 +1,11 @@
-"""Two-sample homogeneity statistics.
+"""The depth-rank formulas and the two-sample baselines.
 
-The formulas defined only at two groups: the maximum statistic (on the
-k = 2 quality matrix), the depth-rank and modified depth-rank tests, and
-the baselines they are benchmarked against: the MANOVA trio, the
-univariate Cramer statistic, and the energy distance. All functions
-return raw statistic values; p-values live in :mod:`depthtest.calibration`.
-
-Two-sample statistics are the k = 2 rows of the statistic table in
-:mod:`depthtest.calibration`: minimum, product and sum are the formulas
-of :mod:`depthtest.multi_sample` on the k = 2 quality matrix.
+The depth-rank (DbR) and modified depth-rank (B*) formulas read stacks of
+depth rows, and energy reads distance blocks: their rows of the statistic
+table :data:`depthtest.calibration.STATISTICS`. Outside the table: the
+MANOVA trio with its F-law p-value, the univariate modified rank and
+Cramer statistics, and the normalized energy distance. One-off values of
+the table statistics come from :func:`~depthtest.calibration.evaluate_statistics`.
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ from .errors import (
     TiedRanks,
     UnknownStatistic,
 )
-from .quality import QualityMatrix, pooled_depth_rows
-from .samples import as_sample_matrix, coerce_groups, group_slices, require_same_dimension
+from .samples import as_sample_matrix, group_slices, require_same_dimension
 
 MANOVA_KINDS = ("wilks", "hotelling", "pillai")
 
@@ -63,32 +59,6 @@ class EigenSummary:
     n2: int
 
 
-def _pair_scale(m: int, n: int) -> float:
-    """The (1/12)(1/m + 1/n) variance factor of a directed quality index."""
-    return (1.0 / 12.0) * (1.0 / m + 1.0 / n)
-
-
-def _max_stack(q: np.ndarray, sizes) -> np.ndarray:
-    """(P,) maximum statistics of a (P, 2, 2) stack of quality indices.
-
-    Squares by Python's float power (the C library's ``pow``), which
-    differs from ``x * x`` in the last bit of about 1 in 1,200 random values and
-    has always defined this statistic.
-    """
-    pairs = q.reshape(-1, 4)[:, 1:3].tolist()
-    squares = [max((q_01 - 0.5) ** 2, (q_10 - 0.5) ** 2) for q_01, q_10 in pairs]
-    return np.array(squares) / _pair_scale(sizes[0], sizes[1])
-
-
-def max_statistic(qm: QualityMatrix) -> float:
-    """Larger squared centered quality index of a k = 2 matrix (entries
-    (0, 1) and (1, 0)), variance-normalized.
-
-    Asymptotically chi-square(1) under homogeneity; upper-tail rejection.
-    """
-    return float(_max_stack(qm.q[None], qm.sizes)[0])
-
-
 # ---------------------------------------------------------------------------
 # Depth-rank machinery shared by the DbR and modified DbR tests.
 # ---------------------------------------------------------------------------
@@ -116,7 +86,14 @@ def depth_ranks(depths: np.ndarray) -> np.ndarray:
 
 
 def _dbr_stack(depth_rows: np.ndarray, sizes) -> np.ndarray:
-    """(P,) depth-rank statistics of a (P, k, N) stack of depth rows."""
+    """(P,) depth-rank statistics of a (P, k, N) stack of depth rows.
+
+    Row g of a partition holds the depths of the whole pooled arrangement
+    against group g's empirical distribution; each row gives one
+    Kruskal-Wallis-type rank sum, and the k of them are averaged. At k = 2
+    this is the two-sample depth-rank statistic; at k > 2 it is the
+    natural extension, calibrated by permutation. Upper-tail rejection.
+    """
     total = sum(sizes)
     t = len(sizes)
     starts = [sl.start for sl in group_slices(sizes)]
@@ -126,22 +103,6 @@ def _dbr_stack(depth_rows: np.ndarray, sizes) -> np.ndarray:
     # accumulated in reference-then-group order, one term at a time
     acc = np.add.accumulate(terms, axis=1)[:, -1]
     return 12.0 / (total * (total + 1.0) * t) * acc - 3.0 * (total + 1.0)
-
-
-def dbr_from_depth_rows(depth_rows, sizes: list[int]) -> float:
-    """Depth-rank statistic from precomputed pooled depth rows.
-
-    ``depth_rows[k]`` holds depths of the whole pooled arrangement against
-    group k's empirical distribution; one Kruskal-Wallis-type rank sum is
-    formed per reference and averaged.
-    """
-    return float(_dbr_stack(np.asarray(depth_rows)[None], sizes)[0])
-
-
-def dbr_statistic(x, y, kind: DepthKind) -> float:
-    """Depth-based rank statistic for two groups; upper-tail rejection."""
-    pooled, sizes = coerce_groups([x, y])
-    return dbr_from_depth_rows(pooled_depth_rows(pooled, sizes, kind), sizes)
 
 
 @lru_cache(maxsize=64)
@@ -188,7 +149,13 @@ def bdbr_univariate(x, y) -> float:
 
 
 def _bdbr_stack(depth_rows: np.ndarray, sizes) -> np.ndarray:
-    """(P,) modified depth-rank statistics of a (P, 2, N) stack of depth rows."""
+    """(P,) modified depth-rank statistics of a (P, 2, N) stack of depth rows.
+
+    The pooled observations are depth-ranked against each group's
+    empirical distribution, the opposite sample's ordered ranks are
+    standardized by their null moments, and the larger of the two
+    aggregates is returned. Upper-tail rejection.
+    """
     n1, n2 = sizes
     total = n1 + n2
     p = len(depth_rows)
@@ -200,20 +167,6 @@ def _bdbr_stack(depth_rows: np.ndarray, sizes) -> np.ndarray:
     b_ref1 = _ordered_rank_deviation(ranks_2, total, n2, n1)
     b_ref2 = _ordered_rank_deviation(ranks_1, total, n1, n2)
     return np.maximum(b_ref1, b_ref2)
-
-
-def bdbr_from_depth_rows(depth_rows, sizes: list[int]) -> float:
-    """Modified depth-rank statistic from pooled depth rows (two groups)."""
-    return float(_bdbr_stack(np.asarray(depth_rows)[None], sizes)[0])
-
-
-def bdbr_multivariate(x, y, kind: DepthKind) -> float:
-    """Modified depth-rank statistic: pooled observations are depth-ranked
-    against each group's empirical distribution, the opposite sample's
-    ordered ranks are standardized by their null moments, and the larger
-    of the two aggregates is returned. Upper-tail rejection."""
-    pooled, sizes = coerce_groups([x, y])
-    return bdbr_from_depth_rows(pooled_depth_rows(pooled, sizes, kind), sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +264,10 @@ def _energy_from_blocks(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> float
 
 
 def _energy_from_distances(blocks, sizes) -> float:
-    """mn/(m+n) * E_hat from the (xx, yy, xy) distance blocks of a partition."""
+    """Energy distance statistic mn/(m+n) * E_hat from the (xx, yy, xy)
+    distance blocks of a partition; upper-tail rejection."""
     m, n = sizes
     return m * n / (m + n) * _energy_from_blocks(*blocks)
-
-
-def energy_statistic(x, y) -> float:
-    """Energy distance statistic mn/(m+n) * E_hat; upper-tail rejection."""
-    x = as_sample_matrix(x, "x")
-    y = as_sample_matrix(y, "y")
-    require_same_dimension(x, y)
-    _require_distance_budget(x.shape[0] + y.shape[0])
-    blocks = (cdist(x, x), cdist(y, y), cdist(x, y))
-    return _energy_from_distances(blocks, (x.shape[0], y.shape[0]))
 
 
 def energy_normalized(x, y) -> float:

@@ -188,7 +188,7 @@ def test_criterion_8_asymptotic_min_pvalue(hard_epochs_report):
 
 def test_criterion_9_baseline_sanity(rng):
     x = rng.normal(size=(12, 3))
-    energy_zero = dt.energy_statistic(x, x)
+    energy_zero = dt.evaluate_statistics([x, x], ("energy",), None)["energy"]
     cramer_zero = dt.cramer_univariate(x[:, :1], x[:, :1])
     trio = {name: dt.manova(x, x.copy(), name) for name in ("wilks", "hotelling", "pillai")}
     flat = np.ones((10, 2))

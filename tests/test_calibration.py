@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 from scipy.stats import chi2
 
 import depthtest.calibration as calibration
@@ -15,34 +16,29 @@ from depthtest import (
     SizeLimit,
     UnknownStatistic,
     chi2_1_pvalue,
+    cramer_univariate,
     default_tail,
     depth_values,
     evaluate_statistics,
     half_normal_pvalue,
     mc_asymptotic_min_pvalue,
     pair_coefficients,
-    permutation_pvalue,
     permutation_report,
     quality_matrix,
     sample_scenario,
 )
-from depthtest import (
-    bdbr_multivariate,
-    cramer_univariate,
-    dbr_statistic,
-    energy_statistic,
-    max_statistic,
-    min_statistic_k,
-    product_statistic_k,
-    sum_statistic_k,
-)
-from depthtest.calibration import _StatisticEngine
+from depthtest.calibration import STATISTICS, _StatisticEngine
 from depthtest.cli import main
 from depthtest.quality import partition_depth_rows
 from depthtest.rng import TAG_PERMUTATION, substream
 from oracles import arranged_depth_rows, norm_cdf_quadrature
 
 MAHAL = DepthKind("mahalanobis")
+
+
+def _single(groups, name, kind, spec):
+    """The permutation report of one statistic."""
+    return permutation_report(groups, (name,), kind, spec)[0]
 
 
 class TestClosedFormPvalues:
@@ -101,19 +97,24 @@ class TestTails:
 
 class TestEvaluation:
     def test_matches_public_operations(self, any_kind, rng):
+        # the engine's one-off values against each table formula on inputs
+        # built outside the engine
         x = rng.normal(size=(9, 2))
         y = rng.normal(size=(12, 2))
         values = evaluate_statistics(
             [x, y], ("min", "max", "product", "sum", "dbr", "bdbr", "energy"), any_kind
         )
         qm = quality_matrix([x, y], any_kind)
-        assert values["min"] == min_statistic_k(qm)
-        assert values["max"] == max_statistic(qm)
-        assert values["product"] == product_statistic_k(qm)
-        assert values["sum"] == sum_statistic_k(qm)
-        assert values["dbr"] == dbr_statistic(x, y, any_kind)
-        assert values["bdbr"] == bdbr_multivariate(x, y, any_kind)
-        assert values["energy"] == pytest.approx(energy_statistic(x, y), rel=1e-12)
+        for name in ("min", "max", "product", "sum"):
+            assert values[name] == STATISTICS[name].formula(qm.q[None], qm.sizes)[0]
+        pooled = np.vstack([x, y])
+        rows = np.stack([depth_values(pooled, x, any_kind), depth_values(pooled, y, any_kind)])
+        for name in ("dbr", "bdbr"):
+            assert values[name] == STATISTICS[name].formula(rows[None], qm.sizes)[0]
+        blocks = [cdist(x, x), cdist(y, y), cdist(x, y)]
+        assert values["energy"] == pytest.approx(
+            STATISTICS["energy"].formula([blocks], qm.sizes)[0], rel=1e-12
+        )
 
     def test_cramer_evaluation(self, rng):
         x = rng.normal(size=(8, 1))
@@ -157,7 +158,7 @@ class TestPermutation:
         x = np.zeros((6, 2))
         y = np.zeros((5, 2))
         spec = CalibrationSpec(replications=60, seed=3)
-        out = permutation_pvalue([x, y], "energy", None, spec)
+        out = _single([x, y], "energy", None, spec)
         assert out.p_value == 1.0
         assert out.method == "permutation"
 
@@ -165,10 +166,10 @@ class TestPermutation:
         x = rng.normal(size=(10, 2))
         y = rng.normal(size=(10, 2)) + 3.0  # far-separated: p pinned at 1/(B+1)
         spec = CalibrationSpec(replications=99, seed=5)
-        out = permutation_pvalue([x, y], "min", MAHAL, spec)
+        out = _single([x, y], "min", MAHAL, spec)
         assert out.p_value == pytest.approx(1.0 / 100.0)
         for name in ("product", "sum"):
-            out = permutation_pvalue([x, y], name, MAHAL, spec)
+            out = _single([x, y], name, MAHAL, spec)
             assert 1.0 / 100.0 <= out.p_value <= 1.0
 
     def test_deterministic_and_batch_consistent(self, rng):
@@ -177,17 +178,26 @@ class TestPermutation:
         names = ("min", "product", "dbr")
         batch = {o.statistic_name: o for o in permutation_report(groups, names, MAHAL, spec)}
         for name in names:
-            single = permutation_pvalue(groups, name, MAHAL, spec)
+            single = _single(groups, name, MAHAL, spec)
             assert single == batch[name]
-        again = permutation_pvalue(groups, "min", MAHAL, spec)
+        again = _single(groups, "min", MAHAL, spec)
         assert again == batch["min"]
+
+    def test_one_shot_names_iterable(self, rng):
+        groups = [rng.normal(size=(8, 2)), rng.normal(size=(9, 2)) + 0.4]
+        spec = CalibrationSpec(replications=49, seed=4)
+        kind = DepthKind("spatial")
+        from_tuple = permutation_report(groups, ("min", "sum"), kind, spec)
+        from_generator = permutation_report(groups, (n for n in ["min", "sum"]), kind, spec)
+        assert [o.statistic_name for o in from_generator] == ["min", "sum"]
+        assert from_generator == from_tuple
 
     def test_explicit_tail_override(self, rng):
         groups = [rng.normal(size=(8, 2)), rng.normal(size=(8, 2))]
         upper = CalibrationSpec(replications=99, seed=2, tail="upper")
         lower = CalibrationSpec(replications=99, seed=2, tail="lower")
-        p_up = permutation_pvalue(groups, "sum", MAHAL, upper).p_value
-        p_lo = permutation_pvalue(groups, "sum", MAHAL, lower).p_value
+        p_up = _single(groups, "sum", MAHAL, upper).p_value
+        p_lo = _single(groups, "sum", MAHAL, lower).p_value
         # the two tails use complementary count conventions
         assert p_up != p_lo
 
@@ -195,7 +205,7 @@ class TestPermutation:
         groups = [rng.normal(size=(7, 2)) for _ in range(3)]
         spec = CalibrationSpec(replications=99, seed=13)
         for name in ("min", "product", "sum", "dbr"):
-            out = permutation_pvalue(groups, name, MAHAL, spec)
+            out = _single(groups, name, MAHAL, spec)
             assert 0.01 <= out.p_value <= 1.0
             assert out.sizes == (7, 7, 7)
 
@@ -210,7 +220,7 @@ class TestPermutation:
         for r in range(reps):
             groups = sample_scenario(spec, 20, r)
             cal = CalibrationSpec(replications=b_count, seed=1000 + r)
-            out = permutation_pvalue(groups, "min", MAHAL, cal)
+            out = _single(groups, "min", MAHAL, cal)
             hits += out.p_value <= 0.05
         bound = 0.05 + 1.0 / (b_count + 1)
         noise = 3.0 * (bound * (1.0 - bound) / reps) ** 0.5

@@ -198,6 +198,21 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        (
+            ("a,b,g\n1,x\n2,y\n3,x\n4,y\n", "row 2 has 2 fields, expected 3"),
+            ("a,g\n1,x,7\n2,y,8\n3,x,9\n4,y,6\n", "row 2 has 3 fields, expected 2"),
+        ),
+        ids=("narrow", "wide"),
+    )
+    def test_row_width_off_header_is_data_error(self, text, message, tmp_path, capsys):
+        data = tmp_path / "ragged.csv"
+        data.write_text(text)
+        code = main(["two-sample", "--input", str(data), "--group", "g", "--stats", "min"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "binary.csv"
         data.write_bytes(b"\x7fELF\x02\x01\x01\x00\xd0\x8f\xff,grp\n")

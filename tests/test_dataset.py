@@ -94,6 +94,19 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 3"):
             load_csv(path, "grp")
 
+    def test_group_index_checked_against_header_width(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,g\n1,x,7\n2,y,8\n")
+        with pytest.raises(MissingGroupColumn, match="index 2 out of range"):
+            load_csv(path, 2)
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("a,v\nx,1\ny,2\n".encode("utf-8-sig"))
+        ds = load_csv(path, "a")
+        assert ds.variable_names == ("v",)
+        assert ds.labels == ("x", "y")
+
 
 class TestRoundTrip:
     def test_dump_then_load_is_identity(self, tmp_path, rng):

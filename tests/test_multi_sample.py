@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
 
-from depthtest import (
-    DepthKind,
-    QualityMatrix,
-    dbr_statistic,
-    dbr_statistic_k,
-    min_statistic_k,
-    product_statistic_k,
-    quality,
-    quality_matrix,
-    sum_statistic_k,
-)
+from depthtest import DepthKind, QualityMatrix, evaluate_statistics, quality, quality_matrix
+from depthtest.calibration import STATISTICS
 
 MAHAL = DepthKind("mahalanobis")
 
@@ -23,27 +14,36 @@ def _matrix(entries, sizes):
     return QualityMatrix(q=q, sizes=tuple(sizes))
 
 
+def _formula(name, qm):
+    """The statistic table's formula for ``name`` on one quality matrix."""
+    return STATISTICS[name].formula(qm.q[None], qm.sizes)[0]
+
+
+def _dbr(groups, kind):
+    return evaluate_statistics(groups, ("dbr",), kind)["dbr"]
+
+
 def test_constant_half_matrix_values():
     qm = _matrix(
         {(i, j): 0.5 for i in range(3) for j in range(3) if i != j}, (100, 100, 100)
     )
-    assert min_statistic_k(qm) == 0.0
-    assert product_statistic_k(qm) == pytest.approx(0.5**6)
-    assert sum_statistic_k(qm) == pytest.approx(3.0)
+    assert _formula("min", qm) == 0.0
+    assert _formula("product", qm) == pytest.approx(0.5**6)
+    assert _formula("sum", qm) == pytest.approx(3.0)
 
 
 def test_min_k_single_low_entry():
     entries = {(i, j): 0.5 for i in range(3) for j in range(3) if i != j}
     entries[(0, 1)] = 0.4
     qm = _matrix(entries, (100, 100, 100))
-    assert min_statistic_k(qm) == pytest.approx(600.0**0.5 * 0.1, rel=1e-12)
+    assert _formula("min", qm) == pytest.approx(600.0**0.5 * 0.1, rel=1e-12)
 
 
 def test_annihilating_entry():
     entries = {(i, j): 0.5 for i in range(3) for j in range(3) if i != j}
     entries[(2, 0)] = 0.0
     qm = _matrix(entries, (10, 10, 10))
-    assert product_statistic_k(qm) == 0.0
+    assert _formula("product", qm) == 0.0
 
 
 def test_k2_reduction_matches_two_sample(any_kind, rng):
@@ -53,7 +53,6 @@ def test_k2_reduction_matches_two_sample(any_kind, rng):
     pair = quality(x, y, any_kind)
     assert qm.q[0, 1] == pair.q_fg
     assert qm.q[1, 0] == pair.q_gf
-    assert dbr_statistic_k([x, y], any_kind) == dbr_statistic(x, y, any_kind)
 
 
 def test_three_groups_populate_six_entries(rng):
@@ -89,20 +88,20 @@ def test_group_relabeling_invariance(rng):
     qm = quality_matrix(groups, MAHAL)
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
         shuffled = quality_matrix([groups[i] for i in perm], MAHAL)
-        assert min_statistic_k(shuffled) == pytest.approx(min_statistic_k(qm), rel=1e-12)
-        assert product_statistic_k(shuffled) == pytest.approx(product_statistic_k(qm), rel=1e-12)
-        assert sum_statistic_k(shuffled) == pytest.approx(sum_statistic_k(qm), rel=1e-12)
-        assert dbr_statistic_k([groups[i] for i in perm], MAHAL) == pytest.approx(
-            dbr_statistic_k(groups, MAHAL), rel=1e-12
+        assert _formula("min", shuffled) == pytest.approx(_formula("min", qm), rel=1e-12)
+        assert _formula("product", shuffled) == pytest.approx(_formula("product", qm), rel=1e-12)
+        assert _formula("sum", shuffled) == pytest.approx(_formula("sum", qm), rel=1e-12)
+        assert _dbr([groups[i] for i in perm], MAHAL) == pytest.approx(
+            _dbr(groups, MAHAL), rel=1e-12
         )
 
 
 def test_bounds_and_max_term(rng):
     groups = [rng.normal(size=(n, 2)) + shift for n, shift in ((5, 0.0), (8, 0.5), (6, 1.0))]
     qm = quality_matrix(groups, MAHAL)
-    assert 0.0 <= product_statistic_k(qm) <= 1.0
-    assert 0.0 <= sum_statistic_k(qm) <= qm.k * (qm.k - 1)
-    best = min_statistic_k(qm)
+    assert 0.0 <= _formula("product", qm) <= 1.0
+    assert 0.0 <= _formula("sum", qm) <= qm.k * (qm.k - 1)
+    best = _formula("min", qm)
     for i in range(qm.k):
         for j in range(qm.k):
             if i == j:
@@ -116,7 +115,7 @@ def test_sum_monotone_in_entries():
     low = _matrix(entries, (10, 10, 10))
     entries[(0, 1)] = 0.6
     high = _matrix(entries, (10, 10, 10))
-    assert sum_statistic_k(high) > sum_statistic_k(low)
+    assert _formula("sum", high) > _formula("sum", low)
 
 
 def test_needs_two_groups(rng):

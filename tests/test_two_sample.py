@@ -10,19 +10,14 @@ from depthtest import (
     SizeLimit,
     TiedRanks,
     UnknownStatistic,
-    bdbr_multivariate,
     bdbr_univariate,
     cramer_univariate,
-    dbr_statistic,
     energy_normalized,
-    energy_statistic,
+    evaluate_statistics,
     manova,
     manova_eigen,
-    max_statistic,
-    min_statistic_k,
-    product_statistic_k,
-    sum_statistic_k,
 )
+from depthtest.calibration import STATISTICS
 from depthtest.depths import depth_values
 from depthtest.two_sample import depth_ranks
 
@@ -51,50 +46,60 @@ def _pair(q_fg, q_gf, m, n):
     return QualityMatrix(q=np.array([[np.nan, q_fg], [q_gf, np.nan]]), sizes=(m, n))
 
 
+def _formula(name, qm):
+    """The statistic table's formula for ``name`` on one quality matrix."""
+    return STATISTICS[name].formula(qm.q[None], qm.sizes)[0]
+
+
+def _statistic(name, x, y, kind=None):
+    """One-off value of a table statistic on two groups."""
+    return evaluate_statistics([x, y], (name,), kind)[name]
+
+
 class TestQualityPairStatistics:
     def test_max_arithmetic(self):
         pair = _pair(q_fg=0.4, q_gf=0.58, m=100, n=100)
-        assert max_statistic(pair) == pytest.approx(6.0, rel=1e-12)
+        assert _formula("max", pair) == pytest.approx(6.0, rel=1e-12)
 
     def test_min_arithmetic(self):
         pair = _pair(q_fg=0.4, q_gf=0.58, m=100, n=100)
-        assert min_statistic_k(pair) == pytest.approx(600.0**0.5 * 0.1, rel=1e-12)
+        assert _formula("min", pair) == pytest.approx(600.0**0.5 * 0.1, rel=1e-12)
 
     def test_null_center_zeroes(self):
         pair = _pair(q_fg=0.5, q_gf=0.5, m=50, n=70)
-        assert max_statistic(pair) == 0.0
-        assert min_statistic_k(pair) == 0.0
-        assert product_statistic_k(pair) == 0.25
-        assert sum_statistic_k(pair) == 1.0
+        assert _formula("max", pair) == 0.0
+        assert _formula("min", pair) == 0.0
+        assert _formula("product", pair) == 0.25
+        assert _formula("sum", pair) == 1.0
 
     def test_product_annihilator_and_sum(self):
-        assert product_statistic_k(_pair(0.0, 0.7, 5, 5)) == 0.0
-        assert sum_statistic_k(_pair(0.4, 0.58, 5, 5)) == pytest.approx(0.98)
-        assert sum_statistic_k(_pair(0.0, 0.0, 5, 5)) == 0.0
+        assert _formula("product", _pair(0.0, 0.7, 5, 5)) == 0.0
+        assert _formula("sum", _pair(0.4, 0.58, 5, 5)) == pytest.approx(0.98)
+        assert _formula("sum", _pair(0.0, 0.0, 5, 5)) == 0.0
 
     def test_zero_iff_centered(self, rng):
         for _ in range(50):
             q_fg, q_gf = rng.uniform(0, 1, size=2)
             pair = _pair(q_fg, q_gf, 30, 40)
-            assert max_statistic(pair) >= 0.0
-            if max_statistic(pair) == 0.0:
+            assert _formula("max", pair) >= 0.0
+            if _formula("max", pair) == 0.0:
                 assert q_fg == 0.5 and q_gf == 0.5
-            if min_statistic_k(pair) == 0.0:
+            if _formula("min", pair) == 0.0:
                 assert min(q_fg, q_gf) == 0.5
 
     def test_am_gm_inequality(self, rng):
         for _ in range(100):
             pair = _pair(*rng.uniform(0, 1, size=2), m=10, n=10)
-            assert product_statistic_k(pair) <= (sum_statistic_k(pair) / 2.0) ** 2 + 1e-15
+            assert _formula("product", pair) <= (_formula("sum", pair) / 2.0) ** 2 + 1e-15
 
     def test_label_exchange(self, rng):
         q_fg, q_gf = rng.uniform(0, 1, size=2)
         a = _pair(q_fg, q_gf, 30, 50)
         b = _pair(q_gf, q_fg, 50, 30)
-        assert max_statistic(a) == max_statistic(b)
-        assert min_statistic_k(a) == min_statistic_k(b)
-        assert product_statistic_k(a) == product_statistic_k(b)
-        assert sum_statistic_k(a) == sum_statistic_k(b)
+        assert _formula("max", a) == _formula("max", b)
+        assert _formula("min", a) == _formula("min", b)
+        assert _formula("product", a) == _formula("product", b)
+        assert _formula("sum", a) == _formula("sum", b)
 
 
 class TestDepthRank:
@@ -106,19 +111,19 @@ class TestDepthRank:
         assert list(ranks) == [3, 1, 3]
 
     def test_golden_fixture(self):
-        assert dbr_statistic(X5, Y5, MAHAL) == pytest.approx(DBR_GOLDEN, rel=1e-12)
+        assert _statistic("dbr", X5, Y5, MAHAL) == pytest.approx(DBR_GOLDEN, rel=1e-12)
 
     def test_label_exchange_symmetry(self, rng):
         x = rng.normal(size=(7, 2))
         y = rng.normal(size=(9, 2))
-        assert dbr_statistic(x, y, MAHAL) == pytest.approx(
-            dbr_statistic(y, x, MAHAL), rel=1e-12
+        assert _statistic("dbr", x, y, MAHAL) == pytest.approx(
+            _statistic("dbr", y, x, MAHAL), rel=1e-12
         )
 
     def test_identical_groups_symmetric(self, rng):
         x = rng.normal(size=(6, 2))
-        assert dbr_statistic(x, x, MAHAL) == pytest.approx(
-            dbr_statistic(x, x, MAHAL), rel=1e-15
+        assert _statistic("dbr", x, x, MAHAL) == pytest.approx(
+            _statistic("dbr", x, x, MAHAL), rel=1e-15
         )
 
     def test_matches_brute_oracle(self, any_kind, rng):
@@ -128,7 +133,7 @@ class TestDepthRank:
             x, y = rng.normal(size=(n1, d)), rng.normal(size=(n2, d))
             pooled = np.vstack([x, y])
             rows = [depth_values(pooled, x, any_kind), depth_values(pooled, y, any_kind)]
-            assert dbr_statistic(x, y, any_kind) == pytest.approx(
+            assert _statistic("dbr", x, y, any_kind) == pytest.approx(
                 brute_dbr(rows, [n1, n2]), rel=1e-12
             )
 
@@ -158,13 +163,13 @@ class TestModifiedRank:
             bdbr_univariate(np.zeros((3, 2)), np.ones((3, 2)))
 
     def test_multivariate_golden_fixture(self):
-        assert bdbr_multivariate(X6, Y6, MAHAL) == pytest.approx(BDBR_GOLDEN, rel=1e-12)
+        assert _statistic("bdbr", X6, Y6, MAHAL) == pytest.approx(BDBR_GOLDEN, rel=1e-12)
 
     def test_swap_symmetry(self, rng):
         x = rng.normal(size=(6, 2))
         y = rng.normal(size=(8, 2))
-        assert bdbr_multivariate(x, y, MAHAL) == pytest.approx(
-            bdbr_multivariate(y, x, MAHAL), rel=1e-12
+        assert _statistic("bdbr", x, y, MAHAL) == pytest.approx(
+            _statistic("bdbr", y, x, MAHAL), rel=1e-12
         )
 
     def test_matches_brute_oracle(self, any_kind, rng):
@@ -174,7 +179,7 @@ class TestModifiedRank:
             x, y = rng.normal(size=(n1, d)), rng.normal(size=(n2, d))
             pooled = np.vstack([x, y])
             rows = [depth_values(pooled, x, any_kind), depth_values(pooled, y, any_kind)]
-            assert bdbr_multivariate(x, y, any_kind) == pytest.approx(
+            assert _statistic("bdbr", x, y, any_kind) == pytest.approx(
                 brute_bdbr(rows[0], rows[1], n1, n2), rel=1e-12
             )
 
@@ -191,11 +196,11 @@ class TestAffineInvariance:
         base, mapped = quality(x, y, MAHAL), quality(xa, ya, MAHAL)
         assert base.q_fg == pytest.approx(mapped.q_fg, abs=1e-12)
         assert base.q_gf == pytest.approx(mapped.q_gf, abs=1e-12)
-        assert dbr_statistic(x, y, MAHAL) == pytest.approx(
-            dbr_statistic(xa, ya, MAHAL), rel=1e-9
+        assert _statistic("dbr", x, y, MAHAL) == pytest.approx(
+            _statistic("dbr", xa, ya, MAHAL), rel=1e-9
         )
-        assert bdbr_multivariate(x, y, MAHAL) == pytest.approx(
-            bdbr_multivariate(xa, ya, MAHAL), rel=1e-9
+        assert _statistic("bdbr", x, y, MAHAL) == pytest.approx(
+            _statistic("bdbr", xa, ya, MAHAL), rel=1e-9
         )
 
 
@@ -286,10 +291,10 @@ class TestCramer:
 class TestEnergy:
     def test_identical_sets_zero(self, rng):
         x = rng.normal(size=(7, 3))
-        assert energy_statistic(x, x) == pytest.approx(0.0, abs=1e-12)
+        assert _statistic("energy", x, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_singletons(self):
-        assert energy_statistic([[0.0]], [[1.0]]) == pytest.approx(1.0, rel=1e-15)
+        assert _statistic("energy", [[0.0]], [[1.0]]) == pytest.approx(1.0, rel=1e-15)
 
     def test_normalized_in_unit_interval(self, rng):
         for _ in range(20):
@@ -303,12 +308,12 @@ class TestEnergy:
         for _ in range(15):
             x = rng.normal(size=(int(rng.integers(2, 9)), 2))
             y = rng.normal(size=(int(rng.integers(2, 9)), 2))
-            assert energy_statistic(x, y) == pytest.approx(brute_energy(x, y), rel=1e-12)
+            assert _statistic("energy", x, y) == pytest.approx(brute_energy(x, y), rel=1e-12)
 
     def test_distance_matrix_over_cap_is_refused(self):
         # 2 x 2,237 pooled rows: N^2 = 20,016,676 exceeds the 20M-element cap
         x = np.zeros((2237, 1))
         with pytest.raises(SizeLimit):
-            energy_statistic(x, x + 1.0)
+            _statistic("energy", x, x + 1.0)
         with pytest.raises(SizeLimit):
             energy_normalized(x, x + 1.0)
