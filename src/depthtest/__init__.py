@@ -10,9 +10,7 @@ curves, and a simulation harness for size and power studies.
 from .calibration import (
     CalibrationSpec,
     PairCoefficients,
-    STATISTIC_NAMES,
     chi2_1_pvalue,
-    default_tail,
     evaluate_statistics,
     half_normal_pvalue,
     mc_asymptotic_min_pvalue,
@@ -32,11 +30,10 @@ from .errors import (
     SingularCovariance,
     SingularScatter,
     SizeLimit,
-    TiedRanks,
     UnknownStatistic,
 )
 from .quality import QualityMatrix, QualityPair, quality, quality_brute_oracle, quality_matrix
-from .scale_curve import ScaleCurve, default_alpha_grid, hull_volume, scale_curve, trimmed_region_points
+from .scale_curve import ScaleCurve, default_alpha_grid, hull_volume, scale_curve
 from .simulation import (
     ASYMPTOTIC_UPPER_95,
     PowerTable,
@@ -47,15 +44,7 @@ from .simulation import (
     sample_scenario,
     type1_quantiles,
 )
-from .two_sample import (
-    EigenSummary,
-    TestOutcome,
-    bdbr_univariate,
-    cramer_univariate,
-    energy_normalized,
-    manova,
-    manova_eigen,
-)
+from .two_sample import EigenSummary, TestOutcome, cramer_univariate, manova, manova_eigen
 
 __version__ = "0.1.0"
 
@@ -76,7 +65,6 @@ __all__ = [
     "PowerTable",
     "QualityMatrix",
     "QualityPair",
-    "STATISTIC_NAMES",
     "SCENARIOS",
     "ScaleCurve",
     "ScenarioSpec",
@@ -84,17 +72,13 @@ __all__ = [
     "SingularScatter",
     "SizeLimit",
     "TestOutcome",
-    "TiedRanks",
     "TypeOneTable",
     "UnknownStatistic",
-    "bdbr_univariate",
     "chi2_1_pvalue",
     "cramer_univariate",
     "default_alpha_grid",
-    "default_tail",
     "depth_values",
     "dump_csv",
-    "energy_normalized",
     "evaluate_statistics",
     "half_normal_pvalue",
     "hull_volume",
@@ -111,6 +95,5 @@ __all__ = [
     "sample_scenario",
     "scale_curve",
     "skulls_path",
-    "trimmed_region_points",
     "type1_quantiles",
 ]

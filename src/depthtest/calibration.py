@@ -81,8 +81,6 @@ STATISTICS = {
     ),
 }
 
-STATISTIC_NAMES = tuple(STATISTICS)
-
 _MC_CHUNK = 1 << 17
 
 # Element budget of every per-chunk temporary of permutation calibration
@@ -93,20 +91,15 @@ _CHUNK_ELEMENTS = 1 << 18
 
 @dataclass(frozen=True)
 class CalibrationSpec:
-    """How to calibrate: replication count, seed, and tail.
-
-    ``tail=None`` defers to the statistic's tail in :data:`STATISTICS`.
-    """
+    """How to calibrate: replication count and seed. Each statistic is
+    calibrated on its tail in :data:`STATISTICS`."""
 
     replications: int
     seed: int
-    tail: str | None = None
 
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.tail not in (None, "upper", "lower"):
-            raise ValueError(f"unknown tail {self.tail!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,23 +130,17 @@ def pair_coefficients(sizes) -> PairCoefficients:
     return PairCoefficients(c=c, c_tilde=ct, sizes=sizes)
 
 
-def _statistic(name: str) -> Statistic:
-    if name not in STATISTICS:
-        raise UnknownStatistic(f"unknown statistic {name!r}; expected one of {STATISTIC_NAMES}")
-    return STATISTICS[name]
-
-
-def default_tail(name: str) -> str:
-    return _statistic(name).tail
-
-
 def require_statistics(names, group_count: int) -> tuple[str, ...]:
     """The requested names as a tuple; raises UnknownStatistic for a name
     outside the implemented set, undefined at this group count, or repeated
     (its exceedances would be counted once per request)."""
     names = tuple(names)
     for position, name in enumerate(names):
-        if not _statistic(name).defined_at(group_count):
+        if name not in STATISTICS:
+            raise UnknownStatistic(
+                f"unknown statistic {name!r}; expected one of {tuple(STATISTICS)}"
+            )
+        if not STATISTICS[name].defined_at(group_count):
             raise UnknownStatistic(f"statistic {name!r} is only defined for 2 groups")
         if name in names[:position]:
             raise UnknownStatistic(f"statistic {name!r} is requested more than once")
@@ -287,7 +274,6 @@ def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationS
     """
     engine = _StatisticEngine(groups, kind, names)
     names = engine.names
-    tails = {name: spec.tail or default_tail(name) for name in names}
     chunk = max(1, _CHUNK_ELEMENTS // engine.partition_elements)
     partitions = spec.replications + 1
     counts = dict.fromkeys(names, 0)
@@ -303,7 +289,7 @@ def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationS
             observed = {name: value[0] for name, value in values.items()}
             values = {name: value[1:] for name, value in values.items()}
         for name in names:
-            upper = tails[name] == "upper"
+            upper = STATISTICS[name].tail == "upper"
             exceeds = values[name] >= observed[name] if upper else values[name] <= observed[name]
             counts[name] += int(np.count_nonzero(exceeds))
     outcomes = []

@@ -401,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--stats", type=_NAMES, default=None)
         add_common(p)
 
-    p = sub.add_parser("scale-curve", help="depth-trimmed region volumes per group")
+    p = sub.add_parser("scale-curve", help="central-region volumes per group (scale curves)")
     p.set_defaults(handler=_run_scale_curve, columns=("group", "alpha", "volume"))
     add_input(p)
     p.add_argument("--alphas", default=None,
@@ -410,7 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                  and all(0.0 < a <= 1.0 for a in alphas)
                                  and all(a < b for a, b in zip(alphas, alphas[1:])),
                                  "must be a nonempty, strictly increasing list inside (0, 1]"),
-                   help="comma list of trimming levels; default 0.01..0.99")
+                   help="comma list of central-mass fractions p, each giving the volume of "
+                        "the hull of the ceil(p n) deepest rows (Liu, Parelius & Singh 1999); "
+                        "default 0.01..0.99")
     add_common(p)
     return parser
 

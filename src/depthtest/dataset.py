@@ -1,10 +1,11 @@
 """CSV ingestion for group-labeled numeric datasets.
 
-One column carries the group label (selected by header name or 0-based
-index); every other column must parse as a decimal real. Groups are keyed
-by label and ordered lexicographically; row order within a group follows
-the file. All implemented statistics are label-symmetric and both directed
-quality indices are always reported, so the group ordering never changes a
+The first row is the header. One column carries the group label
+(selected by header name or 0-based index); every other column must
+parse as a decimal real. Groups are keyed by label and ordered
+lexicographically; row order within a group follows the file. All
+implemented statistics are label-symmetric and both directed quality
+indices are always reported, so the group ordering never changes a
 result.
 """
 
@@ -38,9 +39,9 @@ class LabeledDataset:
         return LabeledDataset(groups=picked, variable_names=self.variable_names)
 
 
-def load_csv(path, group_column, has_header: bool = True) -> LabeledDataset:
-    """Load a labeled dataset; raises ParseError subclasses with row/column
-    context on malformed input."""
+def load_csv(path, group_column) -> LabeledDataset:
+    """Load a labeled dataset whose first row is the header; raises
+    ParseError subclasses with row/column context on malformed input."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
@@ -50,32 +51,25 @@ def load_csv(path, group_column, has_header: bool = True) -> LabeledDataset:
     rows = [row for row in rows if row]
     if not rows:
         raise ParseError(f"{path}: file is empty")
+    header = [cell.strip() for cell in rows[0]]
+    rows = rows[1:]
+    if not rows:
+        raise ParseError(f"{path}: no data rows after header")
 
-    header: list[str] | None = None
-    if has_header:
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: no data rows after header")
-
-    width = len(header) if header is not None else len(rows[0])
+    width = len(header)
     if isinstance(group_column, int) or (isinstance(group_column, str) and group_column.isdigit()):
         group_idx = int(group_column)
         if not 0 <= group_idx < width:
             raise MissingGroupColumn(f"group column index {group_idx} out of range")
-    else:
-        if header is None:
-            raise MissingGroupColumn("group column by name requires a header row")
-        if group_column not in header:
-            raise MissingGroupColumn(f"group column {group_column!r} not in header {header}")
+    elif group_column in header:
         group_idx = header.index(group_column)
+    else:
+        raise MissingGroupColumn(f"group column {group_column!r} not in header {header}")
 
     if width < 2:
         raise ParseError(f"{path}: need at least one numeric column besides the group column")
     data: dict[str, list[list[float]]] = {}
-    start = 2 if has_header else 1
-    for offset, row in enumerate(rows):
-        rownum = offset + start
+    for rownum, row in enumerate(rows, start=2):
         if len(row) != width:
             raise ParseError(f"{path}: row {rownum} has {len(row)} fields, expected {width}")
         label = row[group_idx].strip()
@@ -95,10 +89,7 @@ def load_csv(path, group_column, has_header: bool = True) -> LabeledDataset:
     for label, arr in groups.items():
         if not np.all(np.isfinite(arr)):
             raise ParseError(f"{path}: group {label!r} contains non-finite values")
-    if header is not None:
-        names = tuple(name for i, name in enumerate(header) if i != group_idx)
-    else:
-        names = tuple(f"x{i}" for i in range(width - 1))
+    names = tuple(name for i, name in enumerate(header) if i != group_idx)
     return LabeledDataset(groups=groups, variable_names=names)
 
 

@@ -21,10 +21,6 @@ class SizeLimit(DepthTestError):
     """Input exceeds a hard cap (brute-force oracles, energy's distance matrix)."""
 
 
-class TiedRanks(DepthTestError):
-    """Rank-based moments are undefined under exact value ties."""
-
-
 class SingularScatter(DepthTestError):
     """Pooled within-group scatter matrix is not invertible."""
 

@@ -1,15 +1,20 @@
-"""Scale curves: volume of the depth-trimmed region per trimming level.
+"""Scale curves: volume of the central region per central-mass fraction.
 
-The region at level alpha is estimated by the convex hull of the sample
-points whose depth (against the full sample) is at least alpha; its
-volume as alpha sweeps a grid is the scale curve, a dispersion measure
-for comparing groups. Volumes are exact hull volumes at any dimension
-(length at d=1, area at d=2, and so on).
+Following Liu, Parelius & Singh (1999, Ann. Statist. 27(3), "Multivariate
+analysis by data depth"), the central region at fraction p is the convex
+hull of the ceil(p n) deepest sample points (depth against the full
+sample), ties at the cut included; its volume as p sweeps a grid is the
+scale curve, a dispersion measure for comparing groups. The regions are
+nested, so the curve is nondecreasing in p, and at p = 1 it is the volume
+of the whole sample's hull. Volumes are exact hull volumes at any
+dimension (length at d=1, area at d=2, and so on).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -20,7 +25,8 @@ from .samples import as_sample_matrix
 
 @dataclass(frozen=True, eq=False)
 class ScaleCurve:
-    """Paired (alpha, volume) sequence; volumes are nonincreasing in alpha."""
+    """Paired (central-mass fraction, volume) sequence; volumes are
+    nondecreasing in the fraction."""
 
     alphas: np.ndarray
     volumes: np.ndarray
@@ -49,21 +55,16 @@ def hull_volume(points: np.ndarray) -> float:
         return 0.0
 
 
-def trimmed_region_points(sample, alpha: float, kind: DepthKind) -> np.ndarray:
-    """Rows of the sample whose depth against the full sample is >= alpha."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    sample = as_sample_matrix(sample, "sample")
-    depths = depth_values(sample, sample, kind)
-    return sample[depths >= alpha]
-
-
 def scale_curve(sample, alphas, kind: DepthKind) -> ScaleCurve:
-    """Hull volume of the retained point set at each trimming level.
+    """Hull volume of the central region at each central-mass fraction.
 
-    ``alphas`` must be strictly increasing inside (0, 1]. Depths are
-    computed once, so the retained sets are exactly nested and the
-    volume sequence is nonincreasing.
+    ``alphas`` must be strictly increasing inside (0, 1]. The region at
+    alpha holds the ceil(alpha n) deepest rows (at least one) and every
+    row tied with the shallowest of them. The count reads alpha as the
+    decimal it prints as, so 0.07 of 100 rows is 7 rows, not the 8 that
+    ``ceil(0.07 * 100)`` gives in floating point. Depths are computed
+    once, so the regions are exactly nested and the volume sequence is
+    nondecreasing.
     """
     sample = as_sample_matrix(sample, "sample")
     alphas = np.asarray(alphas, dtype=float)
@@ -74,5 +75,9 @@ def scale_curve(sample, alphas, kind: DepthKind) -> ScaleCurve:
     if np.any(np.diff(alphas) <= 0.0):
         raise ValueError("alphas must be strictly increasing")
     depths = depth_values(sample, sample, kind)
-    volumes = np.array([hull_volume(sample[depths >= a]) for a in alphas])
-    return ScaleCurve(alphas=alphas, volumes=volumes, depth_kind=kind)
+    deepest_first = np.sort(depths)[::-1]
+    volumes = []
+    for alpha in alphas:
+        count = max(1, math.ceil(Fraction(str(float(alpha))) * len(depths)))
+        volumes.append(hull_volume(sample[depths >= deepest_first[count - 1]]))
+    return ScaleCurve(alphas=alphas, volumes=np.array(volumes), depth_kind=kind)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import default_tail, evaluate_statistics, require_statistics
+from .calibration import STATISTICS, evaluate_statistics, require_statistics
 from .depths import DepthKind, min_reference_rows
-from .errors import DomainError
+from .errors import DomainError, UnknownStatistic
 from .rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
 
 ASYMPTOTIC_UPPER_95 = 1.96
@@ -151,6 +151,17 @@ def _sample_null(spec: ScenarioSpec, m: int, replication: int) -> list[np.ndarra
     return _draw_groups(params, sizes, (spec.seed, TAG_NULL_CALIBRATION, m, replication))
 
 
+def _replicate(spec: ScenarioSpec, m: int, names, draw) -> dict[str, np.ndarray]:
+    """(R,) values of each named statistic over the spec's R replications at
+    grid point m; replication r evaluates the groups ``draw(spec, m, r)``."""
+    values = {name: np.empty(spec.replications) for name in names}
+    for r in range(spec.replications):
+        one = evaluate_statistics(draw(spec, m, r), names, spec.depth)
+        for name in names:
+            values[name][r] = one[name]
+    return values
+
+
 def type1_quantiles(spec: ScenarioSpec) -> TypeOneTable:
     """Empirical upper (1 - alpha_level) quantile of the minimum statistic
     per grid point, under the null scenario only."""
@@ -158,13 +169,9 @@ def type1_quantiles(spec: ScenarioSpec) -> TypeOneTable:
         raise DomainError("type-I quantiles are defined for the null scenario")
     rows = []
     for m in spec.m_grid:
-        sizes = group_sizes(spec, m)
-        values = np.empty(spec.replications)
-        for r in range(spec.replications):
-            groups = sample_scenario(spec, m, r)
-            values[r] = evaluate_statistics(groups, ("min",), spec.depth)["min"]
+        values = _replicate(spec, m, ("min",), sample_scenario)["min"]
         quantile = _critical_value(values, "upper", spec.alpha_level)
-        rows.append(TypeOneRow(m=m, sizes=sizes, quantile=quantile))
+        rows.append(TypeOneRow(m=m, sizes=group_sizes(spec, m), quantile=quantile))
     return TypeOneTable(rows=tuple(rows), reference=ASYMPTOTIC_UPPER_95, spec=spec)
 
 
@@ -179,15 +186,15 @@ def _critical_value(null_values: np.ndarray, tail: str, alpha: float) -> float:
     return float(ordered[index])
 
 
-def _rejects(value: float, crit: float, tail: str) -> bool:
-    return value > crit if tail == "upper" else value < crit
-
-
 def power_table(spec: ScenarioSpec, statistics) -> PowerTable:
     """Rejection rates under the scenario, against critical values estimated
     from a null run of the same sizes and depth."""
     statistics = require_statistics(statistics, spec.group_count)
-    tails = {name: default_tail(name) for name in statistics}
+    for name in statistics:
+        if STATISTICS[name].reads == "values_1d":
+            raise UnknownStatistic(
+                f"statistic {name!r} needs 1-D samples; the simulation scenarios are bivariate"
+            )
     eval_names = statistics if "min" in statistics else statistics + ("min",)
 
     rates: dict[tuple[str, int], float] = {}
@@ -195,27 +202,15 @@ def power_table(spec: ScenarioSpec, statistics) -> PowerTable:
     sizes_by_m: dict[int, tuple[int, ...]] = {}
     for m in spec.m_grid:
         sizes_by_m[m] = group_sizes(spec, m)
-        null_values = {name: np.empty(spec.replications) for name in statistics}
-        for r in range(spec.replications):
-            groups = _sample_null(spec, m, r)
-            values = evaluate_statistics(groups, statistics, spec.depth)
-            for name in statistics:
-                null_values[name][r] = values[name]
-        crits = {
-            name: _critical_value(null_values[name], tails[name], spec.alpha_level)
-            for name in statistics
-        }
-        reject_counts = {name: 0 for name in statistics}
-        asym_count = 0
-        for r in range(spec.replications):
-            groups = sample_scenario(spec, m, r)
-            values = evaluate_statistics(groups, eval_names, spec.depth)
-            for name in statistics:
-                reject_counts[name] += _rejects(values[name], crits[name], tails[name])
-            asym_count += values["min"] >= ASYMPTOTIC_UPPER_95
+        null_values = _replicate(spec, m, statistics, _sample_null)
+        values = _replicate(spec, m, eval_names, sample_scenario)
         for name in statistics:
-            rates[(name, m)] = reject_counts[name] / spec.replications
-        asymptotic_min[m] = asym_count / spec.replications
+            tail = STATISTICS[name].tail
+            crit = _critical_value(null_values[name], tail, spec.alpha_level)
+            rejects = values[name] > crit if tail == "upper" else values[name] < crit
+            rates[(name, m)] = np.count_nonzero(rejects) / spec.replications
+        asymptotic = values["min"] >= ASYMPTOTIC_UPPER_95
+        asymptotic_min[m] = np.count_nonzero(asymptotic) / spec.replications
     return PowerTable(
         rates=rates,
         asymptotic_min=asymptotic_min,

@@ -1,11 +1,10 @@
 """The depth-rank formulas and the two-sample baselines.
 
 The depth-rank (DbR) and modified depth-rank (B*) formulas read stacks of
-depth rows, and energy reads distance blocks: their rows of the statistic
-table :data:`depthtest.calibration.STATISTICS`. Outside the table: the
-MANOVA trio with its F-law p-value, the univariate modified rank and
-Cramer statistics, and the normalized energy distance. One-off values of
-the table statistics come from :func:`~depthtest.calibration.evaluate_statistics`.
+depth rows, energy reads distance blocks and Cramer reads 1-D samples:
+their rows of the statistic table :data:`depthtest.calibration.STATISTICS`.
+Outside the table: the MANOVA trio with its F-law p-value. One-off values
+of the table statistics come from :func:`~depthtest.calibration.evaluate_statistics`.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.special import fdtrc
 
 from .depths import _CACHE_ELEMENT_CAP, DepthKind, _spd_cholesky
@@ -23,7 +21,6 @@ from .errors import (
     SingularCovariance,
     SingularScatter,
     SizeLimit,
-    TiedRanks,
     UnknownStatistic,
 )
 from .samples import as_sample_matrix, group_slices, require_same_dimension
@@ -124,28 +121,6 @@ def _ordered_rank_deviation(ordered_ranks: np.ndarray, total: int, own: int, oth
     dev = ordered_ranks - expect
     # np.mean's pairwise sum and division by the count, without its wrapper
     return np.add.reduce(dev * dev / var, axis=-1) / own
-
-
-def bdbr_univariate(x, y) -> float:
-    """Modified rank statistic (B*) for univariate samples.
-
-    Pooled competition ranks must be a permutation, so exact value ties
-    raise TiedRanks rather than silently mid-ranking.
-    """
-    x = as_sample_matrix(x, "x")
-    y = as_sample_matrix(y, "y")
-    if x.shape[1] != 1 or y.shape[1] != 1:
-        raise DimensionMismatch("bdbr_univariate expects 1-D samples")
-    n, m = x.shape[0], y.shape[0]
-    pooled = np.concatenate([x[:, 0], y[:, 0]])
-    total = n + m
-    if np.unique(pooled).size != total:
-        raise TiedRanks("pooled values are not all distinct")
-    ranks = np.empty(total, dtype=np.int64)
-    ranks[np.argsort(pooled)] = np.arange(1, total + 1)
-    b1 = _ordered_rank_deviation(np.sort(ranks[:n]).astype(float), total, n, m)
-    b2 = _ordered_rank_deviation(np.sort(ranks[n:]).astype(float), total, m, n)
-    return float(0.5 * (b1 + b2))
 
 
 def _bdbr_stack(depth_rows: np.ndarray, sizes) -> np.ndarray:
@@ -258,28 +233,10 @@ def _require_distance_budget(total: int) -> None:
                         f"{_CACHE_ELEMENT_CAP} elements")
 
 
-def _energy_from_blocks(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> float:
-    # V-statistic means: within-sample blocks keep their zero diagonals.
-    return 2.0 * float(xy.mean()) - float(xx.mean()) - float(yy.mean())
-
-
 def _energy_from_distances(blocks, sizes) -> float:
     """Energy distance statistic mn/(m+n) * E_hat from the (xx, yy, xy)
     distance blocks of a partition; upper-tail rejection."""
     m, n = sizes
-    return m * n / (m + n) * _energy_from_blocks(*blocks)
-
-
-def energy_normalized(x, y) -> float:
-    """Energy distance normalized by twice the between-sample mean distance;
-    lies in [0, 1], zero iff identically distributed (in population)."""
-    x = as_sample_matrix(x, "x")
-    y = as_sample_matrix(y, "y")
-    require_same_dimension(x, y)
-    _require_distance_budget(x.shape[0] + y.shape[0])
-    between = cdist(x, y)
-    denom = 2.0 * float(between.mean())
-    if denom == 0.0:
-        return 0.0
-    e_hat = _energy_from_blocks(cdist(x, x), cdist(y, y), between)
-    return min(max(e_hat / denom, 0.0), 1.0)
+    xx, yy, xy = blocks
+    # V-statistic means: within-sample blocks keep their zero diagonals.
+    return m * n / (m + n) * (2.0 * float(xy.mean()) - float(xx.mean()) - float(yy.mean()))

@@ -7,7 +7,6 @@ from scipy.stats import chi2
 
 import depthtest.calibration as calibration
 from depthtest import (
-    STATISTIC_NAMES,
     CalibrationSpec,
     DepthKind,
     DomainError,
@@ -17,7 +16,6 @@ from depthtest import (
     UnknownStatistic,
     chi2_1_pvalue,
     cramer_univariate,
-    default_tail,
     depth_values,
     evaluate_statistics,
     half_normal_pvalue,
@@ -85,14 +83,10 @@ class TestPairCoefficients:
 
 class TestTails:
     def test_defaults(self):
-        lower = {name for name in STATISTIC_NAMES if default_tail(name) == "lower"}
+        lower = {name for name, statistic in STATISTICS.items() if statistic.tail == "lower"}
         assert lower == {"product", "sum"}
-        for name in set(STATISTIC_NAMES) - lower:
-            assert default_tail(name) == "upper"
-
-    def test_unknown_statistic(self):
-        with pytest.raises(UnknownStatistic):
-            default_tail("wilks")
+        for name in set(STATISTICS) - lower:
+            assert STATISTICS[name].tail == "upper"
 
 
 class TestEvaluation:
@@ -126,7 +120,7 @@ class TestEvaluation:
     def test_two_group_only_guard(self, rng):
         groups = [rng.normal(size=(5, 2)) for _ in range(3)]
         rejected = set()
-        for name in STATISTIC_NAMES:
+        for name in STATISTICS:
             try:
                 evaluate_statistics(groups, (name,), MAHAL)
             except UnknownStatistic as exc:
@@ -191,15 +185,6 @@ class TestPermutation:
         from_generator = permutation_report(groups, (n for n in ["min", "sum"]), kind, spec)
         assert [o.statistic_name for o in from_generator] == ["min", "sum"]
         assert from_generator == from_tuple
-
-    def test_explicit_tail_override(self, rng):
-        groups = [rng.normal(size=(8, 2)), rng.normal(size=(8, 2))]
-        upper = CalibrationSpec(replications=99, seed=2, tail="upper")
-        lower = CalibrationSpec(replications=99, seed=2, tail="lower")
-        p_up = _single(groups, "sum", MAHAL, upper).p_value
-        p_lo = _single(groups, "sum", MAHAL, lower).p_value
-        # the two tails use complementary count conventions
-        assert p_up != p_lo
 
     def test_three_group_permutation(self, rng):
         groups = [rng.normal(size=(7, 2)) for _ in range(3)]
@@ -314,7 +299,7 @@ def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, 
         assert {name: values[b] for name, values in stacked.items()} == looped
         for name in names:
             observed = report[name].statistic
-            if default_tail(name) == "upper":
+            if STATISTICS[name].tail == "upper":
                 counts[name] += looped[name] >= observed
             else:
                 counts[name] += looped[name] <= observed
@@ -448,5 +433,3 @@ class TestCalibrationSpecValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             CalibrationSpec(replications=0, seed=0)
-        with pytest.raises(ValueError):
-            CalibrationSpec(replications=10, seed=0, tail="middle")

@@ -516,6 +516,15 @@ class TestSimulationCommands:
         assert "m_grid entry 10 is listed more than once" in err
         assert "Traceback" not in err
 
+    def test_one_dimensional_statistic_is_usage_error(self, capsys):
+        # every scenario is bivariate, so cramer can never run in a simulation
+        code = main(["power", "--scenario", "scale_shift", "--m-grid", "12", "--reps", "2",
+                     "--stats", "min,cramer"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error: statistic 'cramer' needs 1-D samples" in err
+        assert "Traceback" not in err
+
 
 class TestScaleCurveCommand:
     def test_emits_group_rows(self, tmp_path):
@@ -533,10 +542,10 @@ class TestScaleCurveCommand:
         assert len(lines) == 7
         groups = {line.split(",")[0] for line in lines[1:]}
         assert groups == {"c200BC", "cAD150"}
-        # volumes nonincreasing within each group
+        # volumes nondecreasing in the central-mass fraction within each group
         for grp in groups:
             vols = [float(line.split(",")[2]) for line in lines[1:] if line.startswith(grp)]
-            assert vols == sorted(vols, reverse=True)
+            assert vols == sorted(vols)
 
     def test_single_group_rows_match_all_groups_run(self, capsys):
         argv = ["scale-curve", "--input", str(skulls_path()), "--group", "epoch",

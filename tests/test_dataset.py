@@ -37,11 +37,13 @@ class TestSkullsFixture:
 class TestLoadCsv:
     def test_group_column_by_index(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("1.5,a\n2.5,a\n3.5,b\n4.5,b\n")
-        ds = load_csv(path, 1, has_header=False)
-        assert ds.labels == ("a", "b")
-        assert ds.groups["a"].tolist() == [[1.5], [2.5]]
-        assert ds.variable_names == ("x0",)
+        path.write_text("v,grp\n1.5,a\n2.5,a\n3.5,b\n4.5,b\n")
+        # an int, or the digit string that --group passes
+        for group in (1, "1"):
+            ds = load_csv(path, group)
+            assert ds.labels == ("a", "b")
+            assert ds.groups["a"].tolist() == [[1.5], [2.5]]
+            assert ds.variable_names == ("v",)
 
     def test_header_and_name(self, tmp_path):
         path = tmp_path / "data.csv"

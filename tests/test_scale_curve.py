@@ -1,33 +1,11 @@
 import numpy as np
 import pytest
 
-from depthtest import DepthKind, default_alpha_grid, hull_volume, scale_curve, trimmed_region_points
+from depthtest import DepthKind, default_alpha_grid, depth_values, hull_volume, scale_curve
 
 from oracles import shoelace_hull_area
 
 MAHAL = DepthKind("mahalanobis")
-
-
-class TestTrimmedRegion:
-    def test_low_alpha_keeps_everything(self, rng):
-        sample = rng.normal(size=(20, 2))
-        kept = trimmed_region_points(sample, 1e-6, MAHAL)
-        assert kept.shape == sample.shape
-
-    def test_high_alpha_empties(self, rng):
-        sample = rng.normal(size=(20, 2))
-        kept = trimmed_region_points(sample, 1.0, MAHAL)
-        assert kept.shape[0] < 20
-
-    def test_univariate_hand_case(self):
-        kept = trimmed_region_points([[0.0], [1.0], [2.0]], 0.6, MAHAL)
-        assert kept.tolist() == [[1.0]]
-
-    def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            trimmed_region_points([[0.0], [1.0]], 0.0, MAHAL)
-        with pytest.raises(ValueError):
-            trimmed_region_points([[0.0], [1.0]], 1.5, MAHAL)
 
 
 class TestHullVolume:
@@ -69,22 +47,57 @@ class TestHullVolume:
 
 class TestScaleCurve:
     def test_square_volume_at_low_alpha(self):
+        # the four corners are equally deep, so ties at the cut keep them all
         corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        curve = scale_curve(corners, [0.01], MAHAL)
-        assert curve.volumes[0] == pytest.approx(1.0, rel=1e-12)
+        curve = scale_curve(corners, [0.01, 1.0], MAHAL)
+        assert curve.volumes.tolist() == pytest.approx([1.0, 1.0], rel=1e-12)
 
     def test_volumes_nonincreasing(self, any_kind, rng):
+        # from the whole sample inward the regions shrink, so the curve is
+        # nondecreasing in alpha
         sample = rng.normal(size=(40, 2))
         curve = scale_curve(sample, default_alpha_grid(), any_kind)
-        assert np.all(np.diff(curve.volumes) <= 1e-12)
+        assert np.all(np.diff(curve.volumes[::-1]) <= 1e-12)
         assert curve.volumes.min() >= 0.0
 
     def test_nesting(self, rng):
-        sample = rng.normal(size=(30, 2))
-        inner = trimmed_region_points(sample, 0.5, MAHAL)
-        outer = trimmed_region_points(sample, 0.2, MAHAL)
-        outer_rows = {tuple(r) for r in outer}
-        assert all(tuple(r) in outer_rows for r in inner)
+        # the region at alpha is the ceil(alpha n) deepest rows, alpha read as
+        # a decimal: 0.07 * 100 is 7.000000000000001 in floating point, 7 rows here
+        sample = rng.normal(size=(100, 2))
+        depths = depth_values(sample, sample, MAHAL)
+        deepest_first = sample[np.argsort(-depths, kind="stable")]
+        curve = scale_curve(sample, [0.07, 0.2, 0.5], MAHAL)
+        expected = [hull_volume(deepest_first[:count]) for count in (7, 20, 50)]
+        assert curve.volumes.tolist() == pytest.approx(expected, rel=1e-12)
+
+    def test_full_mass_is_full_hull(self, any_kind, rng):
+        sample = rng.normal(size=(25, 3))
+        curve = scale_curve(sample, [0.5, 1.0], any_kind)
+        assert curve.volumes[-1] == hull_volume(sample)
+
+    def test_mahalanobis_volumes_scale_by_determinant(self, rng):
+        sample = rng.normal(size=(40, 2))
+        linear = np.array([[2.0, 0.5], [-0.3, 1.5]])
+        alphas = [0.25, 0.5, 0.75, 1.0]
+        base = scale_curve(sample, alphas, MAHAL)
+        moved = scale_curve(sample @ linear.T + np.array([1.0, -2.0]), alphas, MAHAL)
+        # a zero curve would scale vacuously
+        assert np.all(base.volumes > 0.0)
+        scaled = abs(np.linalg.det(linear)) * base.volumes
+        assert moved.volumes.tolist() == pytest.approx(scaled.tolist(), rel=1e-9)
+
+    def test_spatial_volumes_scale_under_similarity(self, rng):
+        sample = rng.normal(size=(40, 3))
+        c, s = np.cos(0.7), np.sin(0.7)
+        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        factor = 2.5
+        alphas = [0.25, 0.5, 0.75, 1.0]
+        kind = DepthKind("spatial")
+        base = scale_curve(sample, alphas, kind)
+        moved = scale_curve(factor * sample @ rotation.T + np.array([3.0, 0.0, -1.0]), alphas, kind)
+        assert np.all(base.volumes > 0.0)
+        scaled = factor**3 * base.volumes
+        assert moved.volumes.tolist() == pytest.approx(scaled.tolist(), rel=1e-9)
 
     def test_translation_invariance(self, any_kind, rng):
         sample = rng.normal(size=(25, 2))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import depthtest.simulation as simulation
 from depthtest import (
     ASYMPTOTIC_UPPER_95,
     DepthKind,
@@ -156,6 +157,15 @@ class TestPower:
     def test_repeated_statistic_rejected(self):
         with pytest.raises(UnknownStatistic, match="'min' is requested more than once"):
             power_table(_spec(), ("min", "sum", "min"))
+
+    def test_one_dimensional_statistic_rejected_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a data set")
+
+        monkeypatch.setattr(simulation, "sample_scenario", no_draw)
+        monkeypatch.setattr(simulation, "_sample_null", no_draw)
+        with pytest.raises(UnknownStatistic, match="'cramer' needs 1-D samples"):
+            power_table(_spec(scenario="scale_shift"), ("min", "cramer"))
 
     def test_two_group_only_names_rejected_for_three_groups(self):
         spec = _spec(scenario="three_group_a")

@@ -8,11 +8,8 @@ from depthtest import (
     QualityMatrix,
     SingularScatter,
     SizeLimit,
-    TiedRanks,
     UnknownStatistic,
-    bdbr_univariate,
     cramer_univariate,
-    energy_normalized,
     evaluate_statistics,
     manova,
     manova_eigen,
@@ -151,17 +148,6 @@ class TestModifiedRank:
         # multivariate moment: N=60, n2=30, j=30 -> 61*30/31
         assert (60 + 1.0) * 30 / (30 + 1.0) == pytest.approx(59.032, abs=1e-3)
 
-    def test_univariate_hand_value(self):
-        assert bdbr_univariate([1.0, 3.0, 5.0], [2.0, 4.0]) == pytest.approx(5.0 / 27.0, rel=1e-12)
-
-    def test_univariate_rejects_ties(self):
-        with pytest.raises(TiedRanks):
-            bdbr_univariate([1.0, 2.0], [2.0, 3.0])
-
-    def test_univariate_needs_1d(self):
-        with pytest.raises(DimensionMismatch):
-            bdbr_univariate(np.zeros((3, 2)), np.ones((3, 2)))
-
     def test_multivariate_golden_fixture(self):
         assert _statistic("bdbr", X6, Y6, MAHAL) == pytest.approx(BDBR_GOLDEN, rel=1e-12)
 
@@ -296,14 +282,6 @@ class TestEnergy:
     def test_two_singletons(self):
         assert _statistic("energy", [[0.0]], [[1.0]]) == pytest.approx(1.0, rel=1e-15)
 
-    def test_normalized_in_unit_interval(self, rng):
-        for _ in range(20):
-            x = rng.normal(size=(int(rng.integers(2, 10)), 2))
-            y = rng.normal(size=(int(rng.integers(2, 10)), 2)) + rng.normal() * 2
-            h = energy_normalized(x, y)
-            assert 0.0 <= h <= 1.0
-        assert energy_normalized(x, x) == pytest.approx(0.0, abs=1e-12)
-
     def test_matches_brute_oracle(self, rng):
         for _ in range(15):
             x = rng.normal(size=(int(rng.integers(2, 9)), 2))
@@ -315,5 +293,3 @@ class TestEnergy:
         x = np.zeros((2237, 1))
         with pytest.raises(SizeLimit):
             _statistic("energy", x, x + 1.0)
-        with pytest.raises(SizeLimit):
-            energy_normalized(x, x + 1.0)
