@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .depths import DepthKind, pooled_depths, stacked_elements
+from .depths import DepthKind, geometry_elements, pooled_depths, stacked_elements
 from .errors import DepthTestError, DimensionMismatch, DomainError, UnknownStatistic
 from .multi_sample import _max_stack, _min_stack, _product_stack, _sum_stack
 from .quality import partition_depth_rows, quality_indices
@@ -159,50 +159,74 @@ def chi2_1_pvalue(x: float) -> float:
     return math.erfc(math.sqrt(float(x) / 2.0))
 
 
-class _StatisticEngine:
-    """Shared evaluator for one pooled sample under re-partitioning.
+def _element_counts(names, kind: DepthKind | None, sizes, dim: int) -> tuple[int, int]:
+    """Sizes of the temporaries of a stack of partitions, in elements: per
+    partition, the largest one (the (k, N) depth rows and their sort and
+    rank arrays, energy's N x N distance blocks, or the depth kernel's own,
+    :func:`~depthtest.depths.stacked_elements`); and per pooled sample, the
+    geometry kept for it (energy's N x N distances, or the depth geometry,
+    :func:`~depthtest.depths.geometry_elements`)."""
+    total = sum(sizes)
+    reads = {STATISTICS[name].reads for name in names}
+    partition, sample = len(sizes) * total, total * dim
+    if "distances" in reads:
+        partition, sample = max(partition, total**2), max(sample, total**2)
+    if reads & {"q_matrix", "depth_rows"}:
+        partition = max(partition, stacked_elements(kind, total, dim, max(sizes)))
+        sample = max(sample, geometry_elements(kind, total, dim))
+    return partition, sample
 
-    ``values(orders)`` evaluates, for a (P, N) stack of orders, the P
-    partitions that put pooled row ``orders[p, t]`` at position t, and
-    returns each statistic's (P,) values. The observed partition is the
-    identity order, so one-off evaluation (P = 1) and permutation chunks
+
+def datasets_per_chunk(names, kind: DepthKind | None, sizes, dim: int) -> int:
+    """How many data sets of these group sizes and dimension one engine
+    stacks when each partition reads its own pooled sample: as many as keep
+    every temporary, the samples' geometry included, within
+    ``_CHUNK_ELEMENTS``, and at least one."""
+    return max(1, _CHUNK_ELEMENTS // max(_element_counts(names, kind, sizes, dim)))
+
+
+class _StatisticEngine:
+    """Shared evaluator for a stack of pooled samples under re-partitioning.
+
+    ``datasets`` is a list of S data sets, each a list of groups, all with
+    the same group sizes; each is validated and pooled. ``values(orders)``
+    evaluates, for a (P, N) stack of orders, the P partitions that put row
+    ``orders[p, t]`` of partition p's pooled sample at position t: sample 0
+    for every partition when S = 1 (permutation calibration), sample p
+    when S = P (a chunk of simulated data sets), and returns each
+    statistic's (P,) values. The observed partition is the identity order,
+    so one-off evaluation (P = 1), permutation chunks and simulation chunks
     run the same arithmetic. The depth geometry
     (:func:`~depthtest.depths.pooled_depths`) and, for energy, the pooled
-    distance matrix are built once per engine; each stack builds only the
+    distance matrices are built once per engine; each stack builds only the
     inputs the requested statistics read, once, and shares them among
     those statistics. ``partition_elements`` is the size of the largest
-    per-partition temporary, which chunk sizes are measured in.
+    per-partition temporary, which permutation chunk sizes are measured in.
     """
 
-    def __init__(self, groups, kind: DepthKind | None, names) -> None:
-        self.pooled, self.sizes = coerce_groups(groups)
+    def __init__(self, datasets, kind: DepthKind | None, names) -> None:
+        pooled = [coerce_groups(groups) for groups in datasets]
+        self.sizes = pooled[0][1]
+        self.samples = np.stack([sample for sample, _ in pooled])
         self.names = require_statistics(names, len(self.sizes))
         depth_names = [name for name in self.names if STATISTICS[name].depth_based]
         if depth_names and kind is None:
             raise ValueError(f"statistic {depth_names[0]!r} needs a DepthKind")
         self._entries = [(name, STATISTICS[name]) for name in self.names]
         self.reads = frozenset(statistic.reads for _, statistic in self._entries)
-        if "values_1d" in self.reads and self.pooled.shape[1] != 1:
+        _, self.total, dim = self.samples.shape
+        if "values_1d" in self.reads and dim != 1:
             one_d = next(name for name, s in self._entries if s.reads == "values_1d")
             raise DimensionMismatch(f"{one_d} statistic expects 1-D samples")
         self.slices = group_slices(self.sizes)
-        self.total, dim = self.pooled.shape
-        # per partition, the largest temporary of a stack: the (k, N) depth
-        # rows and their sort and rank arrays, energy's N x N distance
-        # blocks, or the depth kernel's own (stacked_elements)
-        self.partition_elements = len(self.sizes) * self.total
+        self.partition_elements, _ = _element_counts(self.names, kind, self.sizes, dim)
         self.dist = None
         if "distances" in self.reads:
             _require_distance_budget(self.total)
-            self.dist = cdist(self.pooled, self.pooled)
-            self.partition_elements = max(self.partition_elements, self.total**2)
+            self.dist = [cdist(sample, sample) for sample in self.samples]
         self._depths_against = None
         if depth_names:
-            self._depths_against = pooled_depths(self.pooled, kind)
-            self.partition_elements = max(
-                self.partition_elements,
-                stacked_elements(kind, self.total, dim, max(self.sizes)),
-            )
+            self._depths_against = pooled_depths(self.samples, kind)
 
     def values(self, orders: np.ndarray) -> dict[str, np.ndarray]:
         inputs = {}
@@ -211,21 +235,28 @@ class _StatisticEngine:
             inputs["depth_rows"] = rows
             if "q_matrix" in self.reads:
                 inputs["q_matrix"] = quality_indices(rows, self.sizes)
+        # the sample each partition reads
+        own = range(len(orders)) if len(self.samples) > 1 else [0] * len(orders)
         if "distances" in self.reads:
-            inputs["distances"] = [self._distance_blocks(order) for order in orders]
+            inputs["distances"] = [
+                self._distance_blocks(self.dist[t], order) for t, order in zip(own, orders)
+            ]
         if "values_1d" in self.reads:
-            inputs["values_1d"] = [[self.pooled[order[sl]] for sl in self.slices] for order in orders]
+            inputs["values_1d"] = [
+                [self.samples[t, order[sl]] for sl in self.slices] for t, order in zip(own, orders)
+            ]
         return {name: s.formula(inputs[s.reads], self.sizes) for name, s in self._entries}
 
-    def _distance_blocks(self, order: np.ndarray) -> list[np.ndarray]:
-        """The (xx, yy, xy) distance blocks of one two-group partition."""
+    def _distance_blocks(self, dist: np.ndarray, order: np.ndarray) -> list[np.ndarray]:
+        """The (xx, yy, xy) blocks of the distances ``dist`` of one two-group
+        partition's pooled sample."""
         ia, ib = order[self.slices[0]], order[self.slices[1]]
-        return [self.dist[np.ix_(a, b)] for a, b in ((ia, ia), (ib, ib), (ia, ib))]
+        return [dist[np.ix_(a, b)] for a, b in ((ia, ia), (ib, ib), (ia, ib))]
 
 
 def evaluate_statistics(groups, names, kind: DepthKind | None) -> dict[str, float]:
     """Observed values of several statistics on one fixed partition."""
-    engine = _StatisticEngine(groups, kind, names)
+    engine = _StatisticEngine([groups], kind, names)
     values = engine.values(np.arange(engine.total)[None])
     return {name: float(value[0]) for name, value in values.items()}
 
@@ -272,7 +303,7 @@ def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationS
     as many partitions as ``_CHUNK_ELEMENTS`` allows (at least one);
     exceedances are counted per chunk by vectorised comparisons.
     """
-    engine = _StatisticEngine(groups, kind, names)
+    engine = _StatisticEngine([groups], kind, names)
     names = engine.names
     chunk = max(1, _CHUNK_ELEMENTS // engine.partition_elements)
     partitions = spec.replications + 1

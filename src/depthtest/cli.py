@@ -15,6 +15,7 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -333,7 +334,10 @@ _COUNT = _checked(int, lambda v: v >= 1, "must be >= 1")
 _NAMES = _checked(_str_list, bool, "must be a nonempty list")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each ``parse_args`` call returns a
+    fresh namespace, and handlers write only to that namespace."""
     parser = argparse.ArgumentParser(
         prog="depthtest",
         description="Depth-based multivariate homogeneity tests, simulations, and scale curves.",

@@ -1,12 +1,12 @@
 """CSV ingestion for group-labeled numeric datasets.
 
-The first row is the header. One column carries the group label
-(selected by header name or 0-based index); every other column must
-parse as a decimal real. Groups are keyed by label and ordered
-lexicographically; row order within a group follows the file. All
-implemented statistics are label-symmetric and both directed quality
-indices are always reported, so the group ordering never changes a
-result.
+The first row is the header. One column carries the group label,
+selected by 0-based index or by header name, which must then occur once;
+every other column must parse as a decimal real. Groups are keyed by
+label and ordered lexicographically; row order within a group follows
+the file. All implemented statistics are label-symmetric and both
+directed quality indices are always reported, so the group ordering
+never changes a result.
 """
 
 from __future__ import annotations
@@ -61,10 +61,16 @@ def load_csv(path, group_column) -> LabeledDataset:
         group_idx = int(group_column)
         if not 0 <= group_idx < width:
             raise MissingGroupColumn(f"group column index {group_idx} out of range")
-    elif group_column in header:
-        group_idx = header.index(group_column)
     else:
-        raise MissingGroupColumn(f"group column {group_column!r} not in header {header}")
+        positions = [i for i, name in enumerate(header) if name == group_column]
+        if not positions:
+            raise MissingGroupColumn(f"group column {group_column!r} not in header {header}")
+        if len(positions) > 1:
+            raise MissingGroupColumn(
+                f"group column {group_column!r} appears {len(positions)} times in the header, "
+                f"at 0-based positions {positions}; select one by index"
+            )
+        group_idx = positions[0]
 
     if width < 2:
         raise ParseError(f"{path}: need at least one numeric column besides the group column")

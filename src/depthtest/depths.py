@@ -20,8 +20,8 @@ reference sample:
 
 Depths of a pooled sample against groups of its own rows come from
 :func:`pooled_depths`, which builds the partition-independent geometry
-once and gathers the reference rows of a whole stack of partitions from
-it.
+of a stack of pooled samples once and gathers the reference rows of a
+whole stack of partitions from it.
 """
 
 from __future__ import annotations
@@ -92,8 +92,9 @@ def _spd_cholesky(matrices: np.ndarray) -> np.ndarray:
 
 
 def _mahalanobis_depths(query: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """(P, q) depths of the query rows against each reference of a (P, m, d)
-    stack, from stacked means, covariances, Cholesky factors and solves."""
+    """(P, q) depths of the (q, d) query rows, or of the (P, q, d) stack of
+    them, against each reference of a (P, m, d) stack, from stacked means,
+    covariances, Cholesky factors and solves."""
     m = references.shape[1]
     if m < 2:
         raise SingularCovariance("mahalanobis depth needs at least 2 reference rows")
@@ -107,15 +108,15 @@ def _mahalanobis_depths(query: np.ndarray, references: np.ndarray) -> np.ndarray
     return 1.0 / (1.0 + quad)
 
 
-def _unit_components(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def _unit_components(query: np.ndarray, reference: np.ndarray, out=None) -> np.ndarray:
     """Coordinates of the unit vectors from each reference row to each query
     row: ``comps[j, i, a] = (query[a, j] - reference[i, j]) / ||query[a] -
     reference[i]||``, C-contiguous (d, m, q), so that ``comps[j][i]`` is
-    one contiguous row. Coincident pairs divide by infinity and so give
-    exact zeros."""
+    one contiguous row, or written into the (d, m, q) array ``out``.
+    Coincident pairs divide by infinity and so give exact zeros."""
     dist = cdist(reference, query)
     dist[dist == 0.0] = np.inf
-    comps = np.subtract(query.T[:, None, :], reference.T[:, :, None], order="C")
+    comps = np.subtract(query.T[:, None, :], reference.T[:, :, None], out=out, order="C")
     comps /= dist
     return comps
 
@@ -227,7 +228,8 @@ def stacked_elements(kind: DepthKind, n: int, d: int, m: int) -> int:
     :func:`pooled_depths` builds for m-row references of n pooled rows in d
     dimensions: Mahalanobis' (d, n) deviations, cached spatial's (m, n)
     gather and (d, n) sums; the kernels run once per partition otherwise,
-    so one depth row."""
+    so one depth row. The geometry of each pooled sample of the stack
+    comes on top (:func:`geometry_elements`)."""
     if kind.kind == "mahalanobis":
         return d * n
     if kind.kind == "spatial" and _spatial_cache_fits(n, d):
@@ -235,30 +237,67 @@ def stacked_elements(kind: DepthKind, n: int, d: int, m: int) -> int:
     return n
 
 
-def pooled_depths(pooled: np.ndarray, kind: DepthKind):
+def geometry_elements(kind: DepthKind, n: int, d: int) -> int:
+    """Elements of the partition-independent geometry that
+    :func:`pooled_depths` keeps per pooled sample of n rows in d dimensions:
+    cached spatial's (d, n, n) unit-vector coordinates, projection's (n, D)
+    scores; the sample itself otherwise."""
+    if kind.kind == "spatial" and _spatial_cache_fits(n, d):
+        return d * n * n
+    if kind.kind == "projection":
+        return n * kind.direction_count
+    return n * d
+
+
+def pooled_depths(samples: np.ndarray, kind: DepthKind):
     """``against(idx)``: for a (P, m) stack of row indices, the (P, N)
-    depths of every row of the sample matrix ``pooled`` against each
-    reference ``pooled[idx[p]]``.
+    depths of every row of a pooled sample against the reference given by
+    its rows ``idx[p]``. ``samples`` is an (S, N, d) stack of pooled
+    samples: partition p reads sample p when S = P, and sample 0 when
+    S = 1.
 
     Mahalanobis depth runs stacked over P. Spatial depth sums, in ``idx``
-    order, rows of the pooled unit-vector coordinates (d, N, N) while they
-    fit ``_CACHE_ELEMENT_CAP``, one coordinate at a time as a (P, m, N)
-    gather. Projection depth gathers rows of the pooled projections and
-    runs once per partition; so does the plain spatial kernel past the cap.
-    :func:`stacked_elements` gives the per-partition size of the largest
-    temporary.
+    order, rows of each sample's unit-vector coordinates (d, N, N) while
+    they fit ``_CACHE_ELEMENT_CAP``, one coordinate at a time as a
+    (P, m, N) gather. Projection depth gathers rows of each sample's
+    projections and runs once per partition; so does the plain spatial
+    kernel past the cap. :func:`stacked_elements` gives the per-partition
+    size of the largest temporary, :func:`geometry_elements` the geometry
+    kept per sample.
     """
-    n, d = pooled.shape
+    s, n, d = samples.shape
+
+    def flat(idx):
+        """``idx`` as rows of the (S * N) rows of the stack."""
+        return idx + n * np.arange(len(idx))[:, None] if s > 1 else idx
+
+    def each(per_sample, count):
+        """The entry of ``per_sample`` that each of ``count`` partitions reads."""
+        return per_sample if s > 1 else [per_sample[0]] * count
+
     if kind.kind == "mahalanobis":
-        return lambda idx: _mahalanobis_depths(pooled, pooled[idx])
+        return lambda idx: _mahalanobis_depths(samples, samples.reshape(-1, d)[flat(idx)])
     if kind.kind == "spatial" and _spatial_cache_fits(n, d):
-        comps = _unit_components(pooled, pooled)
-        return lambda idx: _spatial_from_sums(
-            np.stack([coord[idx].sum(axis=1) for coord in comps]), idx.shape[1]
-        )
+        # coordinate j of sample t at comps[j, t], so comps[j] rows are (S * N, N)
+        comps = np.empty((d, s, n, n))
+        for t, sample in enumerate(samples):
+            _unit_components(sample, sample, out=comps[:, t])
+        coords = comps.reshape(d, s * n, n)
+
+        def spatial(idx):
+            rows = flat(idx)
+            return _spatial_from_sums(
+                np.stack([coord[rows].sum(axis=1) for coord in coords]), idx.shape[1]
+            )
+
+        return spatial
     if kind.kind == "projection":
-        proj = pooled @ _directions(kind.direction_seed, kind.direction_count, d).T
-        return lambda idx: np.stack(
-            [1.0 / (1.0 + projection_outlyingness(proj[ref], proj)) for ref in idx]
-        )
-    return lambda idx: np.stack([depth_values(pooled, pooled[ref], kind) for ref in idx])
+        dirs = _directions(kind.direction_seed, kind.direction_count, d)
+        proj = [sample @ dirs.T for sample in samples]
+        return lambda idx: np.stack([
+            1.0 / (1.0 + projection_outlyingness(scores[ref], scores))
+            for scores, ref in zip(each(proj, len(idx)), idx)
+        ])
+    return lambda idx: np.stack(
+        [depth_values(sample, sample[ref], kind) for sample, ref in zip(each(samples, len(idx)), idx)]
+    )

@@ -64,9 +64,10 @@ class QualityMatrix:
 def partition_depth_rows(depths_against, slices, orders: np.ndarray) -> np.ndarray:
     """(P, k, N) depth rows of the P partitions of a (P, N) stack of orders.
 
-    Partition p puts pooled row ``orders[p, t]`` at position t and group g
-    at positions ``slices[g]``; its row g holds every position's depth
-    against group g, from :func:`~depthtest.depths.pooled_depths`."""
+    Partition p puts row ``orders[p, t]`` of its pooled sample at position
+    t and group g at positions ``slices[g]``; its row g holds every
+    position's depth against group g, from
+    :func:`~depthtest.depths.pooled_depths`."""
     p, n = orders.shape
     depths = np.empty((p, len(slices), n))
     for g, sl in enumerate(slices):
@@ -129,7 +130,7 @@ def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
     """All k(k-1) directed quality indices for a list of groups."""
     pooled, sizes = coerce_groups(groups)
     identity = np.arange(pooled.shape[0])[None]
-    rows = partition_depth_rows(pooled_depths(pooled, kind), group_slices(sizes), identity)
+    rows = partition_depth_rows(pooled_depths(pooled[None], kind), group_slices(sizes), identity)
     return QualityMatrix(q=quality_indices(rows, sizes)[0], sizes=tuple(sizes))
 
 

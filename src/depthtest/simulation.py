@@ -8,7 +8,11 @@ statistic's tail in the statistic table; the minimum statistic's power
 at the fixed asymptotic cutoff 1.96 is reported as a secondary column.
 
 Replication r of grid point m draws from substream (seed, tag, m, r), so
-tables are pure functions of the ScenarioSpec.
+tables are pure functions of the ScenarioSpec. The R data sets of a grid
+point share their group sizes, so they are evaluated in chunks: one
+statistic engine stacks a chunk's pooled samples and evaluates the
+identity partition of each, under the element budget of permutation
+calibration. Every value equals the one-off evaluation of its data set.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import STATISTICS, evaluate_statistics, require_statistics
+from .calibration import STATISTICS, _StatisticEngine, datasets_per_chunk, require_statistics
 from .depths import DepthKind, min_reference_rows
 from .errors import DomainError, UnknownStatistic
 from .rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
@@ -44,6 +48,12 @@ SCENARIOS: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
         (np.array([0.3, 0.3]), _IDENT),
         (np.zeros(2), _IDENT + 0.5 * _SWAP),
     ],
+}
+
+# each scenario's groups as (mean, lower Cholesky factor of the covariance)
+_FACTORED = {
+    name: [(mean, np.linalg.cholesky(cov)) for mean, cov in groups]
+    for name, groups in SCENARIOS.items()
 }
 
 SIZE_RULES = ("equal", "half")
@@ -76,7 +86,7 @@ class ScenarioSpec:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         # every group is a depth reference: refuse one too small before any draw
-        need = min_reference_rows(self.depth, SCENARIOS[self.scenario][0][0].size)
+        need = min_reference_rows(self.depth, self.dimension)
         for m in self.m_grid:
             smallest = min(group_sizes(self, m))
             if smallest < need:
@@ -88,6 +98,10 @@ class ScenarioSpec:
     @property
     def group_count(self) -> int:
         return len(SCENARIOS[self.scenario])
+
+    @property
+    def dimension(self) -> int:
+        return SCENARIOS[self.scenario][0][0].size
 
 
 @dataclass(frozen=True)
@@ -126,10 +140,11 @@ def group_sizes(spec: ScenarioSpec, m: int) -> tuple[int, ...]:
 
 
 def _draw_groups(params, sizes, key) -> list[np.ndarray]:
+    """Groups ``mean + z @ factor.T`` for the (mean, factor) ``params``, with
+    z standard normal from substream ``key``."""
     rng = substream(*key)
     groups = []
-    for (mean, cov), count in zip(params, sizes):
-        factor = np.linalg.cholesky(cov)
+    for (mean, factor), count in zip(params, sizes):
         z = standard_normals(rng, (count, mean.size))
         groups.append(mean + z @ factor.T)
     return groups
@@ -139,7 +154,7 @@ def sample_scenario(spec: ScenarioSpec, m: int, replication: int) -> list[np.nda
     """Group samples for one replication, from substream (seed, m, replication)."""
     sizes = group_sizes(spec, m)
     return _draw_groups(
-        SCENARIOS[spec.scenario], sizes, (spec.seed, TAG_SCENARIO, m, replication)
+        _FACTORED[spec.scenario], sizes, (spec.seed, TAG_SCENARIO, m, replication)
     )
 
 
@@ -147,18 +162,29 @@ def _sample_null(spec: ScenarioSpec, m: int, replication: int) -> list[np.ndarra
     """Homogeneous draws (all groups standard normal) at the scenario's sizes,
     on a stream disjoint from the evaluation draws."""
     sizes = group_sizes(spec, m)
-    params = [(np.zeros(2), _IDENT)] * spec.group_count
+    params = _FACTORED["null"][:1] * spec.group_count
     return _draw_groups(params, sizes, (spec.seed, TAG_NULL_CALIBRATION, m, replication))
 
 
 def _replicate(spec: ScenarioSpec, m: int, names, draw) -> dict[str, np.ndarray]:
     """(R,) values of each named statistic over the spec's R replications at
-    grid point m; replication r evaluates the groups ``draw(spec, m, r)``."""
+    grid point m; replication r evaluates the groups ``draw(spec, m, r)``.
+
+    The replications run in chunks of as many data sets as
+    :func:`~depthtest.calibration.datasets_per_chunk` allows: one engine
+    stacks the chunk's pooled samples and evaluates the identity partition
+    of each, so every value equals the one-off
+    :func:`~depthtest.calibration.evaluate_statistics` of its data set.
+    """
+    sizes = group_sizes(spec, m)
+    chunk = datasets_per_chunk(names, spec.depth, sizes, spec.dimension)
+    identity = np.arange(sum(sizes))
     values = {name: np.empty(spec.replications) for name in names}
-    for r in range(spec.replications):
-        one = evaluate_statistics(draw(spec, m, r), names, spec.depth)
-        for name in names:
-            values[name][r] = one[name]
+    for first in range(0, spec.replications, chunk):
+        stop = min(first + chunk, spec.replications)
+        engine = _StatisticEngine([draw(spec, m, r) for r in range(first, stop)], spec.depth, names)
+        for name, stacked in engine.values(np.tile(identity, (stop - first, 1))).items():
+            values[name][first:stop] = stacked
     return values
 
 

@@ -278,7 +278,7 @@ def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, 
 
     pooled = np.vstack(groups)
     sizes = [g.shape[0] for g in groups]
-    engine = _StatisticEngine(groups, kind, names)
+    engine = _StatisticEngine([groups], kind, names)
     orders = np.stack([
         substream(spec.seed, TAG_PERMUTATION, b).permutation(pooled.shape[0])
         for b in range(spec.replications)
@@ -329,7 +329,7 @@ def test_chunk_size_leaves_report_unchanged(kind, k, monkeypatch):
     else:
         names = ("min", "product", "sum", "dbr")
     spec = CalibrationSpec(replications=8, seed=11)
-    per_partition = _StatisticEngine(groups, kind, names).partition_elements
+    per_partition = _StatisticEngine([groups], kind, names).partition_elements
     stack_sizes = []
     values = _StatisticEngine.values
 

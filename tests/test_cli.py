@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from depthtest.cli import main
+import depthtest.simulation as simulation
+from depthtest.cli import _build_parser, main
 from depthtest import skulls_path
 
 
@@ -276,6 +277,15 @@ class TestExitCodes:
         code = main(["two-sample", "--input", str(data), "--group", "cohort", "--stats", "min"])
         assert code == 1
 
+    def test_repeated_group_column_name_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "dupg.csv"
+        data.write_text("grp,x,grp\n" + "".join(f"{'ab'[i % 2]},{i},b\n" for i in range(8)))
+        code = main(["two-sample", "--input", str(data), "--group", "grp", "--stats", "cramer"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: group column 'grp' appears 2 times in the header, "
+                       "at 0-based positions [0, 2]; select one by index\n")
+
 
     @pytest.mark.parametrize(
         "argv",
@@ -413,6 +423,39 @@ class TestConfigBlock:
             "statistics": None, "permutations": 0, "asymptotic": False,
             "mc_draws": 1_000_000, "seed": 1, "format": "json", **_UNSET_TEST_FLAGS,
         }
+
+
+def _no_simulation(spec, m, names, draw):
+    """Stands in for simulation._replicate: the config block does not
+    depend on the simulated values."""
+    return {name: np.zeros(spec.replications) for name in names}
+
+
+def test_parser_built_once_keeps_no_state_between_commands(tmp_path, monkeypatch):
+    # the first command writes its resolved m_grid and reps into its
+    # namespace; the later ones must still get the profile defaults
+    commands = [
+        ["power", "--scenario", "mean_shift", "--m-grid", "12", "--reps", "3"],
+        ["type1", "--scenario", "null"],
+        ["power", "--scenario", "mean_shift"],
+    ]
+    monkeypatch.setattr(simulation, "_replicate", _no_simulation)
+    in_process = [_config_block(argv, tmp_path) for argv in commands]
+    assert _build_parser() is _build_parser()
+    assert [(c["m_grid"], c["replications"]) for c in in_process] == [
+        ([12], 3), ([100, 200, 300, 400, 500], 500), ([100, 200, 300, 400, 500], 500)]
+    script = (
+        "import sys\nimport depthtest.simulation, test_cli\n"
+        "depthtest.simulation._replicate = test_cli._no_simulation\n"
+        "from depthtest.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    )
+    path = [os.path.dirname(__file__), *sys.path]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for argv, config in zip(commands, in_process):
+        out = tmp_path / "fresh.json"
+        subprocess.run([sys.executable, "-c", script, *argv, "--output", str(out)],
+                       env=env, check=True)
+        assert json.loads(out.read_text())["config"] == config
 
 
 class TestSimulationCommands:

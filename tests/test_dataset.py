@@ -78,6 +78,26 @@ class TestLoadCsv:
         with pytest.raises(MissingGroupColumn):
             load_csv(path, 7)
 
+    def test_repeated_group_column_name(self, tmp_path):
+        path = tmp_path / "dupg.csv"
+        path.write_text("grp,x,grp\na,1,5\nb,2,6\n")
+        with pytest.raises(
+            MissingGroupColumn,
+            match=r"group column 'grp' appears 2 times in the header, at 0-based positions \[0, 2\]",
+        ):
+            load_csv(path, "grp")
+        # by index the column is unambiguous; the other 'grp' is a data column
+        ds = load_csv(path, 0)
+        assert ds.variable_names == ("x", "grp")
+        assert ds.groups["b"].tolist() == [[2.0, 6.0]]
+
+    def test_repeated_data_column_names(self, tmp_path):
+        path = tmp_path / "dupx.csv"
+        path.write_text("x,grp,x\n1,a,5\n2,b,6\n")
+        ds = load_csv(path, "grp")
+        assert ds.variable_names == ("x", "x")
+        assert ds.groups["a"].tolist() == [[1.0, 5.0]]
+
     def test_non_numeric_cell_reports_location(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("v,w,grp\n1,2,a\n1,oops,a\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthtest import (
     DegenerateSample,
@@ -79,7 +81,7 @@ class TestSpatialKernel:
 
 
 def _partition_rows(pooled, sizes, kind, order):
-    return partition_depth_rows(pooled_depths(pooled, kind), group_slices(sizes), order[None])[0]
+    return partition_depth_rows(pooled_depths(pooled[None], kind), group_slices(sizes), order[None])[0]
 
 
 class TestPooledDepths:
@@ -341,3 +343,33 @@ class TestErrors:
             DepthKind("tukey")
         with pytest.raises(ValueError):
             DepthKind("projection", direction_count=0)
+
+
+class TestInvarianceProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=8)
+    @given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_mahalanobis_affine_invariant(self, d, seed):
+        # x -> A x + b maps the sample covariance to A S A', so the quadratic
+        # form holds; rounding grows with the condition number of A A'
+        rng = np.random.default_rng(seed)
+        ref, query = rng.normal(size=(3 * d + 5, d)), rng.normal(size=(20, d))
+        a, b = rng.normal(size=(d, d)), 5.0 * rng.normal(size=d)
+        cond = np.linalg.cond(a)
+        got = depth_values(query @ a.T + b, ref @ a.T + b, MAHAL)
+        want = depth_values(query, ref, MAHAL)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * cond**2)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=8)
+    @given(
+        d=st.integers(1, 4),
+        log_scale=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spatial_invariant_under_rotation_scale_translation(self, d, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        ref, query = rng.normal(size=(2 * d + 7, d)), rng.normal(size=(20, d))
+        rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        scale, shift = 10.0**log_scale, 5.0 * rng.normal(size=d)
+        got = depth_values(scale * query @ rotation.T + shift, scale * ref @ rotation.T + shift,
+                           SPATIAL)
+        assert np.allclose(got, depth_values(query, ref, SPATIAL), rtol=0.0, atol=1e-12)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthtest import DepthKind, QualityMatrix, evaluate_statistics, quality, quality_matrix
 from depthtest.calibration import STATISTICS
@@ -121,3 +125,31 @@ def test_sum_monotone_in_entries():
 def test_needs_two_groups(rng):
     with pytest.raises(ValueError):
         quality_matrix([rng.normal(size=(5, 2))], MAHAL)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    (MAHAL, DepthKind("spatial"), DepthKind("projection", direction_count=64, direction_seed=2)),
+    ids=lambda kind: kind.kind,
+)
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(
+    k=st.integers(2, 3),
+    extra=st.lists(st.integers(0, 6), min_size=3, max_size=3),
+    relabel=st.permutations(range(3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quality_statistics_ignore_group_labels(kind, k, extra, relabel, seed):
+    # relabelling the groups permutes Q's rows and columns together; at
+    # k = 2 a swap transposes Q and each statistic keeps its bits, at k = 3
+    # product and sum multiply and add the indices in another order
+    rng = np.random.default_rng(seed)
+    groups = [rng.normal(size=(5 + e, 2)) for e in extra[:k]]
+    order = [g for g in relabel if g < k]
+    names = ("min", "max", "product", "sum") if k == 2 else ("min", "product", "sum")
+    base = evaluate_statistics(groups, names, kind)
+    relabelled = evaluate_statistics([groups[g] for g in order], names, kind)
+    if k == 2:
+        assert relabelled == base
+    else:
+        assert all(math.isclose(relabelled[n], base[n], rel_tol=1e-12) for n in names)

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import depthtest.calibration as calibration
 import depthtest.simulation as simulation
 from depthtest import (
     ASYMPTOTIC_UPPER_95,
@@ -15,9 +19,17 @@ from depthtest import (
     sample_scenario,
     type1_quantiles,
 )
-from depthtest.simulation import group_sizes
+from depthtest.calibration import _StatisticEngine, datasets_per_chunk
+from depthtest.rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
+from depthtest.simulation import SCENARIOS, group_sizes
 
 MAHAL = DepthKind("mahalanobis")
+KINDS = (MAHAL, DepthKind("spatial"), DepthKind("projection", direction_count=64, direction_seed=3))
+# (scenario, statistics): k = 2 with every two-group statistic, and k = 3
+SCENARIO_NAMES = (
+    ("null", ("min", "max", "product", "sum", "dbr", "bdbr", "energy")),
+    ("three_group_b", ("min", "product", "sum", "dbr")),
+)
 
 
 def _spec(**kw):
@@ -63,6 +75,21 @@ class TestScenarioSampling:
         c = sample_scenario(spec, 20, 4)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert not np.array_equal(a[0], c[0])
+
+    @pytest.mark.parametrize("scenario", tuple(SCENARIOS))
+    def test_draws_are_mean_plus_normals_times_cholesky_factor(self, scenario):
+        spec = _spec(scenario=scenario, m_grid=(12,), size_rule="half", seed=10)
+        sizes = group_sizes(spec, 12)
+        null = [(np.zeros(2), np.eye(2))] * spec.group_count
+        for draw, tag, params in ((sample_scenario, TAG_SCENARIO, SCENARIOS[scenario]),
+                                  (simulation._sample_null, TAG_NULL_CALIBRATION, null)):
+            for r in (0, 5):
+                rng = substream(spec.seed, tag, 12, r)
+                want = [mean + standard_normals(rng, (count, 2)) @ np.linalg.cholesky(cov).T
+                        for (mean, cov), count in zip(params, sizes)]
+                got = draw(spec, 12, r)
+                assert len(got) == len(want)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_size_rules(self):
         assert group_sizes(_spec(), 100) == (100, 100)
@@ -171,3 +198,75 @@ class TestPower:
         spec = _spec(scenario="three_group_a")
         with pytest.raises(UnknownStatistic):
             power_table(spec, ("max",))
+
+
+class TestBatchedReplications:
+    @pytest.mark.parametrize("scenario, names", SCENARIO_NAMES, ids=("k2", "k3"))
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.kind)
+    def test_chunk_size_leaves_tables_unchanged(self, kind, scenario, names, monkeypatch):
+        # one data set per chunk, two per chunk (the last holding one) and all
+        # five in one chunk; one engine call per chunk in each pass
+        spec = _spec(scenario=scenario, m_grid=(12,), size_rule="half", depth=kind,
+                     replications=5, seed=41)
+        sizes = group_sizes(spec, 12)
+        stack_sizes = []
+        values = _StatisticEngine.values
+
+        def recording(self, orders):
+            assert len(self.samples) == len(orders)
+            stack_sizes.append(len(orders))
+            return values(self, orders)
+
+        monkeypatch.setattr(_StatisticEngine, "values", recording)
+
+        def power():
+            table = power_table(spec, names)
+            return table.rates, table.asymptotic_min
+
+        # (table, the statistics it evaluates, its passes over the replications)
+        runs = [(power, names, 2)]
+        if scenario == "null":
+            runs.append((lambda: type1_quantiles(spec).rows, ("min",), 1))
+        for table, evaluated, passes in runs:
+            per_dataset = max(calibration._element_counts(evaluated, kind, sizes, 2))
+            tables = []
+            for budget, chunks in ((1, [1] * 5), (2 * per_dataset, [2, 2, 1]), (1 << 40, [5])):
+                monkeypatch.setattr(calibration, "_CHUNK_ELEMENTS", budget)
+                stack_sizes.clear()
+                tables.append(table())
+                assert stack_sizes == chunks * passes
+            assert tables[0] == tables[1] == tables[2]
+
+    @pytest.mark.parametrize("scenario, names", SCENARIO_NAMES, ids=("k2", "k3"))
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.kind)
+    def test_replications_equal_one_off_evaluation(self, kind, scenario, names):
+        spec = _spec(scenario=scenario, m_grid=(30,), depth=kind, replications=7, seed=43)
+        for draw in (sample_scenario, simulation._sample_null):
+            values = simulation._replicate(spec, 30, names, draw)
+            for r in range(spec.replications):
+                one = evaluate_statistics(draw(spec, 30, r), names, kind)
+                assert {name: values[name][r] for name in names} == one
+
+    def test_multi_chunk_report_independent_of_blas_threads(self):
+        # at m = 100 a chunk holds 3 spatial or 2 projection data sets, so
+        # five replications take several chunks
+        sizes = (100, 100)
+        assert datasets_per_chunk(("min",), DepthKind("spatial"), sizes, 2) == 3
+        assert datasets_per_chunk(("min",), DepthKind("projection"), sizes, 2) == 2
+        script = (
+            "from depthtest.cli import main\n"
+            "for depth in ('mahalanobis', 'spatial', 'projection'):\n"
+            "    main(['power', '--scenario', 'scale_shift', '--m-grid', '40,100', '--reps', '5',\n"
+            "          '--depth', depth, '--seed', '8', '--format', 'csv'])\n"
+        )
+
+        def report(threads):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                   "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            return done.stdout
+
+        one = report(1)
+        assert one.count("min_asymptotic") == 6
+        assert report(4) == one
