@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .depths import DepthKind, geometry_elements, pooled_depths, stacked_elements
+from .depths import DepthKind, depth_elements, pooled_depths
 from .errors import DepthTestError, DimensionMismatch, DomainError, UnknownStatistic
 from .multi_sample import _max_stack, _min_stack, _product_stack, _sum_stack
 from .quality import partition_depth_rows, quality_indices
@@ -34,7 +33,7 @@ from .two_sample import (
     TestOutcome,
     _bdbr_stack,
     _dbr_stack,
-    _energy_from_distances,
+    _energy_from_groups,
     _require_distance_budget,
     cramer_univariate,
 )
@@ -44,8 +43,8 @@ from .two_sample import (
 class Statistic:
     """One statistic: its rejecting tail ("upper" or "lower"), whether it
     is defined only at k = 2, the input it ``reads`` for a stack of P
-    partitions (``q_matrix`` (P, k, k), ``depth_rows`` (P, k, N), or one
-    ``distances`` or ``values_1d`` entry per partition), and its
+    partitions (``q_matrix`` (P, k, k), ``depth_rows`` (P, k, N), or
+    ``groups``, each partition's list of k group samples), and its
     ``formula``: the (P,) statistics of that input and the group sizes."""
 
     tail: str
@@ -75,9 +74,9 @@ STATISTICS = {
     "sum": Statistic("lower", False, "q_matrix", _sum_stack),
     "dbr": Statistic("upper", False, "depth_rows", _dbr_stack),
     "bdbr": Statistic("upper", True, "depth_rows", _bdbr_stack),
-    "energy": Statistic("upper", True, "distances", _per_partition(_energy_from_distances)),
+    "energy": Statistic("upper", True, "groups", _per_partition(_energy_from_groups)),
     "cramer": Statistic(
-        "upper", True, "values_1d", _per_partition(lambda xy, sizes: cramer_univariate(*xy))
+        "upper", True, "groups", _per_partition(lambda xy, sizes: cramer_univariate(*xy))
     ),
 }
 
@@ -162,18 +161,17 @@ def chi2_1_pvalue(x: float) -> float:
 def _element_counts(names, kind: DepthKind | None, sizes, dim: int) -> tuple[int, int]:
     """Sizes of the temporaries of a stack of partitions, in elements: per
     partition, the largest one (the (k, N) depth rows and their sort and
-    rank arrays, energy's N x N distance blocks, or the depth kernel's own,
-    :func:`~depthtest.depths.stacked_elements`); and per pooled sample, the
-    geometry kept for it (energy's N x N distances, or the depth geometry,
-    :func:`~depthtest.depths.geometry_elements`)."""
+    rank arrays, energy's N x N distance blocks, or the depth kernel's
+    own); and per pooled sample, the sample itself or the depth geometry
+    kept for it. The depth kernel's two sizes come from
+    :func:`~depthtest.depths.depth_elements`."""
     total = sum(sizes)
-    reads = {STATISTICS[name].reads for name in names}
     partition, sample = len(sizes) * total, total * dim
-    if "distances" in reads:
-        partition, sample = max(partition, total**2), max(sample, total**2)
-    if reads & {"q_matrix", "depth_rows"}:
-        partition = max(partition, stacked_elements(kind, total, dim, max(sizes)))
-        sample = max(sample, geometry_elements(kind, total, dim))
+    if "energy" in names:
+        partition = max(partition, total**2)
+    if any(STATISTICS[name].depth_based for name in names):
+        depth_partition, depth_sample = depth_elements(kind, total, dim, max(sizes))
+        partition, sample = max(partition, depth_partition), max(sample, depth_sample)
     return partition, sample
 
 
@@ -197,11 +195,12 @@ class _StatisticEngine:
     statistic's (P,) values. The observed partition is the identity order,
     so one-off evaluation (P = 1), permutation chunks and simulation chunks
     run the same arithmetic. The depth geometry
-    (:func:`~depthtest.depths.pooled_depths`) and, for energy, the pooled
-    distance matrices are built once per engine; each stack builds only the
-    inputs the requested statistics read, once, and shares them among
-    those statistics. ``partition_elements`` is the size of the largest
-    per-partition temporary, which permutation chunk sizes are measured in.
+    (:func:`~depthtest.depths.pooled_depths`) is the only state built once
+    per engine; each stack builds only the inputs the requested statistics
+    read, once, and shares them among those statistics: energy's distance
+    blocks are computed from each partition's groups. ``partition_elements``
+    is the size of the largest per-partition temporary, which permutation
+    chunk sizes are measured in.
     """
 
     def __init__(self, datasets, kind: DepthKind | None, names) -> None:
@@ -215,43 +214,30 @@ class _StatisticEngine:
         self._entries = [(name, STATISTICS[name]) for name in self.names]
         self.reads = frozenset(statistic.reads for _, statistic in self._entries)
         _, self.total, dim = self.samples.shape
-        if "values_1d" in self.reads and dim != 1:
-            one_d = next(name for name, s in self._entries if s.reads == "values_1d")
-            raise DimensionMismatch(f"{one_d} statistic expects 1-D samples")
+        if "cramer" in self.names and dim != 1:
+            raise DimensionMismatch("cramer statistic expects 1-D samples")
         self.slices = group_slices(self.sizes)
         self.partition_elements, _ = _element_counts(self.names, kind, self.sizes, dim)
-        self.dist = None
-        if "distances" in self.reads:
+        if "energy" in self.names:
             _require_distance_budget(self.total)
-            self.dist = [cdist(sample, sample) for sample in self.samples]
         self._depths_against = None
         if depth_names:
             self._depths_against = pooled_depths(self.samples, kind)
 
     def values(self, orders: np.ndarray) -> dict[str, np.ndarray]:
+        # the sample each partition reads: p of a stack of P, 0 of a stack of one
+        own = np.arange(len(orders)) % len(self.samples)
         inputs = {}
         if self._depths_against is not None:
-            rows = partition_depth_rows(self._depths_against, self.slices, orders)
+            rows = partition_depth_rows(self._depths_against, self.slices, orders, own)
             inputs["depth_rows"] = rows
             if "q_matrix" in self.reads:
                 inputs["q_matrix"] = quality_indices(rows, self.sizes)
-        # the sample each partition reads
-        own = range(len(orders)) if len(self.samples) > 1 else [0] * len(orders)
-        if "distances" in self.reads:
-            inputs["distances"] = [
-                self._distance_blocks(self.dist[t], order) for t, order in zip(own, orders)
-            ]
-        if "values_1d" in self.reads:
-            inputs["values_1d"] = [
+        if "groups" in self.reads:
+            inputs["groups"] = [
                 [self.samples[t, order[sl]] for sl in self.slices] for t, order in zip(own, orders)
             ]
         return {name: s.formula(inputs[s.reads], self.sizes) for name, s in self._entries}
-
-    def _distance_blocks(self, dist: np.ndarray, order: np.ndarray) -> list[np.ndarray]:
-        """The (xx, yy, xy) blocks of the distances ``dist`` of one two-group
-        partition's pooled sample."""
-        ia, ib = order[self.slices[0]], order[self.slices[1]]
-        return [dist[np.ix_(a, b)] for a, b in ((ia, ia), (ib, ib), (ia, ib))]
 
 
 def evaluate_statistics(groups, names, kind: DepthKind | None) -> dict[str, float]:

@@ -15,8 +15,10 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -56,6 +58,14 @@ PROFILES = {
     "desk": {"m_grid": tuple(range(100, 501, 100)), "type1": 500, "power": 500},
     "full": {"m_grid": tuple(range(100, 1001, 100)), "type1": 10_000, "power": 1000},
 }
+
+# The JSON report's config block: every flag of every subcommand, by the
+# parsed attribute (dest) it is stored under.
+CONFIG_KEYS = (
+    "command", "input", "group_column", "groups", "depth", "directions", "statistics",
+    "permutations", "asymptotic", "mc_draws", "scenario", "m_grid", "size_rule",
+    "replications", "profile", "alpha_level", "seed", "format",
+)
 
 
 def _fmt_stat(value: float) -> float:
@@ -104,7 +114,7 @@ def _load_groups(args: argparse.Namespace) -> LabeledDataset:
     repeated = _first_repeat(args.groups or ())
     if repeated is not None:
         raise UsageError(f"group {repeated!r} is listed more than once in --groups")
-    dataset = load_csv(args.input, args.group)
+    dataset = load_csv(args.input, args.group_column)
     if args.groups:
         dataset = dataset.subset(args.groups)
     return dataset
@@ -134,14 +144,14 @@ def _run_tests(args: argparse.Namespace) -> dict:
             "use --groups or the k-sample command"
         )
     # MANOVA names are split off below, before the engine checks for repeats
-    repeated = _first_repeat(args.stats)
+    repeated = _first_repeat(args.statistics)
     if repeated is not None:
         raise UsageError(f"statistic {repeated!r} is requested more than once")
     sizes = tuple(g.shape[0] for g in groups)
     depth = _depth(args)
 
-    manova_names = [s for s in args.stats if s in MANOVA_KINDS]
-    depth_names = [s for s in args.stats if s not in MANOVA_KINDS]
+    manova_names = [s for s in args.statistics if s in MANOVA_KINDS]
+    depth_names = [s for s in args.statistics if s not in MANOVA_KINDS]
     if manova_names and args.command != "two-sample":
         raise UsageError("MANOVA statistics are two-sample only")
 
@@ -149,8 +159,8 @@ def _run_tests(args: argparse.Namespace) -> dict:
     # returns the observed values alongside its p-values.
     perm_outcomes: dict[str, TestOutcome] = {}
     observed: dict[str, float] = {}
-    if depth_names and args.perms > 0:
-        spec = CalibrationSpec(replications=args.perms, seed=args.seed)
+    if depth_names and args.permutations > 0:
+        spec = CalibrationSpec(replications=args.permutations, seed=args.seed)
         report = permutation_report(groups, depth_names, depth, spec)
         perm_outcomes = {outcome.statistic_name: outcome for outcome in report}
         observed = {name: outcome.statistic for name, outcome in perm_outcomes.items()}
@@ -158,7 +168,7 @@ def _run_tests(args: argparse.Namespace) -> dict:
         observed = evaluate_statistics(groups, depth_names, depth)
 
     outcomes = []
-    for name in args.stats:
+    for name in args.statistics:
         if name in MANOVA_KINDS:
             outcomes.append(manova(groups[0], groups[1], name))
             continue
@@ -178,7 +188,7 @@ def _run_tests(args: argparse.Namespace) -> dict:
 
 def _run_power(args: argparse.Namespace) -> dict:
     spec = _scenario_spec(args)
-    names = args.stats or tuple(
+    names = args.statistics or tuple(
         name for name, statistic in STATISTICS.items()
         if statistic.depth_based and statistic.defined_at(spec.group_count)
     )
@@ -216,17 +226,17 @@ def _scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
     profile = PROFILES[args.profile]
     # reflect the resolved values in the emitted config block
     args.m_grid = args.m_grid or profile["m_grid"]
-    if args.reps is None:
-        args.reps = profile[args.command]
+    if args.replications is None:
+        args.replications = profile[args.command]
     try:
         return ScenarioSpec(
             scenario=args.scenario,
             m_grid=args.m_grid,
             size_rule=args.size_rule,
             depth=_depth(args),
-            replications=args.reps,
+            replications=args.replications,
             seed=args.seed,
-            alpha_level=args.alpha,
+            alpha_level=args.alpha_level,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -246,52 +256,22 @@ def _run_scale_curve(args: argparse.Namespace) -> dict:
     return {"results": rows}
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    return {
-        "command": args.command,
-        "input": args.input,
-        "group_column": args.group,
-        "groups": list(args.groups) if args.groups else None,
-        "depth": args.depth,
-        "directions": args.directions,
-        "statistics": list(args.stats) if args.stats else None,
-        "permutations": args.perms,
-        "asymptotic": args.asymptotic,
-        "mc_draws": args.mc_draws,
-        "scenario": args.scenario,
-        "m_grid": list(args.m_grid) if args.m_grid else None,
-        "size_rule": args.size_rule,
-        "replications": args.reps,
-        "profile": args.profile,
-        "alpha_level": args.alpha,
-        "seed": args.seed,
-        "format": args.format,
-    }
-
-
 def _emit(args: argparse.Namespace, body: dict) -> None:
     if args.format == "json":
         report = {
-            "config": _config_dict(args),
+            "config": {key: getattr(args, key) for key in CONFIG_KEYS},
             "results": body["results"],
             "fixture_hashes": {args.input: _sha256(args.input)} if args.input else {},
         }
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
-        columns = args.columns
-        lines = [",".join(columns)]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(args.columns)
         for row in body["results"]:
-            cells = []
-            for col in columns:
-                value = row.get(col)
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, list):
-                    cells.append(";".join(str(v) for v in value))
-                else:
-                    cells.append(str(value))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+            cells = (row.get(col) for col in args.columns)
+            writer.writerow(";".join(map(str, c)) if isinstance(c, list) else c for c in cells)
+        text = buffer.getvalue()
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -346,9 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # what the config block reports for the flags a subcommand does not have;
     # each subcommand's own defaults override these
     parser.set_defaults(
-        input=None, group=None, groups=None, stats=None, perms=0, asymptotic=False,
-        mc_draws=1_000_000, scenario=None, m_grid=None, size_rule="equal", reps=None,
-        profile="desk", alpha=0.05,
+        input=None, group_column=None, groups=None, statistics=None, permutations=0,
+        asymptotic=False, mc_draws=1_000_000, scenario=None, m_grid=None, size_rule="equal",
+        replications=None, profile="desk", alpha_level=0.05,
     )
 
     def add_common(p: argparse.ArgumentParser) -> None:
@@ -361,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", required=True, help="CSV file with a group-label column")
-        p.add_argument("--group", required=True, help="group column name or 0-based index")
+        p.add_argument("--group", dest="group_column", required=True,
+                       help="group column name or 0-based index")
         p.add_argument("--groups", type=_NAMES, default=None,
                        help="comma-separated group labels to keep")
 
@@ -372,10 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
             columns=("statistic_name", "statistic", "p_value", "method", "depth", "sizes", "seed"),
         )
         add_input(p)
-        p.add_argument("--stats", type=_NAMES, required=True,
+        p.add_argument("--stats", dest="statistics", type=_NAMES, required=True,
                        help=f"comma list from {', '.join((*STATISTICS, *MANOVA_KINDS))}")
-        p.add_argument("--perms", type=_checked(int, lambda v: v >= 0, "must be >= 0"),
-                       default=0, help="permutation replications B")
+        p.add_argument("--perms", dest="permutations", default=0,
+                       type=_checked(int, lambda v: v >= 0, "must be >= 0"),
+                       help="permutation replications B")
         p.add_argument("--asymptotic", action="store_true",
                        help="also report asymptotic/Monte-Carlo p-values for min (and max)")
         p.add_argument("--mc-draws", type=_COUNT, default=1_000_000,
@@ -395,14 +377,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "every entry must be >= 4"),
                        help="comma list of first-group sizes; default from --profile")
         p.add_argument("--size-rule", choices=SIZE_RULES, default="equal")
-        p.add_argument("--reps", type=_COUNT, default=None,
+        p.add_argument("--reps", dest="replications", type=_COUNT, default=None,
                        help="replications; default from --profile")
         p.add_argument("--profile", choices=tuple(PROFILES), default="desk",
                        help="desk: minutes-scale defaults; full: the original study scale")
-        p.add_argument("--alpha", type=_checked(float, lambda v: 0.0 < v < 1.0,
-                                                "must be inside (0, 1)"), default=0.05)
+        p.add_argument("--alpha", dest="alpha_level", default=0.05,
+                       type=_checked(float, lambda v: 0.0 < v < 1.0, "must be inside (0, 1)"))
         if name == "power":
-            p.add_argument("--stats", type=_NAMES, default=None)
+            p.add_argument("--stats", dest="statistics", type=_NAMES, default=None)
         add_common(p)
 
     p = sub.add_parser("scale-curve", help="central-region volumes per group (scale curves)")

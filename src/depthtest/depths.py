@@ -223,60 +223,42 @@ def _spatial_cache_fits(n: int, d: int) -> bool:
     return n * n * d <= _CACHE_ELEMENT_CAP
 
 
-def stacked_elements(kind: DepthKind, n: int, d: int, m: int) -> int:
-    """Elements per partition of the largest temporary that
-    :func:`pooled_depths` builds for m-row references of n pooled rows in d
-    dimensions: Mahalanobis' (d, n) deviations, cached spatial's (m, n)
-    gather and (d, n) sums; the kernels run once per partition otherwise,
-    so one depth row. The geometry of each pooled sample of the stack
-    comes on top (:func:`geometry_elements`)."""
+def depth_elements(kind: DepthKind, n: int, d: int, m: int) -> tuple[int, int]:
+    """Sizes, in elements, of what :func:`pooled_depths` builds for m-row
+    references of n pooled rows in d dimensions: per partition, its largest
+    temporary (Mahalanobis' (d, n) deviations, cached spatial's (m, n)
+    gather and (d, n) sums, one depth row for the kernels that run once per
+    partition); and per pooled sample, the geometry it keeps (cached
+    spatial's (d, n, n) unit-vector coordinates, projection's (n, D)
+    scores, the sample itself otherwise)."""
     if kind.kind == "mahalanobis":
-        return d * n
+        return d * n, n * d
     if kind.kind == "spatial" and _spatial_cache_fits(n, d):
-        return max(m, d) * n
-    return n
-
-
-def geometry_elements(kind: DepthKind, n: int, d: int) -> int:
-    """Elements of the partition-independent geometry that
-    :func:`pooled_depths` keeps per pooled sample of n rows in d dimensions:
-    cached spatial's (d, n, n) unit-vector coordinates, projection's (n, D)
-    scores; the sample itself otherwise."""
-    if kind.kind == "spatial" and _spatial_cache_fits(n, d):
-        return d * n * n
+        return max(m, d) * n, d * n * n
     if kind.kind == "projection":
-        return n * kind.direction_count
-    return n * d
+        return n, n * kind.direction_count
+    return n, n * d
 
 
 def pooled_depths(samples: np.ndarray, kind: DepthKind):
-    """``against(idx)``: for a (P, m) stack of row indices, the (P, N)
-    depths of every row of a pooled sample against the reference given by
-    its rows ``idx[p]``. ``samples`` is an (S, N, d) stack of pooled
-    samples: partition p reads sample p when S = P, and sample 0 when
-    S = 1.
+    """``against(idx, own)``: for a (P, m) stack of row indices and the (P,)
+    sample indices ``own``, the (P, N) depths of every row of pooled sample
+    ``own[p]`` against the reference given by its rows ``idx[p]``.
+    ``samples`` is an (S, N, d) stack of pooled samples.
 
     Mahalanobis depth runs stacked over P. Spatial depth sums, in ``idx``
     order, rows of each sample's unit-vector coordinates (d, N, N) while
     they fit ``_CACHE_ELEMENT_CAP``, one coordinate at a time as a
     (P, m, N) gather. Projection depth gathers rows of each sample's
     projections and runs once per partition; so does the plain spatial
-    kernel past the cap. :func:`stacked_elements` gives the per-partition
-    size of the largest temporary, :func:`geometry_elements` the geometry
-    kept per sample.
+    kernel past the cap. :func:`depth_elements` gives the sizes of the
+    largest per-partition temporary and of the geometry kept per sample.
     """
     s, n, d = samples.shape
-
-    def flat(idx):
-        """``idx`` as rows of the (S * N) rows of the stack."""
-        return idx + n * np.arange(len(idx))[:, None] if s > 1 else idx
-
-    def each(per_sample, count):
-        """The entry of ``per_sample`` that each of ``count`` partitions reads."""
-        return per_sample if s > 1 else [per_sample[0]] * count
-
     if kind.kind == "mahalanobis":
-        return lambda idx: _mahalanobis_depths(samples, samples.reshape(-1, d)[flat(idx)])
+        return lambda idx, own: _mahalanobis_depths(
+            samples[own], samples.reshape(-1, d)[idx + n * own[:, None]]
+        )
     if kind.kind == "spatial" and _spatial_cache_fits(n, d):
         # coordinate j of sample t at comps[j, t], so comps[j] rows are (S * N, N)
         comps = np.empty((d, s, n, n))
@@ -284,8 +266,8 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind):
             _unit_components(sample, sample, out=comps[:, t])
         coords = comps.reshape(d, s * n, n)
 
-        def spatial(idx):
-            rows = flat(idx)
+        def spatial(idx, own):
+            rows = idx + n * own[:, None]
             return _spatial_from_sums(
                 np.stack([coord[rows].sum(axis=1) for coord in coords]), idx.shape[1]
             )
@@ -294,10 +276,10 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind):
     if kind.kind == "projection":
         dirs = _directions(kind.direction_seed, kind.direction_count, d)
         proj = [sample @ dirs.T for sample in samples]
-        return lambda idx: np.stack([
-            1.0 / (1.0 + projection_outlyingness(scores[ref], scores))
-            for scores, ref in zip(each(proj, len(idx)), idx)
+        return lambda idx, own: np.stack([
+            1.0 / (1.0 + projection_outlyingness(proj[t][ref], proj[t]))
+            for t, ref in zip(own, idx)
         ])
-    return lambda idx: np.stack(
-        [depth_values(sample, sample[ref], kind) for sample, ref in zip(each(samples, len(idx)), idx)]
+    return lambda idx, own: np.stack(
+        [depth_values(samples[t], samples[t][ref], kind) for t, ref in zip(own, idx)]
     )

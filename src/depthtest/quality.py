@@ -61,17 +61,17 @@ class QualityMatrix:
         return len(self.sizes)
 
 
-def partition_depth_rows(depths_against, slices, orders: np.ndarray) -> np.ndarray:
+def partition_depth_rows(depths_against, slices, orders: np.ndarray, own: np.ndarray) -> np.ndarray:
     """(P, k, N) depth rows of the P partitions of a (P, N) stack of orders.
 
-    Partition p puts row ``orders[p, t]`` of its pooled sample at position
-    t and group g at positions ``slices[g]``; its row g holds every
-    position's depth against group g, from
+    Partition p puts row ``orders[p, t]`` of pooled sample ``own[p]`` at
+    position t and group g at positions ``slices[g]``; its row g holds
+    every position's depth against group g, from
     :func:`~depthtest.depths.pooled_depths`."""
     p, n = orders.shape
     depths = np.empty((p, len(slices), n))
     for g, sl in enumerate(slices):
-        depths[:, g] = depths_against(orders[:, sl])
+        depths[:, g] = depths_against(orders[:, sl], own)
     # row (p, g) gathers its depths in the order of partition p
     flat = orders[:, None, :] + n * np.arange(p * len(slices)).reshape(p, -1, 1)
     return depths.reshape(-1)[flat]
@@ -130,7 +130,8 @@ def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
     """All k(k-1) directed quality indices for a list of groups."""
     pooled, sizes = coerce_groups(groups)
     identity = np.arange(pooled.shape[0])[None]
-    rows = partition_depth_rows(pooled_depths(pooled[None], kind), group_slices(sizes), identity)
+    against = pooled_depths(pooled[None], kind)
+    rows = partition_depth_rows(against, group_slices(sizes), identity, np.zeros(1, dtype=np.intp))
     return QualityMatrix(q=quality_indices(rows, sizes)[0], sizes=tuple(sizes))
 
 

@@ -17,8 +17,8 @@ calibration. Every value equals the one-off evaluation of its data set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -202,25 +202,26 @@ def type1_quantiles(spec: ScenarioSpec) -> TypeOneTable:
 
 
 def _critical_value(null_values: np.ndarray, tail: str, alpha: float) -> float:
-    """Upper tail: the order statistic at ceil((1 - alpha) R), 1-based;
-    lower tail: the one at floor(alpha R), 0-based."""
+    """Upper tail: the order statistic at ceil((1 - alpha) R) = R - floor(alpha R),
+    1-based; lower tail: the one at floor(alpha R), 0-based. alpha is read as
+    the decimal it prints as, so the product is exact: at alpha = 0.059 and
+    R = 1000 the upper one is the 941st, not the 942nd of floating point."""
     ordered = np.sort(null_values)
+    numerator, denominator = Decimal(str(float(alpha))).as_integer_ratio()
+    below = numerator * null_values.size // denominator
     if tail == "upper":
-        index = math.ceil((1.0 - alpha) * null_values.size)
-        return float(ordered[max(index, 1) - 1])
-    index = math.floor(alpha * null_values.size)
-    return float(ordered[index])
+        return float(ordered[null_values.size - below - 1])
+    return float(ordered[below])
 
 
 def power_table(spec: ScenarioSpec, statistics) -> PowerTable:
     """Rejection rates under the scenario, against critical values estimated
     from a null run of the same sizes and depth."""
     statistics = require_statistics(statistics, spec.group_count)
-    for name in statistics:
-        if STATISTICS[name].reads == "values_1d":
-            raise UnknownStatistic(
-                f"statistic {name!r} needs 1-D samples; the simulation scenarios are bivariate"
-            )
+    if "cramer" in statistics:
+        raise UnknownStatistic(
+            "statistic 'cramer' needs 1-D samples; the simulation scenarios are bivariate"
+        )
     eval_names = statistics if "min" in statistics else statistics + ("min",)
 
     rates: dict[tuple[str, int], float] = {}

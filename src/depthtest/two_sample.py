@@ -1,8 +1,9 @@
 """The depth-rank formulas and the two-sample baselines.
 
 The depth-rank (DbR) and modified depth-rank (B*) formulas read stacks of
-depth rows, energy reads distance blocks and Cramer reads 1-D samples:
-their rows of the statistic table :data:`depthtest.calibration.STATISTICS`.
+depth rows; energy and Cramer read the groups of one partition, Cramer
+only 1-D ones. These are their rows of the statistic table
+:data:`depthtest.calibration.STATISTICS`.
 Outside the table: the MANOVA trio with its F-law p-value. One-off values
 of the table statistics come from :func:`~depthtest.calibration.evaluate_statistics`.
 """
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import fdtrc
 
 from .depths import _CACHE_ELEMENT_CAP, DepthKind, _spd_cholesky
@@ -227,16 +229,18 @@ def cramer_univariate(x, y) -> float:
 
 
 def _require_distance_budget(total: int) -> None:
-    """Refuse energy on N pooled rows before allocating its N x N distances."""
+    """Refuse energy on N pooled rows, whose distance blocks of one
+    partition total N x N elements."""
     if total * total > _CACHE_ELEMENT_CAP:
         raise SizeLimit(f"energy needs a {total} x {total} distance matrix, over the cap of "
                         f"{_CACHE_ELEMENT_CAP} elements")
 
 
-def _energy_from_distances(blocks, sizes) -> float:
-    """Energy distance statistic mn/(m+n) * E_hat from the (xx, yy, xy)
-    distance blocks of a partition; upper-tail rejection."""
+def _energy_from_groups(groups, sizes) -> float:
+    """Energy distance statistic mn/(m+n) * E_hat of a partition's two
+    groups, from their (xx, yy, xy) distance blocks; upper-tail rejection."""
     m, n = sizes
-    xx, yy, xy = blocks
+    x, y = groups
+    xx, yy, xy = cdist(x, x), cdist(y, y), cdist(x, y)
     # V-statistic means: within-sample blocks keep their zero diagonals.
     return m * n / (m + n) * (2.0 * float(xy.mean()) - float(xx.mean()) - float(yy.mean()))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -599,6 +600,21 @@ class TestScaleCurveCommand:
         single = capsys.readouterr().out.splitlines()
         assert single == [header, *(row for row in rows if row.startswith("c4000BC,"))]
         assert len(single) == 4
+
+    def test_csv_quotes_a_label_with_a_comma(self, tmp_path, capsys, rng):
+        data = tmp_path / "comma.csv"
+        lines = ["grp,x,y"]
+        for label in ('"a,b"', "c"):
+            lines += [f"{label},{float(u)!r},{float(v)!r}" for u, v in rng.normal(size=(8, 2))]
+        data.write_text("\n".join(lines) + "\n")
+        argv = ["scale-curve", "--input", str(data), "--group", "grp", "--alphas", "0.5,1",
+                "--format", "csv"]
+        assert main(argv) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == ["group", "alpha", "volume"]
+        assert all(len(row) == 3 for row in rows)
+        group_alpha = [row[:2] for row in rows[1:]]
+        assert group_alpha == [["a,b", "0.5"], ["a,b", "1.0"], ["c", "0.5"], ["c", "1.0"]]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -81,7 +81,8 @@ class TestSpatialKernel:
 
 
 def _partition_rows(pooled, sizes, kind, order):
-    return partition_depth_rows(pooled_depths(pooled[None], kind), group_slices(sizes), order[None])[0]
+    against, own = pooled_depths(pooled[None], kind), np.zeros(1, dtype=np.intp)
+    return partition_depth_rows(against, group_slices(sizes), order[None], own)[0]
 
 
 class TestPooledDepths:

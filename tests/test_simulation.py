@@ -153,6 +153,16 @@ class TestTypeOne:
         with pytest.raises(DomainError):
             type1_quantiles(_spec(scenario="mean_shift"))
 
+    @pytest.mark.parametrize(
+        "size, tail, alpha, expected",
+        # in floating point (1 - 0.059) * 1000 lands above 941 and 0.009 * 3000 below 27
+        ((1000, "upper", 0.059, 941.0), (3000, "lower", 0.009, 28.0),
+         (1000, "upper", 0.05, 950.0), (1000, "lower", 0.05, 51.0)),
+    )
+    def test_critical_value_index_reads_alpha_as_printed(self, size, tail, alpha, expected):
+        values = np.arange(size, 0, -1, dtype=float)
+        assert simulation._critical_value(values, tail, alpha) == expected
+
 
 class TestPower:
     def test_null_alternative_rejects_at_level(self):
