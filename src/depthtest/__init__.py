@@ -9,12 +9,10 @@ curves, and a simulation harness for size and power studies.
 
 from .calibration import (
     CalibrationSpec,
-    PairCoefficients,
     chi2_1_pvalue,
     evaluate_statistics,
     half_normal_pvalue,
     mc_asymptotic_min_pvalue,
-    pair_coefficients,
     permutation_report,
 )
 from .dataset import LabeledDataset, dump_csv, load_csv, skulls_path
@@ -60,7 +58,6 @@ __all__ = [
     "LabeledDataset",
     "MissingGroupColumn",
     "NonNumericCell",
-    "PairCoefficients",
     "ParseError",
     "PowerTable",
     "QualityMatrix",
@@ -86,7 +83,6 @@ __all__ = [
     "manova",
     "manova_eigen",
     "mc_asymptotic_min_pvalue",
-    "pair_coefficients",
     "permutation_report",
     "power_table",
     "quality",

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .depths import DepthKind, depth_elements, pooled_depths
+from .depths import DepthKind, chunks, depth_elements, pooled_depths, require_within_cap
 from .errors import DepthTestError, DimensionMismatch, DomainError, UnknownStatistic
 from .multi_sample import _max_stack, _min_stack, _product_stack, _sum_stack
 from .quality import partition_depth_rows, quality_indices
@@ -34,7 +34,6 @@ from .two_sample import (
     _bdbr_stack,
     _dbr_stack,
     _energy_from_groups,
-    _require_distance_budget,
     cramer_univariate,
 )
 
@@ -80,13 +79,6 @@ STATISTICS = {
     ),
 }
 
-_MC_CHUNK = 1 << 17
-
-# Element budget of every per-chunk temporary of permutation calibration
-# (2 MiB of float64): a chunk stacks as many partitions as fit, and at
-# least one.
-_CHUNK_ELEMENTS = 1 << 18
-
 
 @dataclass(frozen=True)
 class CalibrationSpec:
@@ -99,34 +91,6 @@ class CalibrationSpec:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-
-
-@dataclass(frozen=True, eq=False)
-class PairCoefficients:
-    """Normal-combination weights of the k-sample limit law.
-
-    For i < j: c[i, j] = sqrt(n_j / (n_i + n_j)) and
-    c_tilde[i, j] = sqrt(n_i / (n_i + n_j)), so c^2 + c_tilde^2 = 1.
-    """
-
-    c: np.ndarray
-    c_tilde: np.ndarray
-    sizes: tuple[int, ...]
-
-
-def pair_coefficients(sizes) -> PairCoefficients:
-    sizes = tuple(int(s) for s in sizes)
-    if any(s <= 0 for s in sizes):
-        raise DomainError("group sizes must be positive")
-    k = len(sizes)
-    c = np.full((k, k), np.nan)
-    ct = np.full((k, k), np.nan)
-    for i in range(k):
-        for j in range(i + 1, k):
-            tot = sizes[i] + sizes[j]
-            c[i, j] = math.sqrt(sizes[j] / tot)
-            ct[i, j] = math.sqrt(sizes[i] / tot)
-    return PairCoefficients(c=c, c_tilde=ct, sizes=sizes)
 
 
 def require_statistics(names, group_count: int) -> tuple[str, ...]:
@@ -175,14 +139,6 @@ def _element_counts(names, kind: DepthKind | None, sizes, dim: int) -> tuple[int
     return partition, sample
 
 
-def datasets_per_chunk(names, kind: DepthKind | None, sizes, dim: int) -> int:
-    """How many data sets of these group sizes and dimension one engine
-    stacks when each partition reads its own pooled sample: as many as keep
-    every temporary, the samples' geometry included, within
-    ``_CHUNK_ELEMENTS``, and at least one."""
-    return max(1, _CHUNK_ELEMENTS // max(_element_counts(names, kind, sizes, dim)))
-
-
 class _StatisticEngine:
     """Shared evaluator for a stack of pooled samples under re-partitioning.
 
@@ -219,7 +175,8 @@ class _StatisticEngine:
         self.slices = group_slices(self.sizes)
         self.partition_elements, _ = _element_counts(self.names, kind, self.sizes, dim)
         if "energy" in self.names:
-            _require_distance_budget(self.total)
+            n = self.total
+            require_within_cap(n * n, f"energy needs a {n} x {n} distance matrix")
         self._depths_against = None
         if depth_names:
             self._depths_against = pooled_depths(self.samples, kind)
@@ -285,21 +242,20 @@ def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationS
     seed. Every statistic sees the same partitions, so each entry equals
     the report of that statistic alone,
     ``permutation_report(groups, (name,), kind, spec)[0]``. The observed
-    partition and the B permuted ones are evaluated in chunks that stack
-    as many partitions as ``_CHUNK_ELEMENTS`` allows (at least one);
-    exceedances are counted per chunk by vectorised comparisons.
+    partition and the B permuted ones are evaluated in the
+    :func:`~depthtest.depths.chunks` of ``engine.partition_elements``
+    elements each; exceedances are counted per chunk by vectorised
+    comparisons, so memory stays within one chunk whatever B is.
     """
     engine = _StatisticEngine([groups], kind, names)
     names = engine.names
-    chunk = max(1, _CHUNK_ELEMENTS // engine.partition_elements)
-    partitions = spec.replications + 1
     counts = dict.fromkeys(names, 0)
-    for first in range(0, partitions, chunk):
+    for first, stop in chunks(spec.replications + 1, engine.partition_elements):
         # partition 0 is the observed (identity) one, partition t replication t - 1
         orders = np.stack([
             substream(spec.seed, TAG_PERMUTATION, t - 1).permutation(engine.total)
             if t else np.arange(engine.total)
-            for t in range(first, min(first + chunk, partitions))
+            for t in range(first, stop)
         ])
         values = _stack_values(engine, orders, first)
         if first == 0:
@@ -324,25 +280,26 @@ def mc_asymptotic_min_pvalue(x: float, sizes, spec: CalibrationSpec) -> float:
     Draws independent standard-normal k-vectors and measures how often all
     pairwise combinations c*Z_i + c_tilde*Z_j stay inside [-x, x] (the
     two-sided form of the limit event); the complement is the p-value.
-    Reduces to the half-normal tail at k = 2.
+    The weights of pair i < j are c = sqrt(n_j / (n_i + n_j)) and
+    c_tilde = sqrt(n_i / (n_i + n_j)), so c^2 + c_tilde^2 = 1. Reduces to
+    the half-normal tail at k = 2. Draws run in chunks of k-element rows.
     """
     if not np.isfinite(x):
         raise DomainError("statistic must be finite")
-    coeff = pair_coefficients(sizes)
-    k = len(coeff.sizes)
+    sizes = tuple(int(s) for s in sizes)
+    if any(s <= 0 for s in sizes):
+        raise DomainError("group sizes must be positive")
+    k = len(sizes)
     if k < 2:
         raise DomainError("need at least 2 groups")
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pairs = [(i, j, sizes[i] + sizes[j]) for i in range(k) for j in range(i + 1, k)]
+    weights = [(i, j, math.sqrt(sizes[j] / tot), math.sqrt(sizes[i] / tot)) for i, j, tot in pairs]
     rng = substream(spec.seed, TAG_MC_ASYMPTOTIC)
-    remaining = spec.replications
     inside = 0
-    while remaining > 0:
-        take = min(remaining, _MC_CHUNK)
-        z = standard_normals(rng, (take, k))
-        ok = np.ones(take, dtype=bool)
-        for i, j in pairs:
-            combo = coeff.c[i, j] * z[:, i] + coeff.c_tilde[i, j] * z[:, j]
-            ok &= np.abs(combo) <= x
+    for first, stop in chunks(spec.replications, k):
+        z = standard_normals(rng, (stop - first, k))
+        ok = np.ones(stop - first, dtype=bool)
+        for i, j, c, c_tilde in weights:
+            ok &= np.abs(c * z[:, i] + c_tilde * z[:, j]) <= x
         inside += int(ok.sum())
-        remaining -= take
     return 1.0 - inside / spec.replications

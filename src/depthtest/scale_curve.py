@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .depths import DepthKind, depth_values
+from .depths import DepthKind, depth_values, unit_scaled
+from .errors import DomainError
 from .samples import as_sample_matrix
 
 
@@ -42,17 +43,29 @@ def hull_volume(points: np.ndarray) -> float:
     """Convex hull volume; 0.0 for degenerate point sets.
 
     Fewer than d+1 points, or points that are affinely dependent
-    (collinear in 2-D, coplanar in 3-D, ...), span zero volume.
+    (collinear in 2-D, coplanar in 3-D, ...), span zero volume. Points
+    whose largest |x| is 2^32 or more, or below 2^-33, are rescaled by
+    :func:`~depthtest.depths.unit_scaled` first, and the volume scaled
+    back; one past the float64 range raises DomainError.
     """
     n, d = points.shape
     if n < d + 1:
         return 0.0
+    # qhull finds flat hulls (4-D data near 1e60) or crashes (near 1e180) far
+    # from unit scale; nearer, data keep their units (qhull is not scale-exact).
+    k, (scaled,) = unit_scaled(points)
+    k, points = (k, scaled) if abs(k) > 32 else (0, points)
     if d == 1:
-        return float(points.max() - points.min())
+        volume = float(points.max() - points.min())
+    else:
+        try:
+            volume = float(ConvexHull(points).volume)
+        except QhullError:
+            return 0.0
     try:
-        return float(ConvexHull(points).volume)
-    except QhullError:
-        return 0.0
+        return math.ldexp(volume, -k * d)
+    except OverflowError:
+        raise DomainError(f"hull volume {volume!r} x 2^{-k * d} exceeds the float64 range") from None
 
 
 def scale_curve(sample, alphas, kind: DepthKind) -> ScaleCurve:

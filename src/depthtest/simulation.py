@@ -9,10 +9,10 @@ at the fixed asymptotic cutoff 1.96 is reported as a secondary column.
 
 Replication r of grid point m draws from substream (seed, tag, m, r), so
 tables are pure functions of the ScenarioSpec. The R data sets of a grid
-point share their group sizes, so they are evaluated in chunks: one
-statistic engine stacks a chunk's pooled samples and evaluates the
-identity partition of each, under the element budget of permutation
-calibration. Every value equals the one-off evaluation of its data set.
+point share their group sizes, so they are evaluated in chunks
+(:func:`~depthtest.depths.chunks`): one statistic engine stacks a chunk's
+pooled samples and evaluates the identity partition of each. Every value
+equals the one-off evaluation of its data set.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from decimal import Decimal
 
 import numpy as np
 
-from .calibration import STATISTICS, _StatisticEngine, datasets_per_chunk, require_statistics
-from .depths import DepthKind, min_reference_rows
+from .calibration import STATISTICS, _element_counts, _StatisticEngine, require_statistics
+from .depths import DepthKind, chunks, min_reference_rows
 from .errors import DomainError, UnknownStatistic
 from .rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
 
@@ -170,18 +170,17 @@ def _replicate(spec: ScenarioSpec, m: int, names, draw) -> dict[str, np.ndarray]
     """(R,) values of each named statistic over the spec's R replications at
     grid point m; replication r evaluates the groups ``draw(spec, m, r)``.
 
-    The replications run in chunks of as many data sets as
-    :func:`~depthtest.calibration.datasets_per_chunk` allows: one engine
-    stacks the chunk's pooled samples and evaluates the identity partition
-    of each, so every value equals the one-off
+    The replications run in :func:`~depthtest.depths.chunks` sized by the
+    larger of a data set's two :func:`~depthtest.calibration._element_counts`:
+    one engine stacks the chunk's pooled samples and evaluates the identity
+    partition of each, so every value equals the one-off
     :func:`~depthtest.calibration.evaluate_statistics` of its data set.
     """
     sizes = group_sizes(spec, m)
-    chunk = datasets_per_chunk(names, spec.depth, sizes, spec.dimension)
+    each = max(_element_counts(names, spec.depth, sizes, spec.dimension))
     identity = np.arange(sum(sizes))
     values = {name: np.empty(spec.replications) for name in names}
-    for first in range(0, spec.replications, chunk):
-        stop = min(first + chunk, spec.replications)
+    for first, stop in chunks(spec.replications, each):
         engine = _StatisticEngine([draw(spec, m, r) for r in range(first, stop)], spec.depth, names)
         for name, stacked in engine.values(np.tile(identity, (stop - first, 1))).items():
             values[name][first:stop] = stacked

@@ -10,6 +10,7 @@ of the table statistics come from :func:`~depthtest.calibration.evaluate_statist
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,14 +18,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import fdtrc
 
-from .depths import _CACHE_ELEMENT_CAP, DepthKind, _spd_cholesky
-from .errors import (
-    DimensionMismatch,
-    SingularCovariance,
-    SingularScatter,
-    SizeLimit,
-    UnknownStatistic,
-)
+from .depths import DepthKind, _spd_cholesky, unit_scaled
+from .errors import DimensionMismatch, SingularCovariance, SingularScatter, UnknownStatistic
 from .samples import as_sample_matrix, group_slices, require_same_dimension
 
 MANOVA_KINDS = ("wilks", "hotelling", "pillai")
@@ -156,6 +151,7 @@ def manova_eigen(x, y) -> EigenSummary:
     x = as_sample_matrix(x, "x")
     y = as_sample_matrix(y, "y")
     p = require_same_dimension(x, y)
+    _, (x, y) = unit_scaled(x, y)
     n1, n2 = x.shape[0], y.shape[0]
     if n1 + n2 <= p + 1:
         raise SingularScatter(f"need n1 + n2 > p + 1 (got {n1 + n2} observations, p={p})")
@@ -228,19 +224,13 @@ def cramer_univariate(x, y) -> float:
     return m * n / (m + n) * float(gap_sq.mean())
 
 
-def _require_distance_budget(total: int) -> None:
-    """Refuse energy on N pooled rows, whose distance blocks of one
-    partition total N x N elements."""
-    if total * total > _CACHE_ELEMENT_CAP:
-        raise SizeLimit(f"energy needs a {total} x {total} distance matrix, over the cap of "
-                        f"{_CACHE_ELEMENT_CAP} elements")
-
-
 def _energy_from_groups(groups, sizes) -> float:
     """Energy distance statistic mn/(m+n) * E_hat of a partition's two
-    groups, from their (xx, yy, xy) distance blocks; upper-tail rejection."""
+    groups, from their (xx, yy, xy) distance blocks of the groups rescaled
+    by :func:`~depthtest.depths.unit_scaled`, scaled back; upper-tail rejection."""
     m, n = sizes
-    x, y = groups
+    k, (x, y) = unit_scaled(*groups)
     xx, yy, xy = cdist(x, x), cdist(y, y), cdist(x, y)
     # V-statistic means: within-sample blocks keep their zero diagonals.
-    return m * n / (m + n) * (2.0 * float(xy.mean()) - float(xx.mean()) - float(yy.mean()))
+    value = m * n / (m + n) * (2.0 * float(xy.mean()) - float(xx.mean()) - float(yy.mean()))
+    return math.ldexp(value, -k)

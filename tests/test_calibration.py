@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-import depthtest.calibration as calibration
+import depthtest.depths as depths
 from depthtest import (
     CalibrationSpec,
     DepthKind,
@@ -19,7 +19,6 @@ from depthtest import (
     evaluate_statistics,
     half_normal_pvalue,
     mc_asymptotic_min_pvalue,
-    pair_coefficients,
     permutation_report,
     quality_matrix,
     sample_scenario,
@@ -61,23 +60,22 @@ class TestClosedFormPvalues:
             assert chi2_1_pvalue(x * x) == pytest.approx(half_normal_pvalue(x), rel=1e-12)
 
 
-class TestPairCoefficients:
-    def test_unit_circle_identity(self):
-        coeff = pair_coefficients((30, 50, 170))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert coeff.c[i, j] ** 2 + coeff.c_tilde[i, j] ** 2 == pytest.approx(
-                    1.0, abs=1e-12
-                )
-
-    def test_equal_sizes_give_diagonal_weights(self):
-        coeff = pair_coefficients((40, 40))
-        assert coeff.c[0, 1] == pytest.approx(2.0**-0.5, rel=1e-12)
-        assert coeff.c_tilde[0, 1] == pytest.approx(2.0**-0.5, rel=1e-12)
-
-    def test_positive_sizes_required(self):
-        with pytest.raises(DomainError):
-            pair_coefficients((10, 0))
+class TestUnitsOfTheData:
+    # a change of units by 2^600 or 2^-600 is exact, yet squares of the
+    # rescaled values overflow or underflow
+    @pytest.mark.parametrize("exponent", (600, -600))
+    @pytest.mark.parametrize(
+        "k, names",
+        ((2, ("min", "max", "product", "sum", "dbr", "bdbr", "energy")),
+         (3, ("min", "product", "sum", "dbr"))),
+        ids=("k2", "k3"),
+    )
+    def test_statistics_independent_of_units(self, any_kind, k, names, exponent, rng):
+        groups = [rng.normal(size=(9 + 2 * g, 2)) for g in range(k)]
+        want = evaluate_statistics(groups, names, any_kind)
+        if "energy" in want:
+            want["energy"] = np.ldexp(want["energy"], exponent)
+        assert evaluate_statistics([np.ldexp(g, exponent) for g in groups], names, any_kind) == want
 
 
 class TestTails:
@@ -337,7 +335,7 @@ def test_chunk_size_leaves_report_unchanged(kind, k, monkeypatch):
     monkeypatch.setattr(_StatisticEngine, "values", recording)
     reports = []
     for budget, chunks in ((1, [1] * 9), (2 * per_partition, [2, 2, 2, 2, 1]), (1 << 40, [9])):
-        monkeypatch.setattr(calibration, "_CHUNK_ELEMENTS", budget)
+        monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
         stack_sizes.clear()
         report = permutation_report(groups, names, kind, spec)
         assert stack_sizes == chunks
@@ -379,7 +377,7 @@ class TestPermutedSingularCovariance:
         b, message = self._first_failure(groups, self.NAMES, spec)
         assert b > 0 and first_kind in message
         if budget is not None:
-            monkeypatch.setattr(calibration, "_CHUNK_ELEMENTS", budget)
+            monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
         with pytest.raises(SingularCovariance) as info:
             permutation_report(groups, self.NAMES, MAHAL, spec)
         assert str(info.value) == f"{message} (permutation replication b={b})"
@@ -397,9 +395,25 @@ class TestPermutedSingularCovariance:
 
 class TestMcAsymptotic:
     def test_k2_reduces_to_half_normal(self):
+        # the weights of a pair satisfy c^2 + c_tilde^2 = 1, so the one pair
+        # combination at k = 2 is standard normal whatever the sizes
         spec = CalibrationSpec(replications=400_000, seed=4)
-        p = mc_asymptotic_min_pvalue(1.96, (200, 200), spec)
-        assert p == pytest.approx(half_normal_pvalue(1.96), abs=2.5e-3)
+        for sizes in ((200, 200), (30, 170)):
+            p = mc_asymptotic_min_pvalue(1.96, sizes, spec)
+            assert p == pytest.approx(half_normal_pvalue(1.96), abs=2.5e-3)
+
+    def test_pvalue_independent_of_chunk_budget(self, monkeypatch):
+        spec = CalibrationSpec(replications=3000, seed=12)
+        sizes = (30, 50, 170)
+        default = mc_asymptotic_min_pvalue(2.1, sizes, spec)
+
+        def pvalue(budget):
+            monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
+            return mc_asymptotic_min_pvalue(2.1, sizes, spec)
+
+        # k = 3 elements a draw: one draw row per chunk, then seven
+        assert pvalue(3) == pvalue(7 * 3) == default
+        assert 0.0 < default < 1.0
 
     def test_zero_threshold_gives_one(self):
         spec = CalibrationSpec(replications=1000, seed=4)
@@ -420,6 +434,8 @@ class TestMcAsymptotic:
         spec = CalibrationSpec(replications=100, seed=0)
         with pytest.raises(DomainError):
             mc_asymptotic_min_pvalue(1.0, (10, -1), spec)
+        with pytest.raises(DomainError):
+            mc_asymptotic_min_pvalue(1.0, (10, 0), spec)
         with pytest.raises(DomainError):
             mc_asymptotic_min_pvalue(float("nan"), (10, 10), spec)
         with pytest.raises(DomainError):

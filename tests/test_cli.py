@@ -272,6 +272,25 @@ class TestExitCodes:
         assert err.startswith("error: energy needs a 4474 x 4474 distance matrix")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["two-sample", "--input", skulls_path(), "--group", "epoch",
+             "--groups", "c4000BC,cAD150", "--stats", "min,dbr"],
+            ["scale-curve", "--input", skulls_path(), "--group", "epoch"],
+            ["power", "--scenario", "scale_shift", "--m-grid", "30", "--reps", "2"],
+        ),
+        ids=("two-sample", "scale-curve", "power"),
+    )
+    def test_projection_scores_over_cap_are_data_error(self, argv, capsys):
+        # refused before any direction is drawn: 10^8 directions never exist
+        code = main([*map(str, argv), "--depth", "projection", "--directions", "100000000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: projection depth needs ")
+        assert err.rstrip().endswith(" x 100000000 direction scores, over the cap of 20000000 elements")
+        assert "Traceback" not in err
+
     def test_missing_group_column(self, tmp_path):
         data = tmp_path / "two.csv"
         data.write_text("v,grp\n1,a\n2,b\n")
@@ -625,3 +644,29 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert done.stdout.strip() == "False"
+
+
+def test_large_projection_report_independent_of_blas_threads(tmp_path):
+    # at N = 1000, d = 10 OpenBLAS may split the (N, d) x (d, 500)
+    # projection product over threads
+    rng = np.random.default_rng(1000)
+    sample = rng.normal(size=(1000, 10))
+    sample[500:] *= 1.1
+    data = tmp_path / "large.csv"
+    lines = [",".join([f"x{j}" for j in range(10)] + ["group"])]
+    lines += [",".join([*map(repr, row.tolist()), "ab"[i >= 500]]) for i, row in enumerate(sample)]
+    data.write_text("\n".join(lines) + "\n")
+    argv = ["two-sample", "--input", str(data), "--group", "group", "--depth", "projection",
+            "--stats", "min,max,product,sum,dbr,bdbr", "--perms", "2", "--asymptotic",
+            "--seed", "1", "--format", "csv"]
+
+    def report(threads):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+        done = subprocess.run([sys.executable, "-m", "depthtest.cli", *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout
+
+    one = report(1)
+    assert one.count("\n") == 9
+    assert report(2) == one

@@ -9,8 +9,10 @@ from depthtest import (
     DimensionMismatch,
     SingularCovariance,
     SingularScatter,
+    SizeLimit,
     depth_values,
     depths,
+    evaluate_statistics,
     manova,
 )
 from depthtest.depths import pooled_depths
@@ -244,6 +246,15 @@ class TestInvariance:
             )
             assert np.allclose(base, mapped, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("exponent", (600, -600))
+    def test_power_of_two_units_change_no_depth(self, any_kind, exponent, rng):
+        # exact changes of units whose squares overflow or underflow
+        ref = rng.normal(size=(30, 3))
+        query = rng.normal(size=(8, 3))
+        base = depth_values(query, ref, any_kind)
+        mapped = depth_values(np.ldexp(query, exponent), np.ldexp(ref, exponent), any_kind)
+        assert np.array_equal(base, mapped)
+
     def test_projection_translation_invariance(self, rng):
         for _ in range(10):
             ref = rng.normal(size=(30, 2))
@@ -330,6 +341,19 @@ class TestErrors:
             depth_values([[0.0, 0.0]], ref, MAHAL)
         with pytest.raises(SingularScatter):
             manova(ref, ref, "wilks")
+
+    def test_projection_scores_over_cap_refused(self, rng):
+        # 60 x 10^8 scores exceed the 20M-element cap; the refusal comes
+        # before any direction is drawn, so nothing large is allocated
+        kind = DepthKind("projection", direction_count=100_000_000)
+        x, y = rng.normal(size=(30, 4)), rng.normal(size=(30, 4))
+        message = "projection depth needs 60 x 100000000 direction scores, over the cap of 20000000 elements"
+        with pytest.raises(SizeLimit) as info:
+            evaluate_statistics([x, y], ("min", "dbr"), kind)
+        assert str(info.value) == message
+        with pytest.raises(SizeLimit) as info:
+            depth_values(x, np.vstack([x, y]), kind)
+        assert str(info.value) == message
 
     def test_degenerate_projection_sample(self):
         with pytest.raises(DegenerateSample):

@@ -1,7 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from depthtest import DepthKind, default_alpha_grid, depth_values, hull_volume, scale_curve
+from depthtest import (
+    DepthKind,
+    DomainError,
+    default_alpha_grid,
+    depth_values,
+    hull_volume,
+    scale_curve,
+)
 
 from oracles import shoelace_hull_area
 
@@ -17,6 +26,17 @@ class TestHullVolume:
         assert hull_volume(np.zeros((2, 2))) == 0.0
         collinear = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         assert hull_volume(collinear) == 0.0
+
+    # qhull alone finds these hulls flat; past 2^1024 it crashes the process
+    @pytest.mark.parametrize("d, exponent", ((4, 200), (3, 300), (2, -450)))
+    def test_volume_far_from_unit_scale(self, d, exponent, rng):
+        points = rng.normal(size=(25, d))
+        want = math.ldexp(hull_volume(points), d * exponent)
+        assert hull_volume(np.ldexp(points, exponent)) == pytest.approx(want, rel=1e-9)
+
+    def test_volume_past_float_range_is_refused(self, rng):
+        with pytest.raises(DomainError, match="exceeds the float64 range"):
+            hull_volume(np.ldexp(rng.normal(size=(25, 4)), 600))
 
     def test_interval_length(self):
         assert hull_volume(np.array([[0.0], [0.25], [2.0]])) == pytest.approx(2.0)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-import depthtest.calibration as calibration
+import depthtest.depths as depths
 import depthtest.simulation as simulation
 from depthtest import (
     ASYMPTOTIC_UPPER_95,
@@ -19,7 +19,7 @@ from depthtest import (
     sample_scenario,
     type1_quantiles,
 )
-from depthtest.calibration import _StatisticEngine, datasets_per_chunk
+from depthtest.calibration import _StatisticEngine, _element_counts
 from depthtest.rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
 from depthtest.simulation import SCENARIOS, group_sizes
 
@@ -238,10 +238,10 @@ class TestBatchedReplications:
         if scenario == "null":
             runs.append((lambda: type1_quantiles(spec).rows, ("min",), 1))
         for table, evaluated, passes in runs:
-            per_dataset = max(calibration._element_counts(evaluated, kind, sizes, 2))
+            per_dataset = max(_element_counts(evaluated, kind, sizes, 2))
             tables = []
             for budget, chunks in ((1, [1] * 5), (2 * per_dataset, [2, 2, 1]), (1 << 40, [5])):
-                monkeypatch.setattr(calibration, "_CHUNK_ELEMENTS", budget)
+                monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
                 stack_sizes.clear()
                 tables.append(table())
                 assert stack_sizes == chunks * passes
@@ -261,8 +261,9 @@ class TestBatchedReplications:
         # at m = 100 a chunk holds 3 spatial or 2 projection data sets, so
         # five replications take several chunks
         sizes = (100, 100)
-        assert datasets_per_chunk(("min",), DepthKind("spatial"), sizes, 2) == 3
-        assert datasets_per_chunk(("min",), DepthKind("projection"), sizes, 2) == 2
+        for kind, size in ((DepthKind("spatial"), 3), (DepthKind("projection"), 2)):
+            each = max(_element_counts(("min",), kind, sizes, 2))
+            assert next(depths.chunks(5, each)) == (0, size)
         script = (
             "from depthtest.cli import main\n"
             "for depth in ('mahalanobis', 'spatial', 'projection'):\n"

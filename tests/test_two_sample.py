@@ -232,6 +232,15 @@ class TestManova:
             assert out.p_value == pytest.approx(f_sf_oracle(f_value, 3, df2), rel=1e-9)
             assert out.p_value == pytest.approx(float(f_dist.sf(f_value, 3, df2)), rel=1e-9)
 
+    @pytest.mark.parametrize("exponent", (600, -600))
+    def test_statistics_independent_of_units(self, exponent, rng):
+        x = rng.normal(size=(15, 3))
+        y = rng.normal(size=(12, 3)) + 0.4
+        for which in ("wilks", "hotelling", "pillai"):
+            want = manova(x, y, which)
+            got = manova(np.ldexp(x, exponent), np.ldexp(y, exponent), which)
+            assert (got.statistic, got.p_value) == (want.statistic, want.p_value)
+
     def test_singular_scatter(self):
         x = np.ones((5, 2))
         x[:, 1] = np.arange(5)
