@@ -36,6 +36,7 @@ from .calibration import (
 from .dataset import LabeledDataset, load_csv
 from .depths import DEFAULT_DIRECTION_COUNT, VALID_KINDS, DepthKind
 from .errors import DepthTestError, UnknownStatistic
+from .rng import KEY_LIMIT
 from .scale_curve import default_alpha_grid, scale_curve
 from .simulation import (
     SCENARIOS,
@@ -312,6 +313,7 @@ def _checked(convert, valid, requirement: str):
 
 _COUNT = _checked(int, lambda v: v >= 1, "must be >= 1")
 _NAMES = _checked(_str_list, bool, "must be a nonempty list")
+_SEED = _checked(int, lambda v: 0 <= v < KEY_LIMIT, "must be inside [0, 2^64)")
 
 
 @functools.cache
@@ -335,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", choices=VALID_KINDS, default="mahalanobis")
         p.add_argument("--directions", type=_COUNT, default=DEFAULT_DIRECTION_COUNT,
                        help="projection depth direction count")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 

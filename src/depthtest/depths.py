@@ -16,7 +16,10 @@ reference sample:
   directions u of |u'x - med(u'X)| / MAD(u'X). The supremum is
   approximated by a fixed, seeded set of random directions shared by all
   query points of one call; MAD is the raw median absolute deviation with
-  no consistency factor.
+  no consistency factor. Median and MAD come from two in-place sorts of
+  one (D, m) copy of the reference projections, and equal np.median's bit
+  for bit. How fast those sorts run follows the SIMD level numpy
+  dispatches on the CPU; the values do not.
 
 Depths of a pooled sample against groups of its own rows come from
 :func:`pooled_depths`, which builds the partition-independent geometry
@@ -189,32 +192,37 @@ def _directions(seed: int, count: int, dim: int) -> np.ndarray:
     return dirs
 
 
-def _column_medians(matrix: np.ndarray) -> np.ndarray:
-    """Median down each column; even row counts average the central pair.
-
-    Equal to np.median(axis=0) (signed zeros compared by value), from one
-    selection with a single kth per column: row ``half`` of the partition.
-    For even row counts the lower middle is the max of the ``half`` rows
-    before it, the same order statistic a second kth would place. Two kth
-    values are not passed because numpy 2.4 runs a two-kth partition 3-4x
-    slower than a single-kth one.
-    """
-    rows = matrix.shape[0]
-    half = rows // 2
-    if rows % 2:
-        return np.partition(matrix, half, axis=0)[half]
-    part = np.partition(matrix, half, axis=0)
-    return (part[:half].max(axis=0) + part[half]) / 2.0
+def _sorted_median(rows: np.ndarray) -> np.ndarray:
+    """Median of each row of an array sorted along its last axis; even
+    lengths average the central pair, as np.median does."""
+    h = rows.shape[-1] // 2
+    if rows.shape[-1] % 2:
+        return rows[..., h].copy()  # a view would change with the buffer
+    return (rows[..., h - 1] + rows[..., h]) / 2.0
 
 
 def projection_outlyingness(
     ref_proj: np.ndarray, query_proj: np.ndarray
 ) -> np.ndarray:
     """Max standardized projected deviation of each query given reference
-    projections, both on the same direction set (columns)."""
-    med = _column_medians(ref_proj)
-    spread = np.subtract(ref_proj, med)
-    mad = _column_medians(np.abs(spread, out=spread))
+    projections, both on the same direction set (columns).
+
+    The (m, D) reference projections are copied once into a C-contiguous
+    (D, m) buffer and each row is sorted in place; the median is read from
+    the middle, the buffer turned into |x - med| in place and sorted again
+    for the MAD. A sorted row holds the order statistics a selection would
+    place and |x - med| takes the same values in any order, so both equal
+    np.median's bit for bit (a zero median may carry either sign, which
+    every |x - med| erases). The speed of the sorts follows the SIMD level
+    numpy dispatches on the CPU; the values do not.
+    """
+    cols = ref_proj.T.copy()
+    cols.sort(axis=-1)
+    med = _sorted_median(cols)
+    np.subtract(cols, med[:, None], out=cols)
+    np.abs(cols, out=cols)
+    cols.sort(axis=-1)
+    mad = _sorted_median(cols)
     usable = mad > 0.0
     if not usable.any():
         raise DegenerateSample("every projected direction has zero MAD")

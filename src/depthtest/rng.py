@@ -20,12 +20,19 @@ TAG_NULL_CALIBRATION = 3
 TAG_PERMUTATION = 4
 TAG_MC_ASYMPTOTIC = 5
 
-_MASK64 = (1 << 64) - 1
+# Every key element lies in [0, KEY_LIMIT), so that distinct keys address
+# distinct streams.
+KEY_LIMIT = 1 << 64
 
 
 def substream(*key: int) -> np.random.Generator:
-    """Generator for the Philox stream addressed by an integer key tuple."""
-    seq = np.random.SeedSequence([int(k) & _MASK64 for k in key])
+    """Generator for the Philox stream addressed by an integer key tuple;
+    an element outside [0, 2^64) raises ValueError."""
+    key = [int(k) for k in key]
+    for k in key:
+        if not 0 <= k < KEY_LIMIT:
+            raise ValueError(f"stream key element {k} is outside [0, 2^64)")
+    seq = np.random.SeedSequence(key)
     return np.random.Generator(np.random.Philox(seq))
 
 

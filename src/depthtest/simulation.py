@@ -23,7 +23,7 @@ from decimal import Decimal
 import numpy as np
 
 from .calibration import STATISTICS, _element_counts, _StatisticEngine, require_statistics
-from .depths import DepthKind, chunks, min_reference_rows
+from .depths import DepthKind, chunks, min_reference_rows, require_within_cap
 from .errors import DomainError, UnknownStatistic
 from .rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
 
@@ -85,15 +85,21 @@ class ScenarioSpec:
             raise ValueError("alpha_level must be inside (0, 1)")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        # every group is a depth reference: refuse one too small before any draw
+        # every group is a depth reference: refuse one too small before any
+        # draw, and a pooled sample past the size cap too
         need = min_reference_rows(self.depth, self.dimension)
         for m in self.m_grid:
-            smallest = min(group_sizes(self, m))
-            if smallest < need:
+            sizes = group_sizes(self, m)
+            if min(sizes) < need:
                 raise ValueError(
                     f"m_grid entry {m} with size_rule {self.size_rule!r} gives a group of "
-                    f"{smallest} row(s); {self.depth.kind} depth needs at least {need}"
+                    f"{min(sizes)} row(s); {self.depth.kind} depth needs at least {need}"
                 )
+            require_within_cap(
+                sum(sizes) * self.dimension,
+                f"m_grid entry {m} draws groups of {', '.join(map(str, sizes))} rows, "
+                f"a pooled sample of {sum(sizes)} x {self.dimension}",
+            )
 
     @property
     def group_count(self) -> int:

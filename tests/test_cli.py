@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import depthtest.depths as depths
 import depthtest.simulation as simulation
 from depthtest.cli import _build_parser, main
 from depthtest import skulls_path
@@ -329,6 +330,9 @@ class TestExitCodes:
             ["two-sample", "--stats", ","],
             ["power", "--stats", ","],
             ["type1", "--m-grid", ","],
+            ["two-sample", "--seed", "-1"],
+            ["k-sample", "--seed", "18446744073709551621"],
+            ["power", "--seed", "18446744073709551616"],
         ),
         ids=lambda argv: " ".join(argv),
     )
@@ -509,6 +513,19 @@ class TestSimulationCommands:
         assert code == 0
         assert json.loads(out.read_text())["results"]
 
+    def test_pooled_sample_over_cap_is_data_error(self, monkeypatch, capsys):
+        # refused before the first grid point draws anything
+        def no_draw(*args):
+            raise AssertionError("a data set was drawn")
+
+        monkeypatch.setattr(depths, "_CACHE_ELEMENT_CAP", 1000)
+        monkeypatch.setattr(simulation, "_draw_groups", no_draw)
+        code = main(["type1", "--scenario", "null", "--m-grid", "40,600", "--reps", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: m_grid entry 600 draws groups of 600, 600 rows, a pooled sample "
+                       "of 1200 x 2, over the cap of 1000 elements\n")
+
     def test_type1_rows(self, tmp_path):
         out = tmp_path / "type1.csv"
         code = main(
@@ -670,3 +687,40 @@ def test_large_projection_report_independent_of_blas_threads(tmp_path):
     one = report(1)
     assert one.count("\n") == 9
     assert report(2) == one
+
+
+def _dispatched_simd_targets():
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    found = _multiarray_umath.__cpu_features__
+    return [target for target in _multiarray_umath.__cpu_dispatch__ if found.get(target)]
+
+
+def test_reports_independent_of_simd_dispatch():
+    # projection depth sorts with whatever SIMD kernels numpy dispatches on
+    # this CPU; with every dispatch target disabled numpy runs its baseline
+    # kernels, and the reports must not change
+    targets = _dispatched_simd_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no SIMD target above its baseline on this CPU")
+    commands = (
+        ["k-sample", "--input", skulls_path(), "--group", "epoch",
+         "--groups", "c3300BC,c200BC,cAD150", "--stats", "min,sum,dbr", "--perms", "99",
+         "--depth", "projection", "--seed", "3", "--format", "csv"],
+        ["power", "--scenario", "scale_shift", "--m-grid", "30", "--reps", "20",
+         "--depth", "projection", "--seed", "2", "--format", "csv"],
+    )
+
+    def reports(**extra_env):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **extra_env}
+        return [
+            subprocess.run([sys.executable, "-m", "depthtest.cli", *map(str, argv)], env=env,
+                           capture_output=True, text=True, check=True).stdout
+            for argv in commands
+        ]
+
+    plain = reports()
+    assert [text.count("\n") for text in plain] == [4, 8]
+    assert reports(NPY_DISABLE_CPU_FEATURES=" ".join(targets)) == plain

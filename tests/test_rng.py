@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from depthtest.rng import standard_normals, substream
 
@@ -48,3 +49,15 @@ def test_standard_normals_finite_at_zero_uniform():
     z = standard_normals(ZeroStream(), (3,))
     assert np.isfinite(z).all()
     assert (z < -37.0).all()
+
+
+def test_key_elements_span_64_bits():
+    top = substream(2**64 - 1, 4).random(8)
+    assert not np.array_equal(top, substream(0, 4).random(8))
+
+
+@pytest.mark.parametrize("key", ((-1,), (2**64,), (2**64 + 5, 4), (5, -1)))
+def test_key_element_outside_64_bits_refused(key):
+    # masking would alias 2^64 + 5 with 5 and -1 with 2^64 - 1
+    with pytest.raises(ValueError, match="outside \\[0, 2\\^64\\)"):
+        substream(*key)

@@ -13,6 +13,7 @@ from depthtest import (
     DepthKind,
     DomainError,
     ScenarioSpec,
+    SizeLimit,
     UnknownStatistic,
     evaluate_statistics,
     power_table,
@@ -129,6 +130,16 @@ class TestSpecValidation:
         ):
             _spec(scenario="three_group_a", m_grid=(12, m), size_rule="half", depth=depth)
         _spec(scenario="three_group_a", m_grid=(12,), size_rule="half", depth=depth)
+
+    def test_pooled_sample_over_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(depths, "_CACHE_ELEMENT_CAP", 1000)
+        with pytest.raises(
+            SizeLimit,
+            match="m_grid entry 600 draws groups of 600, 300 rows, a pooled sample of 900 x 2, "
+            "over the cap of 1000 elements",
+        ):
+            _spec(m_grid=(40, 600), size_rule="half")
+        _spec(m_grid=(40, 333), size_rule="half")
 
 
 class TestTypeOne:
