@@ -134,7 +134,7 @@ def _element_counts(names, kind: DepthKind | None, sizes, dim: int) -> tuple[int
     if "energy" in names:
         partition = max(partition, total**2)
     if any(STATISTICS[name].depth_based for name in names):
-        depth_partition, depth_sample = depth_elements(kind, total, dim, max(sizes))
+        depth_partition, depth_sample = depth_elements(kind, total, dim)
         partition, sample = max(partition, depth_partition), max(sample, depth_sample)
     return partition, sample
 
@@ -150,9 +150,9 @@ class _StatisticEngine:
     when S = P (a chunk of simulated data sets), and returns each
     statistic's (P,) values. The observed partition is the identity order,
     so one-off evaluation (P = 1), permutation chunks and simulation chunks
-    run the same arithmetic. The depth geometry
-    (:func:`~depthtest.depths.pooled_depths`) is the only state built once
-    per engine; each stack builds only the inputs the requested statistics
+    run the same arithmetic. The depth closure
+    (:func:`~depthtest.depths.pooled_depths`, with projection's scores) is
+    the only state built once per engine; each stack builds only the inputs the requested statistics
     read, once, and shares them among those statistics: energy's distance
     blocks are computed from each partition's groups. ``partition_elements``
     is the size of the largest per-partition temporary, which permutation

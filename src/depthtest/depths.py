@@ -22,10 +22,12 @@ reference sample:
   dispatches on the CPU; the values do not.
 
 Depths of a pooled sample against groups of its own rows come from
-:func:`pooled_depths`, which builds the partition-independent geometry
-of a stack of pooled samples once and gathers the reference rows of a
-whole stack of partitions from it. The package's two memory rules live
-here too: :func:`chunks` and :func:`require_within_cap`.
+:func:`pooled_depths`, which returns the depth rows of a whole stack of
+partitions of a stack of pooled samples: Mahalanobis and projection group
+by group from their own kernels, spatial block by block of query columns,
+each block's unit vectors computed once for every partition and group.
+The package's two memory rules live here too: :func:`chunks` and
+:func:`require_within_cap`.
 """
 
 from __future__ import annotations
@@ -44,16 +46,19 @@ VALID_KINDS = ("mahalanobis", "spatial", "projection")
 
 DEFAULT_DIRECTION_COUNT = 500
 
-# Query rows per one-shot spatial block: blocks cut to _CHUNK_ELEMENTS
-# (52 rows at q = 1000, m = 500, d = 10) ran about 10% slower.
-_SPATIAL_CHUNK = 256
+# Query columns per spatial block, one-shot and pooled. One-shot at q = 1000,
+# m = 500, d = 10 took 22.6 ms at 128 columns, 25.2 ms at 256 and 25.7 ms at
+# 52 (blocks cut to _CHUNK_ELEMENTS); a pooled block of 128 holds (d, S, N,
+# 128), 10 MB at N = 1000, d = 10, against 80 MB for all N columns.
+_SPATIAL_CHUNK = 128
 
 # Element budget of every per-chunk temporary of a stacked loop (2 MiB of
 # float64): permutation partitions, simulated data sets and limit-law draws.
 _CHUNK_ELEMENTS = 1 << 18
 
-# Largest array that no chunk can shrink (160 MB of float64): cached spatial
-# (d, N, N) coordinates, energy's N x N distances, projection's (N, D) scores.
+# Largest array that no chunk can shrink (160 MB of float64): energy's N x N
+# distances, projection's (N, D) scores, a simulated pooled sample. Spatial's
+# (d, N, _SPATIAL_CHUNK) block per sample has no cap.
 _CACHE_ELEMENT_CAP = 20_000_000
 
 
@@ -128,9 +133,9 @@ def _spd_cholesky(matrices: np.ndarray) -> np.ndarray:
 
 
 def _mahalanobis_depths(query: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """(P, q) depths of the (q, d) query rows, or of the (P, q, d) stack of
-    them, against each reference of a (P, m, d) stack, from stacked means,
-    covariances, Cholesky factors and solves."""
+    """(P, q) depths of the (q, d) query rows, or of a (1, q, d) or
+    (P, q, d) stack of them, against each reference of a (P, m, d) stack,
+    from stacked means, covariances, Cholesky factors and solves."""
     m = references.shape[1]
     if m < 2:
         raise SingularCovariance("mahalanobis depth needs at least 2 reference rows")
@@ -163,18 +168,23 @@ def _spatial_from_sums(sums: np.ndarray, m: int) -> np.ndarray:
     return np.clip(1.0 - np.sqrt((avg * avg).sum(axis=0)), 0.0, 1.0)
 
 
+def _column_blocks(count: int):
+    """``(start, stop)`` ranges of at most ``_SPATIAL_CHUNK`` query columns
+    covering ``range(count)``. numpy sums the reference axis of a
+    one-column block pairwise, not in reference order like every wider
+    block, so a lone last column is widened by the one before it."""
+    for start in range(0, count, _SPATIAL_CHUNK):
+        yield max(0, min(start, count - 2)), min(start + _SPATIAL_CHUNK, count)
+
+
 def _spatial_depths(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    q = query.shape[0]
-    out = np.empty(q)
-    for start in range(0, q, _SPATIAL_CHUNK):
-        block = query[start : start + _SPATIAL_CHUNK]
-        # numpy sums the reference axis of a one-column block pairwise, not
-        # in reference order like every wider block; pad it with a copy.
-        width = block.shape[0]
-        if width == 1:
-            block = np.vstack([block, block])
-        sums = _unit_components(block, reference).sum(axis=1)
-        out[start : start + width] = _spatial_from_sums(sums, reference.shape[0])[:width]
+    if query.shape[0] == 1:
+        # a lone query row has no neighbour to widen its block with
+        return _spatial_depths(np.vstack([query, query]), reference)[:1]
+    out = np.empty(query.shape[0])
+    for start, stop in _column_blocks(query.shape[0]):
+        sums = _unit_components(query[start:stop], reference).sum(axis=1)
+        out[start:stop] = _spatial_from_sums(sums, reference.shape[0])
     return out
 
 
@@ -238,11 +248,20 @@ def projection_outlyingness(
     return np.where(escaped, np.inf, outly)
 
 
+def require_geometry_within_cap(kind: DepthKind, n: int) -> None:
+    """Refuse what :func:`pooled_depths` keeps for a sample of n rows past
+    ``_CACHE_ELEMENT_CAP``: projection's (n, D) direction scores. The other
+    kinds keep at most the sample itself, and spatial's block buffer has no
+    cap."""
+    if kind.kind == "projection":
+        count = kind.direction_count
+        require_within_cap(n * count, f"projection depth needs {n} x {count} direction scores")
+
+
 def _projection_directions(kind: DepthKind, n: int, dim: int) -> np.ndarray:
     """The directions of ``kind``, refused before any draw past the cap."""
-    count = kind.direction_count
-    require_within_cap(n * count, f"projection depth needs {n} x {count} direction scores")
-    return _directions(kind.direction_seed, count, dim)
+    require_geometry_within_cap(kind, n)
+    return _directions(kind.direction_seed, kind.direction_count, dim)
 
 
 def _projection_depths(query: np.ndarray, reference: np.ndarray, kind: DepthKind) -> np.ndarray:
@@ -269,69 +288,81 @@ def depth_values(query, reference, kind: DepthKind) -> np.ndarray:
     return _projection_depths(query, reference, kind)
 
 
-def _spatial_cache_fits(n: int, d: int) -> bool:
-    return n * n * d <= _CACHE_ELEMENT_CAP
-
-
-def depth_elements(kind: DepthKind, n: int, d: int, m: int) -> tuple[int, int]:
-    """Sizes, in elements, of what :func:`pooled_depths` builds for m-row
-    references of n pooled rows in d dimensions: per partition, its largest
-    temporary (Mahalanobis' (d, n) deviations, cached spatial's (m, n)
-    gather and (d, n) sums, one depth row for the kernels that run once per
-    partition); and per pooled sample, the geometry it keeps (cached
-    spatial's (d, n, n) unit-vector coordinates, projection's (n, D)
-    scores, the sample itself otherwise)."""
+def depth_elements(kind: DepthKind, n: int, d: int) -> tuple[int, int]:
+    """Sizes, in elements, of what :func:`pooled_depths` builds for n
+    pooled rows in d dimensions: per partition, its largest temporary
+    (Mahalanobis' (d, n) deviations, spatial's (d, w) sums over a block of
+    w = min(n, ``_SPATIAL_CHUNK``) columns, whose (m, w) reference gathers
+    it cuts to a chunk itself, one depth row for projection, which runs
+    once per partition); and per pooled sample, the geometry it holds
+    (spatial's (d, n, w) unit-vector block, projection's (n, D) scores,
+    the sample itself for Mahalanobis)."""
     if kind.kind == "mahalanobis":
         return d * n, n * d
-    if kind.kind == "spatial" and _spatial_cache_fits(n, d):
-        return max(m, d) * n, d * n * n
-    if kind.kind == "projection":
-        return n, n * kind.direction_count
-    return n, n * d
+    if kind.kind == "spatial":
+        w = min(n, _SPATIAL_CHUNK)
+        return d * w, d * n * w
+    return n, n * kind.direction_count
+
+
+def _by_group(kernel):
+    """The :func:`pooled_depths` closure of ``kernel(idx, own)``, which
+    gives the (P, N) depths against the references ``idx`` of one group."""
+    return lambda orders, own, slices: np.stack(
+        [kernel(orders[:, sl], own) for sl in slices], axis=1
+    )
 
 
 def pooled_depths(samples: np.ndarray, kind: DepthKind):
-    """``against(idx, own)``: for a (P, m) stack of row indices and the (P,)
-    sample indices ``own``, the (P, N) depths of every row of pooled sample
-    ``own[p]`` against the reference given by its rows ``idx[p]``.
-    ``samples`` is an (S, N, d) stack of pooled samples.
+    """``against(orders, own, slices)``: for a (P, N) stack of orders, the
+    (P,) sample indices ``own`` and the k group slices, the (P, k, N)
+    depths of every row of pooled sample ``own[p]`` against group g of
+    partition p, the rows ``orders[p, slices[g]]``. ``samples`` is an
+    (S, N, d) stack of pooled samples.
 
-    Mahalanobis depth runs stacked over P. Spatial depth sums, in ``idx``
-    order, rows of each sample's unit-vector coordinates (d, N, N) while
-    they fit ``_CACHE_ELEMENT_CAP``, one coordinate at a time as a
-    (P, m, N) gather. Projection depth gathers rows of each sample's
-    projections and runs once per partition; so does the plain spatial
-    kernel past the cap. :func:`depth_elements` gives the sizes of the
-    largest per-partition temporary and of the geometry kept per sample.
-    The stack is first rescaled by :func:`unit_scaled`.
+    Mahalanobis depth runs stacked over P, with the one sample broadcast
+    when S = 1. Spatial depth walks blocks of at most ``_SPATIAL_CHUNK``
+    query columns: each block's unit-vector coordinates of every sample,
+    (d, S, N, w) in one buffer reused by every block, are summed per
+    group, one coordinate at a time, over a gather of the reference rows in
+    partition order, for as many partitions at a time as fit their (m, w)
+    gathers into a :func:`chunks` budget. Projection depth gathers rows of
+    each sample's projections and runs once per partition.
+    :func:`depth_elements` gives the sizes of the largest per-partition
+    temporary and of the geometry held per sample. The stack is first
+    rescaled by :func:`unit_scaled`.
     """
     s, n, d = samples.shape
     _, (samples,) = unit_scaled(samples)
     if kind.kind == "mahalanobis":
-        return lambda idx, own: _mahalanobis_depths(
-            samples[own], samples.reshape(-1, d)[idx + n * own[:, None]]
-        )
-    if kind.kind == "spatial" and _spatial_cache_fits(n, d):
-        # coordinate j of sample t at comps[j, t], so comps[j] rows are (S * N, N)
-        comps = np.empty((d, s, n, n))
-        for t, sample in enumerate(samples):
-            _unit_components(sample, sample, out=comps[:, t])
-        coords = comps.reshape(d, s * n, n)
-
-        def spatial(idx, own):
-            rows = idx + n * own[:, None]
-            return _spatial_from_sums(
-                np.stack([coord[rows].sum(axis=1) for coord in coords]), idx.shape[1]
-            )
-
-        return spatial
+        flat = samples.reshape(-1, d)
+        return _by_group(lambda idx, own: _mahalanobis_depths(
+            samples if s == 1 else samples[own], flat[idx + n * own[:, None]]
+        ))
     if kind.kind == "projection":
         dirs = _projection_directions(kind, n, d)
         proj = [sample @ dirs.T for sample in samples]
-        return lambda idx, own: np.stack([
+        return _by_group(lambda idx, own: np.stack([
             1.0 / (1.0 + projection_outlyingness(proj[t][ref], proj[t]))
             for t, ref in zip(own, idx)
-        ])
-    return lambda idx, own: np.stack(
-        [depth_values(samples[t], samples[t][ref], kind) for t, ref in zip(own, idx)]
-    )
+        ]))
+
+    def spatial(orders, own, slices):
+        depths = np.empty((len(orders), len(slices), n))
+        # rows of the (S * N, w) coordinate planes, one (P, m) array per group
+        references = [orders[:, sl] + n * own[:, None] for sl in slices]
+        buffer = np.empty(d * s * n * min(n, _SPATIAL_CHUNK))
+        for start, stop in _column_blocks(n):
+            # coordinate j of sample t at comps[j, t]
+            comps = buffer[: d * s * n * (stop - start)].reshape(d, s, n, stop - start)
+            for t, sample in enumerate(samples):
+                _unit_components(sample[start:stop], sample, out=comps[:, t])
+            coords = comps.reshape(d, s * n, stop - start)
+            for g, rows in enumerate(references):
+                for first, last in chunks(len(rows), rows.shape[1] * (stop - start)):
+                    part = rows[first:last]
+                    sums = np.stack([coord[part].sum(axis=1) for coord in coords])
+                    depths[first:last, g, start:stop] = _spatial_from_sums(sums, part.shape[1])
+        return depths
+
+    return spatial

@@ -66,12 +66,11 @@ def partition_depth_rows(depths_against, slices, orders: np.ndarray, own: np.nda
 
     Partition p puts row ``orders[p, t]`` of pooled sample ``own[p]`` at
     position t and group g at positions ``slices[g]``; its row g holds
-    every position's depth against group g, from
+    every position's depth against group g, gathered into partition order
+    from the pooled-order depths of
     :func:`~depthtest.depths.pooled_depths`."""
     p, n = orders.shape
-    depths = np.empty((p, len(slices), n))
-    for g, sl in enumerate(slices):
-        depths[:, g] = depths_against(orders[:, sl], own)
+    depths = depths_against(orders, own, slices)
     # row (p, g) gathers its depths in the order of partition p
     flat = orders[:, None, :] + n * np.arange(p * len(slices)).reshape(p, -1, 1)
     return depths.reshape(-1)[flat]

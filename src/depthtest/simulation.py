@@ -23,7 +23,13 @@ from decimal import Decimal
 import numpy as np
 
 from .calibration import STATISTICS, _element_counts, _StatisticEngine, require_statistics
-from .depths import DepthKind, chunks, min_reference_rows, require_within_cap
+from .depths import (
+    DepthKind,
+    chunks,
+    min_reference_rows,
+    require_geometry_within_cap,
+    require_within_cap,
+)
 from .errors import DomainError, UnknownStatistic
 from .rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
 
@@ -86,7 +92,7 @@ class ScenarioSpec:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         # every group is a depth reference: refuse one too small before any
-        # draw, and a pooled sample past the size cap too
+        # draw, and a pooled sample or its depth geometry past the size cap too
         need = min_reference_rows(self.depth, self.dimension)
         for m in self.m_grid:
             sizes = group_sizes(self, m)
@@ -100,6 +106,7 @@ class ScenarioSpec:
                 f"m_grid entry {m} draws groups of {', '.join(map(str, sizes))} rows, "
                 f"a pooled sample of {sum(sizes)} x {self.dimension}",
             )
+            require_geometry_within_cap(self.depth, sum(sizes))
 
     @property
     def group_count(self) -> int:

@@ -526,6 +526,20 @@ class TestSimulationCommands:
         assert err == ("error: m_grid entry 600 draws groups of 600, 600 rows, a pooled sample "
                        "of 1200 x 2, over the cap of 1000 elements\n")
 
+    def test_projection_scores_over_cap_refused_before_any_draw(self, monkeypatch, capsys):
+        # m = 200 fits; m = 25000 needs 50000 x 500 direction scores
+        def no_draw(*args):
+            raise AssertionError("a data set was drawn")
+
+        monkeypatch.setattr(simulation, "_draw_groups", no_draw)
+        code = main(["power", "--scenario", "scale_shift", "--m-grid", "200,25000",
+                     "--reps", "50", "--depth", "projection"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: projection depth needs 50000 x 500 direction scores, over the cap of "
+            "20000000 elements\n"
+        )
+
     def test_type1_rows(self, tmp_path):
         out = tmp_path / "type1.csv"
         code = main(

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthtest import (
+    CalibrationSpec,
     DegenerateSample,
     DepthKind,
     DimensionMismatch,
@@ -14,6 +17,7 @@ from depthtest import (
     depths,
     evaluate_statistics,
     manova,
+    permutation_report,
 )
 from depthtest.depths import pooled_depths
 from depthtest.quality import partition_depth_rows
@@ -60,7 +64,7 @@ class TestSpatialKernel:
 
     @pytest.mark.parametrize("d", (2, 3, 9, 10))
     def test_duplicate_query_rows_tie_exactly(self, d, rng):
-        # 513 query rows: two full blocks of 256, then a block of one row
+        # 513 query rows: four full blocks of 128, then a block of one row
         ref = rng.normal(size=(300, d))
         query = rng.normal(size=(513, d))
         positions = [0, 1, 255, 256, 300, 511, 512]
@@ -122,15 +126,75 @@ class TestPooledDepths:
                 assert all(np.array_equal(o[shuffled], g) for o, g in zip(observed, got))
 
     @pytest.mark.parametrize("d", (1, 2, 4))
-    def test_spatial_over_cap_matches_cached_rows(self, d, rng, monkeypatch):
+    def test_spatial_rows_match_depth_values(self, d, rng):
+        # N = 270: two full blocks of 128 columns and one of 14
         sizes = [130, 140]
         pooled = rng.integers(-3, 4, size=(sum(sizes), d)).astype(float)
-        orders = (np.arange(pooled.shape[0]), rng.permutation(pooled.shape[0]))
-        cached = [_partition_rows(pooled, sizes, SPATIAL, order) for order in orders]
-        monkeypatch.setattr(depths, "_CACHE_ELEMENT_CAP", 0)
-        for order, want in zip(orders, cached):
+        for order in (np.arange(pooled.shape[0]), rng.permutation(pooled.shape[0])):
             got = _partition_rows(pooled, sizes, SPATIAL, order)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            for row, sl in zip(got, group_slices(sizes)):
+                assert np.array_equal(row, depth_values(pooled[order], pooled[order[sl]], SPATIAL))
+
+
+W = depths._SPATIAL_CHUNK
+
+
+class TestSpatialBlocks:
+    """Pooled spatial rows walk blocks of W query columns; a lone last
+    column is widened, so every block sums in reference order."""
+
+    @pytest.mark.parametrize("s", (1, 3))
+    @pytest.mark.parametrize("n", (W - 1, W, W + 1, 2 * W + 1))
+    def test_rows_equal_depth_values(self, n, s, rng):
+        # integer rows, so many pairs coincide; sample t in its own units
+        samples = np.stack([3.0**t * rng.integers(-2, 3, size=(n, 3)) for t in range(s)])
+        sizes = [n // 3, n - n // 3]
+        orders = np.stack([rng.permutation(n) for _ in range(3)])
+        own = np.arange(3) % s
+        slices = group_slices(sizes)
+        got = pooled_depths(samples, SPATIAL)(orders, own, slices)
+        assert got.shape == (3, 2, n)
+        for p, (t, order) in enumerate(zip(own, orders)):
+            for g, sl in enumerate(slices):
+                want = depth_values(samples[t], samples[t][order[sl]], SPATIAL)
+                assert np.array_equal(got[p, g], want)
+
+    @pytest.mark.parametrize("d", (2, 10))
+    def test_duplicated_rows_across_blocks_tie(self, d, rng):
+        n = 2 * W + 1
+        samples = rng.normal(size=(2, n, d))
+        positions = [0, 1, W - 1, W, W + 1, 2 * W - 1, 2 * W]
+        samples[:, positions] = samples[:, 5:6]
+        positions.append(5)
+        orders = np.stack([np.arange(n), rng.permutation(n)])
+        got = pooled_depths(samples, SPATIAL)(orders, np.arange(2), group_slices([W, W + 1]))
+        for row in got.reshape(-1, n):
+            assert len(set(row[positions])) == 1
+
+    def test_reports_independent_of_chunk_budget(self, monkeypatch, rng):
+        # N = 2W + 1 = 257: three blocks, the last one widened
+        groups = [rng.normal(size=(W, 3)), 0.2 + rng.normal(size=(W + 1, 3))]
+        names = ("min", "max", "product", "sum", "dbr", "bdbr")
+        spec = CalibrationSpec(replications=6, seed=3)
+        reports = []
+        for budget in (1, depths._CHUNK_ELEMENTS, 1 << 40):
+            monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
+            report = permutation_report(groups, names, SPATIAL, spec)
+            reports.append([(o.statistic_name, o.statistic, o.p_value) for o in report])
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_peak_memory_stays_in_blocks(self, rng):
+        # N = 1000, d = 10: whole (d, N, N) coordinates would take 80 MB
+        samples = rng.normal(size=(1, 1000, 10))
+        orders = np.stack([np.arange(1000), rng.permutation(1000)])
+        own, slices = np.zeros(2, dtype=np.intp), group_slices([500, 500])
+        tracemalloc.start()
+        try:
+            partition_depth_rows(pooled_depths(samples, SPATIAL), slices, orders, own)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def _with_exact_zeros(matrix, rng, share=0.1):

@@ -141,6 +141,19 @@ class TestSpecValidation:
             _spec(m_grid=(40, 600), size_rule="half")
         _spec(m_grid=(40, 333), size_rule="half")
 
+    def test_projection_scores_over_cap_rejected(self, monkeypatch):
+        # every pooled sample fits; m = 60 needs 120 x 10 direction scores
+        monkeypatch.setattr(depths, "_CACHE_ELEMENT_CAP", 1199)
+        projection = DepthKind("projection", direction_count=10)
+        with pytest.raises(
+            SizeLimit,
+            match="projection depth needs 120 x 10 direction scores, over the cap of 1199 elements",
+        ):
+            _spec(m_grid=(4, 60), depth=projection)
+        _spec(m_grid=(4, 59), depth=projection)
+        # spatial keeps no geometry the cap governs, whatever its block size
+        _spec(m_grid=(4, 299), depth=DepthKind("spatial"))
+
 
 class TestTypeOne:
     def test_single_replication_degenerates_to_observation(self):
@@ -269,16 +282,16 @@ class TestBatchedReplications:
                 assert {name: values[name][r] for name in names} == one
 
     def test_multi_chunk_report_independent_of_blas_threads(self):
-        # at m = 100 a chunk holds 3 spatial or 2 projection data sets, so
-        # five replications take several chunks
+        # at m = 100 a chunk holds 5 spatial or 2 projection data sets, so
+        # seven replications take several chunks
         sizes = (100, 100)
-        for kind, size in ((DepthKind("spatial"), 3), (DepthKind("projection"), 2)):
+        for kind, size in ((DepthKind("spatial"), 5), (DepthKind("projection"), 2)):
             each = max(_element_counts(("min",), kind, sizes, 2))
-            assert next(depths.chunks(5, each)) == (0, size)
+            assert next(depths.chunks(7, each)) == (0, size)
         script = (
             "from depthtest.cli import main\n"
             "for depth in ('mahalanobis', 'spatial', 'projection'):\n"
-            "    main(['power', '--scenario', 'scale_shift', '--m-grid', '40,100', '--reps', '5',\n"
+            "    main(['power', '--scenario', 'scale_shift', '--m-grid', '40,100', '--reps', '7',\n"
             "          '--depth', depth, '--seed', '8', '--format', 'csv'])\n"
         )
 
