@@ -29,13 +29,7 @@ from .multi_sample import _max_stack, _min_stack, _product_stack, _sum_stack
 from .quality import partition_depth_rows, quality_indices
 from .rng import TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, standard_normals, substream
 from .samples import coerce_groups, group_slices
-from .two_sample import (
-    TestOutcome,
-    _bdbr_stack,
-    _dbr_stack,
-    _energy_from_groups,
-    cramer_univariate,
-)
+from .two_sample import TestOutcome, _bdbr_stack, _dbr_stack, _energy_stack, cramer_univariate
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,8 @@ class Statistic:
     """One statistic: its rejecting tail ("upper" or "lower"), whether it
     is defined only at k = 2, the input it ``reads`` for a stack of P
     partitions (``q_matrix`` (P, k, k), ``depth_rows`` (P, k, N), or
-    ``groups``, each partition's list of k group samples), and its
+    ``pooled``, the (P, N, d) pooled samples in partition order, whose
+    consecutive row blocks are the groups), and its
     ``formula``: the (P,) statistics of that input and the group sizes."""
 
     tail: str
@@ -73,10 +68,10 @@ STATISTICS = {
     "sum": Statistic("lower", False, "q_matrix", _sum_stack),
     "dbr": Statistic("upper", False, "depth_rows", _dbr_stack),
     "bdbr": Statistic("upper", True, "depth_rows", _bdbr_stack),
-    "energy": Statistic("upper", True, "groups", _per_partition(_energy_from_groups)),
-    "cramer": Statistic(
-        "upper", True, "groups", _per_partition(lambda xy, sizes: cramer_univariate(*xy))
-    ),
+    "energy": Statistic("upper", True, "pooled", _energy_stack),
+    "cramer": Statistic("upper", True, "pooled", _per_partition(
+        lambda rows, sizes: cramer_univariate(rows[: sizes[0]], rows[sizes[0]:])
+    )),
 }
 
 
@@ -125,14 +120,15 @@ def chi2_1_pvalue(x: float) -> float:
 def _element_counts(names, kind: DepthKind | None, sizes, dim: int) -> tuple[int, int]:
     """Sizes of the temporaries of a stack of partitions, in elements: per
     partition, the largest one (the (k, N) depth rows and their sort and
-    rank arrays, energy's N x N distance blocks, or the depth kernel's
-    own); and per pooled sample, the sample itself or the depth geometry
-    kept for it. The depth kernel's two sizes come from
+    rank arrays, energy's distance accumulator and scratch plane, both
+    the size of its largest block, 2 max(m, n)^2 together, or the depth
+    kernel's own); and per pooled sample, the sample itself or the depth
+    geometry kept for it. The depth kernel's two sizes come from
     :func:`~depthtest.depths.depth_elements`."""
     total = sum(sizes)
     partition, sample = len(sizes) * total, total * dim
     if "energy" in names:
-        partition = max(partition, total**2)
+        partition = max(partition, 2 * max(sizes) ** 2)
     if any(STATISTICS[name].depth_based for name in names):
         depth_partition, depth_sample = depth_elements(kind, total, dim)
         partition, sample = max(partition, depth_partition), max(sample, depth_sample)
@@ -154,7 +150,7 @@ class _StatisticEngine:
     (:func:`~depthtest.depths.pooled_depths`, with projection's scores) is
     the only state built once per engine; each stack builds only the inputs the requested statistics
     read, once, and shares them among those statistics: energy's distance
-    blocks are computed from each partition's groups. ``partition_elements``
+    blocks are computed from the stack's pooled samples. ``partition_elements``
     is the size of the largest per-partition temporary, which permutation
     chunk sizes are measured in.
     """
@@ -190,10 +186,8 @@ class _StatisticEngine:
             inputs["depth_rows"] = rows
             if "q_matrix" in self.reads:
                 inputs["q_matrix"] = quality_indices(rows, self.sizes)
-        if "groups" in self.reads:
-            inputs["groups"] = [
-                [self.samples[t, order[sl]] for sl in self.slices] for t, order in zip(own, orders)
-            ]
+        if "pooled" in self.reads:
+            inputs["pooled"] = self.samples[own[:, None], orders]
         return {name: s.formula(inputs[s.reads], self.sizes) for name, s in self._entries}
 
 

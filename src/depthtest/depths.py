@@ -7,11 +7,12 @@ reference sample:
   mean and the (m - 1)-denominator sample covariance S.
 * ``spatial``: 1 - || mean_i (x - x_i) / ||x - x_i|| ||, zero-distance
   terms contributing a zero vector. The unit vectors come one coordinate
-  at a time from a single distance matrix and are summed in reference
-  order with no BLAS call, so each depth depends only on its own query
-  row: duplicate rows tie exactly, a 1-D depth is exactly
-  1 - |#{x_i < x} - #{x_i > x}| / m, and no value depends on the thread
-  count.
+  at a time from the coordinate differences, divided by distances that
+  :func:`coordinate_distances` sums from those same differences, and are
+  summed in reference order with no BLAS call, so each depth depends only
+  on its own query row: duplicate rows tie exactly, a 1-D depth is
+  exactly 1 - |#{x_i < x} - #{x_i > x}| / m, and no value depends on the
+  thread count.
 * ``projection``: 1 / (1 + O(x)) where O(x) is the maximum over unit
   directions u of |u'x - med(u'X)| / MAD(u'X). The supremum is
   approximated by a fixed, seeded set of random directions shared by all
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateSample, SingularCovariance, SizeLimit
 from .rng import TAG_DIRECTIONS, standard_normals, substream
@@ -51,6 +51,13 @@ DEFAULT_DIRECTION_COUNT = 500
 # 52 (blocks cut to _CHUNK_ELEMENTS); a pooled block of 128 holds (d, S, N,
 # 128), 10 MB at N = 1000, d = 10, against 80 MB for all N columns.
 _SPATIAL_CHUNK = 128
+
+# Reference rows per pass of the spatial kernel: 256 rows of a 128-column
+# plane (256 KiB) stay in L2 between being written and being squared. On a
+# 2-core Xeon with 2 MiB of L2 per core, 8 blocks at q = 128, m = 1000,
+# d = 10 took 53.6 ms at 256 rows, 56.3 ms at 128 and 56.9 ms with whole
+# planes.
+_SPATIAL_ROWS = 256
 
 # Element budget of every per-chunk temporary of a stacked loop (2 MiB of
 # float64): permutation partitions, simulated data sets and limit-law draws.
@@ -149,16 +156,48 @@ def _mahalanobis_depths(query: np.ndarray, references: np.ndarray) -> np.ndarray
     return 1.0 / (1.0 + quad)
 
 
+def coordinate_distances(columns, rows, planes, out, squares) -> np.ndarray:
+    """Euclidean distances, written into ``out``, between the points whose
+    coordinate j is ``columns[j]`` and ``rows[j]``, two arrays that
+    broadcast to one plane of ``out``'s shape. Plane j of ``planes`` (which
+    may repeat one buffer) is filled with ``columns[j]`` and ``rows[j]`` is
+    subtracted in place; its square goes to ``squares`` (which may be that
+    plane) and is added to ``out`` right after, coordinate 0 first. That is
+    the order in which scipy's ``cdist`` sums, so every distance equals
+    cdist's bit for bit; ``np.sum`` or ``np.linalg.norm`` over a last,
+    contiguous coordinate axis adds pairwise from d = 8 on and rounds
+    differently.
+    """
+    for j, (plane, column, row) in enumerate(zip(planes, columns, rows)):
+        plane[...] = column
+        np.subtract(plane, row, out=plane)
+        if j:
+            np.multiply(plane, plane, out=squares)
+            out += squares
+        else:
+            np.multiply(plane, plane, out=out)
+    return np.sqrt(out, out=out)
+
+
 def _unit_components(query: np.ndarray, reference: np.ndarray, out=None) -> np.ndarray:
     """Coordinates of the unit vectors from each reference row to each query
     row: ``comps[j, i, a] = (query[a, j] - reference[i, j]) / ||query[a] -
     reference[i]||``, C-contiguous (d, m, q), so that ``comps[j][i]`` is
     one contiguous row, or written into the (d, m, q) array ``out``.
-    Coincident pairs divide by infinity and so give exact zeros."""
-    dist = cdist(reference, query)
-    dist[dist == 0.0] = np.inf
-    comps = np.subtract(query.T[:, None, :], reference.T[:, :, None], out=out, order="C")
-    comps /= dist
+    Coincident pairs divide by infinity and so give exact zeros. The
+    differences and their distances are formed ``_SPATIAL_ROWS`` reference
+    rows at a time, so that each plane is squared while still in cache."""
+    q, d = query.shape
+    m = reference.shape[0]
+    comps = np.empty((d, m, q)) if out is None else out
+    dist = np.empty((min(m, _SPATIAL_ROWS), q))
+    squares = np.empty_like(dist)
+    for start in range(0, m, _SPATIAL_ROWS):
+        rows = reference[start : start + _SPATIAL_ROWS].T[:, :, None]
+        block, near = comps[:, start : start + rows.shape[1]], dist[: rows.shape[1]]
+        coordinate_distances(query.T, rows, block, near, squares[: rows.shape[1]])
+        near[near == 0.0] = np.inf
+        block /= near
     return comps
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .depths import DepthKind, depth_values, unit_scaled
 from .errors import DomainError
@@ -46,8 +45,11 @@ def hull_volume(points: np.ndarray) -> float:
     (collinear in 2-D, coplanar in 3-D, ...), span zero volume. Points
     whose largest |x| is 2^32 or more, or below 2^-33, are rescaled by
     :func:`~depthtest.depths.unit_scaled` first, and the volume scaled
-    back; one past the float64 range raises DomainError.
+    back; one past the float64 range raises DomainError. scipy.spatial
+    (qhull) is imported here, so only scale curves load it.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     n, d = points.shape
     if n < d + 1:
         return 0.0

@@ -1,25 +1,26 @@
 """The depth-rank formulas and the two-sample baselines.
 
 The depth-rank (DbR) and modified depth-rank (B*) formulas read stacks of
-depth rows; energy and Cramer read the groups of one partition, Cramer
-only 1-D ones. These are their rows of the statistic table
-:data:`depthtest.calibration.STATISTICS`.
+depth rows; energy reads a stack of pooled samples in partition order, and
+Cramer the 1-D groups of one partition. These are their rows of the
+statistic table :data:`depthtest.calibration.STATISTICS`.
 Outside the table: the MANOVA trio with its F-law p-value. One-off values
 of the table statistics come from :func:`~depthtest.calibration.evaluate_statistics`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.special import fdtrc
 
-from .depths import DepthKind, _spd_cholesky, unit_scaled
-from .errors import DimensionMismatch, SingularCovariance, SingularScatter, UnknownStatistic
+from .depths import DepthKind, _spd_cholesky, coordinate_distances, unit_scaled
+from .errors import (
+    DimensionMismatch, DomainError, SingularCovariance, SingularScatter, UnknownStatistic,
+)
 from .samples import as_sample_matrix, group_slices, require_same_dimension
 
 MANOVA_KINDS = ("wilks", "hotelling", "pillai")
@@ -224,13 +225,43 @@ def cramer_univariate(x, y) -> float:
     return m * n / (m + n) * float(gap_sq.mean())
 
 
-def _energy_from_groups(groups, sizes) -> float:
-    """Energy distance statistic mn/(m+n) * E_hat of a partition's two
-    groups, from their (xx, yy, xy) distance blocks of the groups rescaled
-    by :func:`~depthtest.depths.unit_scaled`, scaled back; upper-tail rejection."""
+def _energy_stack(pooled: np.ndarray, sizes) -> np.ndarray:
+    """(P,) energy distance statistics mn/(m+n) * E_hat of a (P, N, d) stack
+    of pooled samples in partition order, the first m rows of each the
+    first group; upper-tail rejection.
+
+    Each partition is rescaled by its own power of two, as
+    :func:`~depthtest.depths.unit_scaled` does, and its value scaled back;
+    a value past the float64 range raises DomainError. The (P, m, n),
+    (P, m, m) and (P, n, n) distance blocks are built one at a time, one
+    coordinate at a time, by :func:`~depthtest.depths.coordinate_distances`
+    into one accumulator with one scratch plane, and each block's
+    V-statistic means (within-sample blocks keep their zero diagonals) are
+    taken per partition over its C-contiguous (m, n) plane, so every value
+    equals that of the partition's own cdist blocks bit for bit.
+    """
     m, n = sizes
-    k, (x, y) = unit_scaled(*groups)
-    xx, yy, xy = cdist(x, x), cdist(y, y), cdist(x, y)
-    # V-statistic means: within-sample blocks keep their zero diagonals.
-    value = m * n / (m + n) * (2.0 * float(xy.mean()) - float(xx.mean()) - float(yy.mean()))
-    return math.ldexp(value, -k)
+    p = len(pooled)
+    k = -np.frexp(np.abs(pooled).max(axis=(1, 2)))[1]
+    # (d, P, N): coordinate j of every partition's pooled rows, rescaled
+    coords = np.ldexp(pooled, k[:, None, None]).transpose(2, 0, 1).copy()
+    largest = p * max(m, n) ** 2
+    distances, scratch = np.empty(largest), np.empty(largest)
+
+    def mean_distance(a: slice, b: slice) -> np.ndarray:
+        shape = (p, a.stop - a.start, b.stop - b.start)
+        block, plane = (buffer[: np.prod(shape)].reshape(shape) for buffer in (distances, scratch))
+        coordinate_distances(coords[:, :, None, b], coords[:, :, a, None], repeat(plane), block, plane)
+        return block.mean(axis=(1, 2))
+
+    x, y = slice(0, m), slice(m, m + n)
+    value = m * n / (m + n) * (2.0 * mean_distance(x, y) - mean_distance(x, x) - mean_distance(y, y))
+    with np.errstate(over="ignore"):
+        energy = np.ldexp(value, -k)
+    overflowed = np.isinf(energy)
+    if overflowed.any():
+        t = int(np.argmax(overflowed))
+        raise DomainError(
+            f"energy statistic {float(value[t])!r} x 2^{int(-k[t])} exceeds the float64 range"
+        )
+    return energy

@@ -27,7 +27,7 @@ from depthtest.calibration import STATISTICS, _StatisticEngine
 from depthtest.cli import main
 from depthtest.quality import partition_depth_rows
 from depthtest.rng import TAG_PERMUTATION, substream
-from oracles import arranged_depth_rows, norm_cdf_quadrature
+from oracles import arranged_depth_rows, cdist_energy, norm_cdf_quadrature
 
 MAHAL = DepthKind("mahalanobis")
 
@@ -102,7 +102,7 @@ class TestEvaluation:
         rows = np.stack([depth_values(pooled, x, any_kind), depth_values(pooled, y, any_kind)])
         for name in ("dbr", "bdbr"):
             assert values[name] == STATISTICS[name].formula(rows[None], qm.sizes)[0]
-        assert values["energy"] == STATISTICS["energy"].formula([[x, y]], qm.sizes)[0]
+        assert values["energy"] == STATISTICS["energy"].formula(pooled[None], qm.sizes)[0]
 
     def test_cramer_evaluation(self, rng):
         x = rng.normal(size=(8, 1))
@@ -446,3 +446,30 @@ class TestCalibrationSpecValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             CalibrationSpec(replications=0, seed=0)
+
+
+@pytest.mark.parametrize("budget", (1, None, 1 << 40), ids=("one", "default", "all"))
+@pytest.mark.parametrize("sizes, dim", (((9, 12), 2), ((30, 30), 10), ((300, 7), 3)))
+def test_permuted_energy_equals_cdist_reference(sizes, dim, budget, monkeypatch, rng):
+    # every chunk's stacked energy values against each partition's own cdist
+    # blocks; at (300, 7) the default budget holds one partition per chunk
+    groups = [rng.normal(size=(size, dim)) * (1.0 + g) for g, size in enumerate(sizes)]
+    if budget is not None:
+        monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
+    stacks = []
+    values = _StatisticEngine.values
+
+    def recording(self, orders):
+        out = values(self, orders)
+        stacks.append((orders, out["energy"]))
+        return out
+
+    monkeypatch.setattr(_StatisticEngine, "values", recording)
+    spec = CalibrationSpec(replications=11, seed=5)
+    report = _single(groups, "energy", None, spec)
+    pooled, m = np.vstack(groups), sizes[0]
+    for orders, got in stacks:
+        assert np.array_equal(got, [cdist_energy(pooled[o[:m]], pooled[o[m:]]) for o in orders])
+    assert sum(len(orders) for orders, _ in stacks) == spec.replications + 1
+    assert len(stacks) == {1: 12, None: 12 if sizes == (300, 7) else 1, 1 << 40: 1}[budget]
+    assert report.statistic == stacks[0][1][0]

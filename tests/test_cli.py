@@ -273,6 +273,23 @@ class TestExitCodes:
         assert err.startswith("error: energy needs a 4474 x 4474 distance matrix")
         assert "Traceback" not in err
 
+    def test_energy_past_float64_range_is_data_error(self, tmp_path, capsys, rng):
+        # coordinates near +-1.7e308; the statistic itself passes the range
+        data = tmp_path / "huge.csv"
+        x = rng.uniform(-1.0, 1.0, size=(20, 2)) * 0.85e308
+        y = rng.uniform(-1.0, 1.0, size=(20, 2)) * 0.85e308 + 0.8e308
+        lines = ["u,v,grp"]
+        for label, group in (("a", x), ("b", y)):
+            lines += [f"{float(u)!r},{float(v)!r},{label}" for u, v in group]
+        data.write_text("\n".join(lines) + "\n")
+        code = main(["two-sample", "--input", str(data), "--group", "grp", "--stats", "energy",
+                     "--perms", "9"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: energy statistic ")
+        assert "exceeds the float64 range" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         (
@@ -667,14 +684,34 @@ class TestScaleCurveCommand:
         assert group_alpha == [["a,b", "0.5"], ["a,b", "1.0"], ["c", "0.5"], ["c", "1.0"]]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second of start-up; nothing in the CLI needs it
-    code = "import sys, depthtest.cli; print('scipy.stats' in sys.modules)"
+_HEAVY_SCIPY_PROBE = """
+import json, os, sys
+import depthtest.cli
+heavy = ("scipy.stats", "scipy.spatial", "scipy.linalg", "scipy.sparse")
+loaded = [[name for name in heavy if name in sys.modules]]
+skulls = str(depthtest.skulls_path())
+for argv in (
+    ["k-sample", "--depth", "spatial", "--stats", "min,dbr", "--perms", "9", "--asymptotic",
+     "--mc-draws", "1000"],
+    ["two-sample", "--groups", "c4000BC,cAD150", "--stats", "energy,min", "--perms", "9"],
+):
+    code = depthtest.cli.main(
+        [argv[0], "--input", skulls, "--group", "epoch", *argv[1:], "--output", os.devnull]
+    )
+    loaded.append([code, *(name for name in heavy if name in sys.modules)])
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_leaves_scipy_stats_and_spatial_unloaded():
+    # scipy.stats costs about a second of start-up, and scipy.spatial, with
+    # the scipy.linalg and scipy.sparse it loads, 110 modules and 12 MB of
+    # RSS; only scale curves need scipy.spatial (qhull)
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _HEAVY_SCIPY_PROBE], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert done.stdout.strip() == "False"
+    assert json.loads(done.stdout) == [[], [0], [0]]
 
 
 def test_large_projection_report_independent_of_blas_threads(tmp_path):

@@ -1,9 +1,11 @@
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from depthtest import (
     CalibrationSpec,
@@ -19,7 +21,7 @@ from depthtest import (
     manova,
     permutation_report,
 )
-from depthtest.depths import pooled_depths
+from depthtest.depths import _unit_components, coordinate_distances, pooled_depths
 from depthtest.quality import partition_depth_rows
 from depthtest.samples import group_slices
 from oracles import spatial_depth_brute
@@ -84,6 +86,43 @@ class TestSpatialKernel:
             below = int(np.sum(ref[:, 0] < x))
             above = int(np.sum(ref[:, 0] > x))
             assert depth == 1.0 - abs(below - above) / m
+
+
+class TestCoordinateDistances:
+    # the squares are added in coordinate order, as cdist adds them; a
+    # pairwise sum over a last, contiguous coordinate axis rounds
+    # differently from d = 8 on
+    @pytest.mark.parametrize("exponent", (0, 600, -600, 511, -537))
+    @pytest.mark.parametrize("d", (1, 2, 3, 4, 5, 8, 10, 16, 33))
+    def test_equals_cdist(self, d, exponent, rng):
+        ref = np.ldexp(rng.normal(size=(300, d)), exponent)
+        query = np.ldexp(rng.normal(size=(257, d)), exponent)
+        ref[7] = ref[3]
+        query[[0, 100]] = ref[3]
+        want = cdist(ref, query)
+        planes, out = np.empty((d, 300, 257)), np.empty((300, 257))
+        # past 2^511 squares overflow to inf, as they do inside cdist
+        with np.errstate(over="ignore"):
+            got = coordinate_distances(query.T, ref.T[:, :, None], planes, out, np.empty_like(out))
+            assert np.array_equal(got, want)
+            assert np.array_equal(planes, query.T[:, None, :] - ref.T[:, :, None])
+            # one buffer for every plane, squared in place
+            plane = np.empty((300, 257))
+            again = coordinate_distances(query.T, ref.T[:, :, None], repeat(plane), out, plane)
+            assert np.array_equal(again, want)
+
+    @pytest.mark.parametrize("m", (1, 255, 256, 257, 513))
+    def test_unit_components_walk_reference_rows_exactly(self, m, rng):
+        # the kernel takes _SPATIAL_ROWS = 256 reference rows at a time
+        ref = rng.normal(size=(m, 10))
+        query = np.vstack([ref[: min(m, 3)], rng.normal(size=(40, 10))])
+        dist = cdist(ref, query)
+        dist[dist == 0.0] = np.inf
+        want = (query.T[:, None, :] - ref.T[:, :, None]) / dist
+        assert np.array_equal(_unit_components(query, ref), want)
+        out = np.empty_like(want)
+        assert _unit_components(query, ref, out=out) is out
+        assert np.array_equal(out, want)
 
 
 def _partition_rows(pooled, sizes, kind, order):

@@ -5,6 +5,7 @@ from scipy.stats import f as f_dist
 from depthtest import (
     DepthKind,
     DimensionMismatch,
+    DomainError,
     QualityMatrix,
     SingularScatter,
     SizeLimit,
@@ -14,7 +15,7 @@ from depthtest import (
     manova,
     manova_eigen,
 )
-from depthtest.calibration import STATISTICS
+from depthtest.calibration import STATISTICS, _StatisticEngine
 from depthtest.depths import depth_values
 from depthtest.two_sample import depth_ranks
 
@@ -23,6 +24,7 @@ from oracles import (
     brute_cramer,
     brute_dbr,
     brute_energy,
+    cdist_energy,
     f_sf_oracle,
 )
 
@@ -302,3 +304,26 @@ class TestEnergy:
         x = np.zeros((2237, 1))
         with pytest.raises(SizeLimit):
             _statistic("energy", x, x + 1.0)
+
+    @pytest.mark.parametrize("sizes, dim", (((13, 9), 3), ((30, 30), 10), ((300, 7), 4), ((7, 300), 2)))
+    def test_stack_equals_cdist_per_partition(self, sizes, dim, rng):
+        # S = 4 data sets in one stack, each rescaled by its own power of
+        # two; partition p reads data set p % 4, in identity order for
+        # p < 4 and permuted after
+        datasets = [
+            [scale * rng.normal(size=(size, dim)) for size in sizes]
+            for scale in (1e-250, 1.0, 3.5, 1e250)
+        ]
+        datasets[1][1][0] = datasets[1][0][0]
+        n, m = sum(sizes), sizes[0]
+        orders = np.vstack([np.tile(np.arange(n), (4, 1)), [rng.permutation(n) for _ in range(4)]])
+        got = _StatisticEngine(datasets, None, ("energy",)).values(orders)["energy"]
+        pooled = [np.vstack(groups) for groups in datasets]
+        want = [cdist_energy(pooled[p % 4][o[:m]], pooled[p % 4][o[m:]]) for p, o in enumerate(orders)]
+        assert np.array_equal(got, want)
+
+    def test_value_past_float64_range_is_domain_error(self, rng):
+        x = rng.uniform(-1.0, 1.0, size=(20, 2)) * 0.85e308
+        y = rng.uniform(-1.0, 1.0, size=(20, 2)) * 0.85e308 + 0.8e308
+        with pytest.raises(DomainError, match=r"energy statistic .* exceeds the float64 range"):
+            _statistic("energy", x, y)
