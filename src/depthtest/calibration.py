@@ -123,7 +123,7 @@ def _element_counts(names, kind: DepthKind | None, sizes, dim: int) -> tuple[int
     rank arrays, energy's distance accumulator and scratch plane, both
     the size of its largest block, 2 max(m, n)^2 together, or the depth
     kernel's own); and per pooled sample, the sample itself or the depth
-    geometry kept for it. The depth kernel's two sizes come from
+    geometry built for it. The depth kernel's two sizes come from
     :func:`~depthtest.depths.depth_elements`."""
     total = sum(sizes)
     partition, sample = len(sizes) * total, total * dim
@@ -147,10 +147,11 @@ class _StatisticEngine:
     statistic's (P,) values. The observed partition is the identity order,
     so one-off evaluation (P = 1), permutation chunks and simulation chunks
     run the same arithmetic. The depth closure
-    (:func:`~depthtest.depths.pooled_depths`, with projection's scores) is
-    the only state built once per engine; each stack builds only the inputs the requested statistics
-    read, once, and shares them among those statistics: energy's distance
-    blocks are computed from the stack's pooled samples. ``partition_elements``
+    (:func:`~depthtest.depths.pooled_depths`, with projection's scores when
+    S = 1) is the only state built once per engine; each stack builds only
+    the inputs the requested statistics read, once, and shares them among
+    those statistics: energy's distance blocks are computed from the
+    stack's pooled samples. ``partition_elements``
     is the size of the largest per-partition temporary, which permutation
     chunk sizes are measured in.
     """
@@ -171,8 +172,9 @@ class _StatisticEngine:
         self.slices = group_slices(self.sizes)
         self.partition_elements, _ = _element_counts(self.names, kind, self.sizes, dim)
         if "energy" in self.names:
-            n = self.total
-            require_within_cap(n * n, f"energy needs a {n} x {n} distance matrix")
+            # its largest array: one partition's max(m, n)^2 distance block
+            b = max(self.sizes)
+            require_within_cap(b * b, f"energy needs a {b} x {b} distance block")
         self._depths_against = None
         if depth_names:
             self._depths_against = pooled_depths(self.samples, kind)

@@ -20,13 +20,17 @@ reference sample:
   no consistency factor. Median and MAD come from two in-place sorts of
   one (D, m) copy of the reference projections, and equal np.median's bit
   for bit. How fast those sorts run follows the SIMD level numpy
-  dispatches on the CPU; the values do not.
+  dispatches on the CPU; the values do not. The standardized deviations
+  and their maximum are formed in strips of query rows within one
+  :func:`chunks` budget.
 
 Depths of a pooled sample against groups of its own rows come from
 :func:`pooled_depths`, which returns the depth rows of a whole stack of
-partitions of a stack of pooled samples: Mahalanobis and projection group
-by group from their own kernels, spatial block by block of query columns,
-each block's unit vectors computed once for every partition and group.
+partitions of a stack of pooled samples: Mahalanobis group by group,
+stacked over the partitions; projection partition by partition, on the
+scores of one pooled sample at a time; spatial block by block of query
+columns, each block's unit vectors computed once for every partition and
+group.
 The package's two memory rules live here too: :func:`chunks` and
 :func:`require_within_cap`.
 """
@@ -63,8 +67,8 @@ _SPATIAL_ROWS = 256
 # float64): permutation partitions, simulated data sets and limit-law draws.
 _CHUNK_ELEMENTS = 1 << 18
 
-# Largest array that no chunk can shrink (160 MB of float64): energy's N x N
-# distances, projection's (N, D) scores, a simulated pooled sample. Spatial's
+# Largest array that no chunk can shrink (160 MB of float64): energy's largest
+# distance block, projection's (N, D) scores, a simulated pooled sample. Spatial's
 # (d, N, _SPATIAL_CHUNK) block per sample has no cap.
 _CACHE_ELEMENT_CAP = 20_000_000
 
@@ -264,6 +268,13 @@ def projection_outlyingness(
     np.median's bit for bit (a zero median may carry either sign, which
     every |x - med| erases). The speed of the sorts follows the SIMD level
     numpy dispatches on the CPU; the values do not.
+
+    |x - med| / MAD and its row maximum are formed for strips of as many
+    query rows as fit one :func:`chunks` budget, in one strip buffer. A
+    direction of zero MAD divides to inf where a query leaves its median
+    and to NaN where it sits on it, and the row maximum (``np.fmax``)
+    passes over NaN: a query is infinitely outlying exactly when it leaves
+    the median of some zero-MAD direction.
     """
     cols = ref_proj.T.copy()
     cols.sort(axis=-1)
@@ -275,22 +286,23 @@ def projection_outlyingness(
     usable = mad > 0.0
     if not usable.any():
         raise DegenerateSample("every projected direction has zero MAD")
-    numer = np.subtract(query_proj, med)
-    np.abs(numer, out=numer)
-    if usable.all():
-        numer /= mad
-        return numer.max(axis=1)
-    outly = (numer[:, usable] / mad[usable]).max(axis=1)
-    # Zero-MAD directions: any offset from the (degenerate) median is
-    # infinitely outlying; sitting exactly on it contributes nothing.
-    escaped = (numer[:, ~usable] > 0.0).any(axis=1)
-    return np.where(escaped, np.inf, outly)
+    outly = np.empty(len(query_proj))
+    spans = list(chunks(len(query_proj), len(med)))
+    strip = np.empty((spans[0][1], len(med)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for first, stop in spans:
+            part = strip[: stop - first]
+            np.subtract(query_proj[first:stop], med, out=part)
+            np.abs(part, out=part)
+            np.divide(part, mad, out=part)
+            np.fmax.reduce(part, axis=1, out=outly[first:stop])
+    return outly
 
 
 def require_geometry_within_cap(kind: DepthKind, n: int) -> None:
-    """Refuse what :func:`pooled_depths` keeps for a sample of n rows past
+    """Refuse what :func:`pooled_depths` builds for a sample of n rows past
     ``_CACHE_ELEMENT_CAP``: projection's (n, D) direction scores. The other
-    kinds keep at most the sample itself, and spatial's block buffer has no
+    kinds build at most the sample itself, and spatial's block buffer has no
     cap."""
     if kind.kind == "projection":
         count = kind.direction_count
@@ -332,24 +344,18 @@ def depth_elements(kind: DepthKind, n: int, d: int) -> tuple[int, int]:
     pooled rows in d dimensions: per partition, its largest temporary
     (Mahalanobis' (d, n) deviations, spatial's (d, w) sums over a block of
     w = min(n, ``_SPATIAL_CHUNK``) columns, whose (m, w) reference gathers
-    it cuts to a chunk itself, one depth row for projection, which runs
-    once per partition); and per pooled sample, the geometry it holds
-    (spatial's (d, n, w) unit-vector block, projection's (n, D) scores,
-    the sample itself for Mahalanobis)."""
+    it cuts to a chunk itself, one depth row for projection, whose
+    outlyingness temporaries live for one call); and per pooled sample,
+    the geometry built for it (spatial's (d, n, w) unit-vector block,
+    projection's (n, D) scores, the sample itself for Mahalanobis).
+    Projection builds one sample's scores at a time, so a simulation chunk
+    holds one data set's scores although its budget counts every one."""
     if kind.kind == "mahalanobis":
         return d * n, n * d
     if kind.kind == "spatial":
         w = min(n, _SPATIAL_CHUNK)
         return d * w, d * n * w
     return n, n * kind.direction_count
-
-
-def _by_group(kernel):
-    """The :func:`pooled_depths` closure of ``kernel(idx, own)``, which
-    gives the (P, N) depths against the references ``idx`` of one group."""
-    return lambda orders, own, slices: np.stack(
-        [kernel(orders[:, sl], own) for sl in slices], axis=1
-    )
 
 
 def pooled_depths(samples: np.ndarray, kind: DepthKind):
@@ -365,26 +371,42 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind):
     (d, S, N, w) in one buffer reused by every block, are summed per
     group, one coordinate at a time, over a gather of the reference rows in
     partition order, for as many partitions at a time as fit their (m, w)
-    gathers into a :func:`chunks` budget. Projection depth gathers rows of
-    each sample's projections and runs once per partition.
-    :func:`depth_elements` gives the sizes of the largest per-partition
-    temporary and of the geometry held per sample. The stack is first
-    rescaled by :func:`unit_scaled`.
+    gathers into a :func:`chunks` budget. Projection depth runs partition
+    by partition into one (P, k, N) array, gathering each group's
+    reference rows from the (N, D) scores of sample ``own[p]``: built once
+    with the closure when S = 1, and otherwise when a partition first
+    needs them, after the previous sample's are freed, so no two samples'
+    scores exist at once. :func:`depth_elements` gives the sizes of the
+    largest per-partition temporary and of the geometry built per sample.
+    The stack is first rescaled by :func:`unit_scaled`.
     """
     s, n, d = samples.shape
     _, (samples,) = unit_scaled(samples)
     if kind.kind == "mahalanobis":
         flat = samples.reshape(-1, d)
-        return _by_group(lambda idx, own: _mahalanobis_depths(
-            samples if s == 1 else samples[own], flat[idx + n * own[:, None]]
-        ))
+        return lambda orders, own, slices: np.stack([
+            _mahalanobis_depths(
+                samples if s == 1 else samples[own], flat[orders[:, sl] + n * own[:, None]]
+            )
+            for sl in slices
+        ], axis=1)
     if kind.kind == "projection":
         dirs = _projection_directions(kind, n, d)
-        proj = [sample @ dirs.T for sample in samples]
-        return _by_group(lambda idx, own: np.stack([
-            1.0 / (1.0 + projection_outlyingness(proj[t][ref], proj[t]))
-            for t, ref in zip(own, idx)
-        ]))
+        kept = samples[0] @ dirs.T if s == 1 else None
+
+        def projection(orders, own, slices):
+            outly = np.empty((len(orders), len(slices), n))
+            scores, held = kept, 0
+            for p, t in enumerate(own):
+                if scores is None or t != held:
+                    scores = None  # freed before the next sample's scores exist
+                    scores, held = samples[t] @ dirs.T, t
+                for g, sl in enumerate(slices):
+                    outly[p, g] = projection_outlyingness(scores[orders[p, sl]], scores)
+            np.add(outly, 1.0, out=outly)
+            return np.divide(1.0, outly, out=outly)
+
+        return projection
 
     def spatial(orders, own, slices):
         depths = np.empty((len(orders), len(slices), n))

@@ -45,7 +45,6 @@ def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     """
     u = rng.random(shape)
     # rng.random() can return exactly 0.0, where ndtri gives -inf; nudge
-    # into the open interval.
-    tiny = np.finfo(float).tiny
-    u = np.where(u < tiny, tiny, u)
-    return ndtri(u)
+    # into the open interval, in place.
+    np.maximum(u, np.finfo(float).tiny, out=u)
+    return ndtri(u, out=u)

@@ -123,10 +123,11 @@ class TestEvaluation:
         assert rejected == {"max", "bdbr", "energy", "cramer"}
 
     def test_energy_distance_matrix_over_cap_is_refused(self):
-        # 2 x 2,237 pooled rows: N^2 = 20,016,676 exceeds the 20M-element cap
-        x = np.zeros((2237, 1))
-        with pytest.raises(SizeLimit):
-            evaluate_statistics([x, x + 1.0], ("energy",), None)
+        # groups of 4,473 and 2 rows: the 4473 x 4473 distance block,
+        # 20,007,729 elements, exceeds the 20M-element cap
+        x = np.zeros((4473, 1))
+        with pytest.raises(SizeLimit, match="energy needs a 4473 x 4473 distance block"):
+            evaluate_statistics([x, x[:2] + 1.0], ("energy",), None)
 
     def test_repeated_name_rejected(self, rng):
         groups = [rng.normal(size=(8, 2)) for _ in range(2)]

@@ -263,15 +263,29 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_energy_over_distance_cap_is_data_error(self, tmp_path, capsys):
-        # 2 x 2,237 pooled rows: N^2 = 20,016,676 exceeds the 20M-element cap
+        # groups of 4,473 and 2 rows: the (4473, 4473) within-group distance
+        # block, 20,007,729 elements, exceeds the 20M-element cap
         data = tmp_path / "big.csv"
-        rows = [f"{i}.5,{'a' if i < 2237 else 'b'}" for i in range(2 * 2237)]
+        rows = [f"{i}.5,{'a' if i < 4473 else 'b'}" for i in range(4475)]
         data.write_text("\n".join(["v,grp", *rows]) + "\n")
         code = main(["two-sample", "--input", str(data), "--group", "grp", "--stats", "energy"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: energy needs a 4474 x 4474 distance matrix")
+        assert err.startswith("error: energy needs a 4473 x 4473 distance block")
         assert "Traceback" not in err
+
+    def test_energy_cap_counts_the_largest_block_not_n_squared(self, monkeypatch, tmp_path, capsys):
+        # under a cap of 1000: 30 + 30 rows (blocks of 900, N^2 = 3600) run,
+        # 32 + 2 rows (a 32 x 32 block, N^2 = 1156) are refused
+        monkeypatch.setattr(depths, "_CACHE_ELEMENT_CAP", 1000)
+        for m, n, code_want in ((30, 30, 0), (32, 2, 1)):
+            data = tmp_path / f"energy-{m}-{n}.csv"
+            rows = [f"{i * 37 % 11}.5,{'a' if i < m else 'b'}" for i in range(m + n)]
+            data.write_text("\n".join(["v,grp", *rows]) + "\n")
+            code = main(["two-sample", "--input", str(data), "--group", "grp", "--stats", "energy",
+                         "--perms", "9", "--output", str(tmp_path / "out.json")])
+            assert code == code_want
+        assert capsys.readouterr().err.startswith("error: energy needs a 32 x 32 distance block")
 
     def test_energy_past_float64_range_is_data_error(self, tmp_path, capsys, rng):
         # coordinates near +-1.7e308; the statistic itself passes the range

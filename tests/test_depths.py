@@ -313,6 +313,90 @@ class TestProjectionMedians:
         assert depths._directions(11, 16, 3) is dirs
 
 
+STRIP = depths._CHUNK_ELEMENTS // 500  # query rows per outlyingness strip at D = 500
+
+
+def _dyadic_directions(seed, count, dim):
+    # small-integer directions: scores of small-integer rows are exact, so no
+    # score depends on its row's position in the matrix product (OpenBLAS
+    # rounds edge rows differently); axis 0 comes first
+    rng = np.random.default_rng([seed, count, dim])
+    dirs = rng.integers(-3, 4, size=(count, dim)).astype(float)
+    dirs[~dirs.any(axis=1), 0] = 1.0  # no zero direction
+    dirs[0] = np.eye(dim)[0]
+    dirs.flags.writeable = False
+    return dirs
+
+
+def _flat_first_axis(rng, n, d):
+    # integer rows, three in four of them on x0 = 0: every group has zero MAD
+    # along axis 0, where its other rows escape to infinity
+    rows = rng.integers(-5, 6, size=(n, d)).astype(float)
+    rows[rng.random(n) < 0.75, 0] = 0.0
+    return rows
+
+
+class TestProjectionStrips:
+    """Outlyingness is formed in strips of STRIP query rows; pooled
+    projection depths run partition by partition on one sample's scores."""
+
+    @pytest.mark.parametrize("n", (STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1))
+    def test_strips_match_median_reference(self, n, rng):
+        ref_proj = _with_exact_zeros(rng.normal(size=(41, 500)), rng)
+        ref_proj[:30, :7] = 1.25  # seven zero-MAD directions
+        query_proj = np.vstack([ref_proj, 3.0 * rng.normal(size=(n - 41, 500))])
+        query_proj[-5:, :7] = 1.25  # the last rows sit on them
+        got = depths.projection_outlyingness(ref_proj, query_proj)
+        assert np.array_equal(got, _outlyingness_reference(ref_proj, query_proj))
+        assert np.isinf(got).any() and np.isfinite(got[-5:]).all()
+
+    @pytest.mark.parametrize("s", (1, 3))
+    @pytest.mark.parametrize("n", (STRIP - 1, STRIP, STRIP + 1))
+    def test_pooled_rows_equal_depth_values(self, n, s, monkeypatch, rng):
+        monkeypatch.setattr(depths, "_directions", _dyadic_directions)
+        kind = DepthKind("projection", 500, 5)
+        samples = np.stack([2.0**t * _flat_first_axis(rng, n, 3) for t in range(s)])
+        sizes = [n // 3, n - n // 3]
+        orders = np.stack([rng.permutation(n) for _ in range(4)])
+        own = np.arange(4) % s  # at S = 3 sample 0 comes back for the last partition
+        slices = group_slices(sizes)
+        got = pooled_depths(samples, kind)(orders, own, slices)
+        assert got.shape == (4, 2, n)
+        for p, (t, order) in enumerate(zip(own, orders)):
+            for g, sl in enumerate(slices):
+                want = depth_values(samples[t], samples[t][order[sl]], kind)
+                assert np.array_equal(got[p, g], want)
+        assert (got == 0.0).any() and (got > 0.0).any()
+
+    def test_reports_independent_of_chunk_budget(self, monkeypatch, rng):
+        # budget 1 cuts every outlyingness into one-row strips
+        groups = [_flat_first_axis(rng, 20, 3), 1.0 + _flat_first_axis(rng, 21, 3)]
+        names = ("min", "max", "product", "sum", "dbr", "bdbr")
+        spec = CalibrationSpec(replications=6, seed=3)
+        reports = []
+        for budget in (1, depths._CHUNK_ELEMENTS, 1 << 40):
+            monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
+            report = permutation_report(groups, names, PROJ, spec)
+            reports.append([(o.statistic_name, o.statistic, o.p_value) for o in report])
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_peak_memory_holds_one_sample_of_scores(self, rng):
+        # N = 1000, D = 500: one sample's scores are 4 MB
+        kind = DepthKind("projection", 500, 1)
+        samples = rng.normal(size=(3, 1000, 10))
+        orders = np.stack([rng.permutation(1000) for _ in range(3)])
+        slices = group_slices([500, 500])
+        peaks = []
+        for stack, own in ((samples[:1], np.zeros(3, dtype=np.intp)), (samples, np.arange(3))):
+            tracemalloc.start()
+            try:
+                pooled_depths(stack, kind)(orders, own, slices)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1000 * 500 * 8
+
+
 class TestRangeAndDeterminism:
     def test_values_in_unit_interval(self, any_kind, rng):
         for _ in range(20):

@@ -300,10 +300,11 @@ class TestEnergy:
             assert _statistic("energy", x, y) == pytest.approx(brute_energy(x, y), rel=1e-12)
 
     def test_distance_matrix_over_cap_is_refused(self):
-        # 2 x 2,237 pooled rows: N^2 = 20,016,676 exceeds the 20M-element cap
-        x = np.zeros((2237, 1))
-        with pytest.raises(SizeLimit):
-            _statistic("energy", x, x + 1.0)
+        # groups of 4,473 and 2 rows: the 4473 x 4473 distance block,
+        # 20,007,729 elements, exceeds the 20M-element cap
+        x = np.zeros((4473, 1))
+        with pytest.raises(SizeLimit, match="energy needs a 4473 x 4473 distance block"):
+            _statistic("energy", x, x[:2] + 1.0)
 
     @pytest.mark.parametrize("sizes, dim", (((13, 9), 3), ((30, 30), 10), ((300, 7), 4), ((7, 300), 2)))
     def test_stack_equals_cdist_per_partition(self, sizes, dim, rng):
