@@ -117,22 +117,20 @@ def chi2_1_pvalue(x: float) -> float:
     return math.erfc(math.sqrt(float(x) / 2.0))
 
 
-def _element_counts(names, kind: DepthKind | None, sizes, dim: int) -> tuple[int, int]:
-    """Sizes of the temporaries of a stack of partitions, in elements: per
-    partition, the largest one (the (k, N) depth rows and their sort and
-    rank arrays, energy's distance accumulator and scratch plane, both
-    the size of its largest block, 2 max(m, n)^2 together, or the depth
-    kernel's own); and per pooled sample, the sample itself or the depth
-    geometry built for it. The depth kernel's two sizes come from
-    :func:`~depthtest.depths.depth_elements`."""
-    total = sum(sizes)
-    partition, sample = len(sizes) * total, total * dim
-    if "energy" in names:
-        partition = max(partition, 2 * max(sizes) ** 2)
-    if any(STATISTICS[name].depth_based for name in names):
-        depth_partition, depth_sample = depth_elements(kind, total, dim)
-        partition, sample = max(partition, depth_partition), max(sample, depth_sample)
-    return partition, sample
+def _element_counts(names, kind: DepthKind | None, sizes, dim: int) -> int:
+    """Size, in elements, of the largest temporary of one partition of a
+    stack: the (k, N) depth rows and their sort and rank arrays; the (N, d)
+    ``pooled`` gather and energy's (d, N) copy of it; energy's distance
+    accumulator and scratch plane, both the size of its largest block; or
+    the depth kernel's own (:func:`~depthtest.depths.depth_elements`),
+    which bounds the geometry it builds per pooled sample itself."""
+    total, reads = sum(sizes), {STATISTICS[name].reads for name in names}
+    return max(
+        len(sizes) * total,
+        2 * total * dim if "pooled" in reads else 0,
+        2 * max(sizes) ** 2 if "energy" in names else 0,
+        depth_elements(kind, total, dim) if reads - {"pooled"} else 0,
+    )
 
 
 class _StatisticEngine:
@@ -147,13 +145,13 @@ class _StatisticEngine:
     statistic's (P,) values. The observed partition is the identity order,
     so one-off evaluation (P = 1), permutation chunks and simulation chunks
     run the same arithmetic. The depth closure
-    (:func:`~depthtest.depths.pooled_depths`, with projection's scores when
-    S = 1) is the only state built once per engine; each stack builds only
-    the inputs the requested statistics read, once, and shares them among
-    those statistics: energy's distance blocks are computed from the
-    stack's pooled samples. ``partition_elements``
-    is the size of the largest per-partition temporary, which permutation
-    chunk sizes are measured in.
+    (:func:`~depthtest.depths.pooled_depths`, with projection's scores
+    buffer) is the only state built once per engine; each stack builds
+    only the inputs the requested statistics read, once, and shares them
+    among those statistics: energy's distance blocks are computed from the
+    stack's pooled samples. ``partition_elements`` is the size of the
+    largest per-partition temporary, which permutation and simulation
+    chunks are measured in.
     """
 
     def __init__(self, datasets, kind: DepthKind | None, names) -> None:
@@ -170,7 +168,7 @@ class _StatisticEngine:
         if "cramer" in self.names and dim != 1:
             raise DimensionMismatch("cramer statistic expects 1-D samples")
         self.slices = group_slices(self.sizes)
-        self.partition_elements, _ = _element_counts(self.names, kind, self.sizes, dim)
+        self.partition_elements = _element_counts(self.names, kind, self.sizes, dim)
         if "energy" in self.names:
             # its largest array: one partition's max(m, n)^2 distance block
             b = max(self.sizes)

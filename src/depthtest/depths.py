@@ -29,8 +29,8 @@ Depths of a pooled sample against groups of its own rows come from
 partitions of a stack of pooled samples: Mahalanobis group by group,
 stacked over the partitions; projection partition by partition, on the
 scores of one pooled sample at a time; spatial block by block of query
-columns, each block's unit vectors computed once for every partition and
-group.
+columns for a group of samples at a time, each block's unit vectors
+computed once for every partition and group.
 The package's two memory rules live here too: :func:`chunks` and
 :func:`require_within_cap`.
 """
@@ -52,8 +52,8 @@ DEFAULT_DIRECTION_COUNT = 500
 
 # Query columns per spatial block, one-shot and pooled. One-shot at q = 1000,
 # m = 500, d = 10 took 22.6 ms at 128 columns, 25.2 ms at 256 and 25.7 ms at
-# 52 (blocks cut to _CHUNK_ELEMENTS); a pooled block of 128 holds (d, S, N,
-# 128), 10 MB at N = 1000, d = 10, against 80 MB for all N columns.
+# 52 (blocks cut to _CHUNK_ELEMENTS); a pooled block of 128 holds (d, N, 128)
+# per sample, 10 MB at N = 1000, d = 10, against 80 MB for all N columns.
 _SPATIAL_CHUNK = 128
 
 # Reference rows per pass of the spatial kernel: 256 rows of a 128-column
@@ -69,7 +69,7 @@ _CHUNK_ELEMENTS = 1 << 18
 
 # Largest array that no chunk can shrink (160 MB of float64): energy's largest
 # distance block, projection's (N, D) scores, a simulated pooled sample. Spatial's
-# (d, N, _SPATIAL_CHUNK) block per sample has no cap.
+# coordinate buffer, one budget or one sample's (d, N, 128) block, has no cap.
 _CACHE_ELEMENT_CAP = 20_000_000
 
 
@@ -339,23 +339,18 @@ def depth_values(query, reference, kind: DepthKind) -> np.ndarray:
     return _projection_depths(query, reference, kind)
 
 
-def depth_elements(kind: DepthKind, n: int, d: int) -> tuple[int, int]:
-    """Sizes, in elements, of what :func:`pooled_depths` builds for n
-    pooled rows in d dimensions: per partition, its largest temporary
-    (Mahalanobis' (d, n) deviations, spatial's (d, w) sums over a block of
-    w = min(n, ``_SPATIAL_CHUNK``) columns, whose (m, w) reference gathers
-    it cuts to a chunk itself, one depth row for projection, whose
-    outlyingness temporaries live for one call); and per pooled sample,
-    the geometry built for it (spatial's (d, n, w) unit-vector block,
-    projection's (n, D) scores, the sample itself for Mahalanobis).
-    Projection builds one sample's scores at a time, so a simulation chunk
-    holds one data set's scores although its budget counts every one."""
+def depth_elements(kind: DepthKind, n: int, d: int) -> int:
+    """Size, in elements, of the largest temporary :func:`pooled_depths`
+    builds per partition for n pooled rows in d dimensions: Mahalanobis'
+    (d, n) deviations, spatial's (d, w) sums over a block of w = min(n,
+    ``_SPATIAL_CHUNK``) columns (it cuts its (m, w) reference gathers to a
+    chunk), or one projection depth row. Each closure bounds what it builds
+    per pooled sample itself."""
     if kind.kind == "mahalanobis":
-        return d * n, n * d
+        return d * n
     if kind.kind == "spatial":
-        w = min(n, _SPATIAL_CHUNK)
-        return d * w, d * n * w
-    return n, n * kind.direction_count
+        return d * min(n, _SPATIAL_CHUNK)
+    return n
 
 
 def pooled_depths(samples: np.ndarray, kind: DepthKind):
@@ -366,19 +361,17 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind):
     (S, N, d) stack of pooled samples.
 
     Mahalanobis depth runs stacked over P, with the one sample broadcast
-    when S = 1. Spatial depth walks blocks of at most ``_SPATIAL_CHUNK``
-    query columns: each block's unit-vector coordinates of every sample,
-    (d, S, N, w) in one buffer reused by every block, are summed per
-    group, one coordinate at a time, over a gather of the reference rows in
-    partition order, for as many partitions at a time as fit their (m, w)
-    gathers into a :func:`chunks` budget. Projection depth runs partition
-    by partition into one (P, k, N) array, gathering each group's
-    reference rows from the (N, D) scores of sample ``own[p]``: built once
-    with the closure when S = 1, and otherwise when a partition first
-    needs them, after the previous sample's are freed, so no two samples'
-    scores exist at once. :func:`depth_elements` gives the sizes of the
-    largest per-partition temporary and of the geometry built per sample.
-    The stack is first rescaled by :func:`unit_scaled`.
+    when S = 1. Spatial depth walks the samples in groups whose (d, N, w)
+    unit-vector blocks fit one :func:`chunks` budget together (or one
+    sample), in one buffer, and blocks of w <= ``_SPATIAL_CHUNK`` query
+    columns: a block's coordinates are summed per group, one coordinate at
+    a time, over a gather of the reference rows in partition order, for as
+    many partitions at a time as fit their (m, w) gathers into a budget.
+    Projection depth runs partition by partition into one (P, k, N) array,
+    gathering each group's reference rows from one (N, D) scores buffer,
+    refilled whenever a partition reads another sample than the one before.
+    :func:`depth_elements` gives the largest per-partition temporary. The
+    stack is first rescaled by :func:`unit_scaled`.
     """
     s, n, d = samples.shape
     _, (samples,) = unit_scaled(samples)
@@ -392,15 +385,15 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind):
         ], axis=1)
     if kind.kind == "projection":
         dirs = _projection_directions(kind, n, d)
-        kept = samples[0] @ dirs.T if s == 1 else None
+        scores, held = np.empty((n, len(dirs))), None
 
         def projection(orders, own, slices):
+            nonlocal held
             outly = np.empty((len(orders), len(slices), n))
-            scores, held = kept, 0
             for p, t in enumerate(own):
-                if scores is None or t != held:
-                    scores = None  # freed before the next sample's scores exist
-                    scores, held = samples[t] @ dirs.T, t
+                if t != held:
+                    np.matmul(samples[t], dirs.T, out=scores)
+                    held = t
                 for g, sl in enumerate(slices):
                     outly[p, g] = projection_outlyingness(scores[orders[p, sl]], scores)
             np.add(outly, 1.0, out=outly)
@@ -408,22 +401,27 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind):
 
         return projection
 
+    w = min(n, _SPATIAL_CHUNK)
+    sample_groups = list(chunks(s, d * n * w))
+
     def spatial(orders, own, slices):
         depths = np.empty((len(orders), len(slices), n))
-        # rows of the (S * N, w) coordinate planes, one (P, m) array per group
-        references = [orders[:, sl] + n * own[:, None] for sl in slices]
-        buffer = np.empty(d * s * n * min(n, _SPATIAL_CHUNK))
-        for start, stop in _column_blocks(n):
-            # coordinate j of sample t at comps[j, t]
-            comps = buffer[: d * s * n * (stop - start)].reshape(d, s, n, stop - start)
-            for t, sample in enumerate(samples):
-                _unit_components(sample[start:stop], sample, out=comps[:, t])
-            coords = comps.reshape(d, s * n, stop - start)
-            for g, rows in enumerate(references):
-                for first, last in chunks(len(rows), rows.shape[1] * (stop - start)):
-                    part = rows[first:last]
-                    sums = np.stack([coord[part].sum(axis=1) for coord in coords])
-                    depths[first:last, g, start:stop] = _spatial_from_sums(sums, part.shape[1])
+        buffer = np.empty(d * sample_groups[0][1] * n * w)
+        for first, last in sample_groups:
+            # partitions of samples first..last - 1: rows of the group's (G * N, w) planes
+            mine = np.flatnonzero((own >= first) & (own < last))
+            rows = orders[mine] + n * (own[mine, None] - first)
+            for start, stop in _column_blocks(n):
+                shape = (d, last - first, n, stop - start)  # sample first + t at [:, t]
+                comps = buffer[: d * (last - first) * n * (stop - start)].reshape(shape)
+                for t in range(first, last):
+                    _unit_components(samples[t, start:stop], samples[t], out=comps[:, t - first])
+                coords = comps.reshape(d, -1, stop - start)
+                for g, sl in enumerate(slices):
+                    for a, b in chunks(len(rows), (sl.stop - sl.start) * (stop - start)):
+                        part = rows[a:b, sl]
+                        sums = np.stack([coord[part].sum(axis=1) for coord in coords])
+                        depths[mine[a:b], g, start:stop] = _spatial_from_sums(sums, part.shape[1])
         return depths
 
     return spatial

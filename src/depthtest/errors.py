@@ -18,7 +18,8 @@ class DegenerateSample(DepthTestError):
 
 
 class SizeLimit(DepthTestError):
-    """Input exceeds a hard cap (brute-force oracles, energy's distance matrix)."""
+    """Input exceeds a hard cap: the brute-force oracles' 64 rows, or the element
+    cap (energy's largest distance block, projection scores, a simulated sample)."""
 
 
 class SingularScatter(DepthTestError):

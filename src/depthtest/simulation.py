@@ -183,14 +183,15 @@ def _replicate(spec: ScenarioSpec, m: int, names, draw) -> dict[str, np.ndarray]
     """(R,) values of each named statistic over the spec's R replications at
     grid point m; replication r evaluates the groups ``draw(spec, m, r)``.
 
-    The replications run in :func:`~depthtest.depths.chunks` sized by the
-    larger of a data set's two :func:`~depthtest.calibration._element_counts`:
-    one engine stacks the chunk's pooled samples and evaluates the identity
-    partition of each, so every value equals the one-off
-    :func:`~depthtest.calibration.evaluate_statistics` of its data set.
+    The replications run in :func:`~depthtest.depths.chunks` sized by a
+    data set's :func:`~depthtest.calibration._element_counts`: one engine
+    stacks the chunk's pooled samples and evaluates the identity partition
+    of each, so every value equals the one-off
+    :func:`~depthtest.calibration.evaluate_statistics` of its data set. A
+    data set's (N, 2) pooled sample fits within its (k >= 2, N) depth rows.
     """
     sizes = group_sizes(spec, m)
-    each = max(_element_counts(names, spec.depth, sizes, spec.dimension))
+    each = _element_counts(names, spec.depth, sizes, spec.dimension)
     identity = np.arange(sum(sizes))
     values = {name: np.empty(spec.replications) for name in names}
     for first, stop in chunks(spec.replications, each):

@@ -244,7 +244,8 @@ def _energy_stack(pooled: np.ndarray, sizes) -> np.ndarray:
     p = len(pooled)
     k = -np.frexp(np.abs(pooled).max(axis=(1, 2)))[1]
     # (d, P, N): coordinate j of every partition's pooled rows, rescaled
-    coords = np.ldexp(pooled, k[:, None, None]).transpose(2, 0, 1).copy()
+    coords = pooled.transpose(2, 0, 1).copy()
+    np.ldexp(coords, k[:, None], out=coords)
     largest = p * max(m, n) ** 2
     distances, scratch = np.empty(largest), np.empty(largest)
 

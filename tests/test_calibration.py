@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -474,3 +476,17 @@ def test_permuted_energy_equals_cdist_reference(sizes, dim, budget, monkeypatch,
     assert sum(len(orders) for orders, _ in stacks) == spec.replications + 1
     assert len(stacks) == {1: 12, None: 12 if sizes == (300, 7) else 1, 1 << 40: 1}[budget]
     assert report.statistic == stacks[0][1][0]
+
+
+def test_energy_chunk_counts_the_pooled_gather(rng):
+    # at 5 + 5 rows in d = 50 the (N, d) gather and its (d, N) copy outweigh
+    # the 5 x 5 distance blocks; counting only the blocks put 5,242
+    # partitions in a chunk and took 60 MiB
+    groups = [rng.normal(size=(5, 50)), rng.normal(size=(5, 50))]
+    tracemalloc.start()
+    try:
+        _single(groups, "energy", None, CalibrationSpec(replications=9999, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * depths._CHUNK_ELEMENTS

@@ -235,6 +235,24 @@ class TestSpatialBlocks:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_sample_groups_fit_the_chunk_budget(self, rng):
+        # 40 samples of N = 200 in d = 2: (d, N, W) blocks of 5 samples fit a
+        # budget, so eight groups run; all 40 blocks at once take 16 MB
+        samples = rng.normal(size=(40, 200, 2))
+        orders = np.stack([rng.permutation(200) for _ in range(40)])
+        own, slices = rng.permutation(40), group_slices([90, 110])
+        tracemalloc.start()
+        try:
+            got = pooled_depths(samples, SPATIAL)(orders, own, slices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * depths._CHUNK_ELEMENTS
+        for p, (t, order) in enumerate(zip(own, orders)):
+            for g, sl in enumerate(slices):
+                want = depth_values(samples[t], samples[t][order[sl]], SPATIAL)
+                assert np.array_equal(got[p, g], want)
+
 
 def _with_exact_zeros(matrix, rng, share=0.1):
     # ties: a tenth of the entries become exact zeros, half of them -0.0

@@ -262,7 +262,7 @@ class TestBatchedReplications:
         if scenario == "null":
             runs.append((lambda: type1_quantiles(spec).rows, ("min",), 1))
         for table, evaluated, passes in runs:
-            per_dataset = max(_element_counts(evaluated, kind, sizes, 2))
+            per_dataset = _element_counts(evaluated, kind, sizes, 2)
             tables = []
             for budget, chunks in ((1, [1] * 5), (2 * per_dataset, [2, 2, 1]), (1 << 40, [5])):
                 monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
@@ -270,6 +270,24 @@ class TestBatchedReplications:
                 tables.append(table())
                 assert stack_sizes == chunks * passes
             assert tables[0] == tables[1] == tables[2]
+
+    def test_projection_chunk_holds_every_replication(self, monkeypatch):
+        # one data set's scores exist at a time, so a chunk is not cut by
+        # the N x D scores: seven data sets of m = 100 take one engine call
+        spec = _spec(scenario="scale_shift", m_grid=(100,), depth=DepthKind("projection"),
+                     replications=7, seed=2)
+        stack_sizes = []
+        values = _StatisticEngine.values
+
+        def recording(self, orders):
+            stack_sizes.append(len(orders))
+            return values(self, orders)
+
+        monkeypatch.setattr(_StatisticEngine, "values", recording)
+        for draw in (sample_scenario, simulation._sample_null):
+            stack_sizes.clear()
+            simulation._replicate(spec, 100, ("min",), draw)
+            assert stack_sizes == [7]
 
     @pytest.mark.parametrize("scenario, names", SCENARIO_NAMES, ids=("k2", "k3"))
     @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.kind)
@@ -281,14 +299,17 @@ class TestBatchedReplications:
                 one = evaluate_statistics(draw(spec, 30, r), names, kind)
                 assert {name: values[name][r] for name in names} == one
 
-    def test_multi_chunk_report_independent_of_blas_threads(self):
-        # at m = 100 a chunk holds 5 spatial or 2 projection data sets, so
-        # seven replications take several chunks
-        sizes = (100, 100)
-        for kind, size in ((DepthKind("spatial"), 5), (DepthKind("projection"), 2)):
-            each = max(_element_counts(("min",), kind, sizes, 2))
-            assert next(depths.chunks(7, each)) == (0, size)
+    def test_multi_chunk_report_independent_of_blas_threads(self, monkeypatch):
+        # a budget of 3 data sets at m = 100 splits seven replications into
+        # chunks of 3, 3 and 1 at every depth
+        budget = 3 * 400
+        for kind in (MAHAL, DepthKind("spatial"), DepthKind("projection")):
+            assert _element_counts(("min",), kind, (100, 100), 2) == 400
+        monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
+        assert list(depths.chunks(7, 400)) == [(0, 3), (3, 6), (6, 7)]
         script = (
+            "import depthtest.depths as depths\n"
+            f"depths._CHUNK_ELEMENTS = {budget}\n"
             "from depthtest.cli import main\n"
             "for depth in ('mahalanobis', 'spatial', 'projection'):\n"
             "    main(['power', '--scenario', 'scale_shift', '--m-grid', '40,100', '--reps', '7',\n"
