@@ -15,7 +15,7 @@ from .calibration import (
     mc_asymptotic_min_pvalue,
     permutation_report,
 )
-from .dataset import LabeledDataset, dump_csv, load_csv, skulls_path
+from .dataset import LabeledDataset, load_csv, skulls_path
 from .depths import DepthKind, depth_values
 from .errors import (
     DegenerateSample,
@@ -75,7 +75,6 @@ __all__ = [
     "cramer_univariate",
     "default_alpha_grid",
     "depth_values",
-    "dump_csv",
     "evaluate_statistics",
     "half_normal_pvalue",
     "hull_volume",

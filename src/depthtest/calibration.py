@@ -26,7 +26,7 @@ import numpy as np
 from .depths import DepthKind, chunks, depth_elements, pooled_depths, require_within_cap
 from .errors import DepthTestError, DimensionMismatch, DomainError, UnknownStatistic
 from .multi_sample import _max_stack, _min_stack, _product_stack, _sum_stack
-from .quality import partition_depth_rows, quality_indices
+from .quality import quality_indices
 from .rng import TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, standard_normals, substream
 from .samples import coerce_groups, group_slices
 from .two_sample import TestOutcome, _bdbr_stack, _dbr_stack, _energy_stack, cramer_univariate
@@ -123,8 +123,12 @@ def _element_counts(names, kind: DepthKind | None, sizes, dim: int) -> int:
     ``pooled`` gather and energy's (d, N) copy of it; energy's distance
     accumulator and scratch plane, both the size of its largest block; or
     the depth kernel's own (:func:`~depthtest.depths.depth_elements`),
-    which bounds the geometry it builds per pooled sample itself."""
+    which bounds the geometry it builds per pooled sample itself. Refuses
+    an energy distance block past the size cap."""
     total, reads = sum(sizes), {STATISTICS[name].reads for name in names}
+    if "energy" in names:
+        b = max(sizes)
+        require_within_cap(b * b, f"energy needs a {b} x {b} distance block")
     return max(
         len(sizes) * total,
         2 * total * dim if "pooled" in reads else 0,
@@ -138,13 +142,12 @@ class _StatisticEngine:
 
     ``datasets`` is a list of S data sets, each a list of groups, all with
     the same group sizes; each is validated and pooled. ``values(orders)``
-    evaluates, for a (P, N) stack of orders, the P partitions that put row
-    ``orders[p, t]`` of partition p's pooled sample at position t: sample 0
-    for every partition when S = 1 (permutation calibration), sample p
-    when S = P (a chunk of simulated data sets), and returns each
-    statistic's (P,) values. The observed partition is the identity order,
-    so one-off evaluation (P = 1), permutation chunks and simulation chunks
-    run the same arithmetic. The depth closure
+    evaluates every pooled sample under every order of a (P, N) stack, the
+    partition that puts row ``orders[p, j]`` of sample t at position j, and
+    returns each statistic's (S·P,) values, sample-major. Permutation
+    calibration stacks one sample (S = 1), a simulation chunk evaluates its
+    data sets under one identity order (P = 1), and one-off evaluation is
+    both, so all three run the same arithmetic. The depth closure
     (:func:`~depthtest.depths.pooled_depths`, with projection's scores
     buffer) is the only state built once per engine; each stack builds
     only the inputs the requested statistics read, once, and shares them
@@ -169,25 +172,19 @@ class _StatisticEngine:
             raise DimensionMismatch("cramer statistic expects 1-D samples")
         self.slices = group_slices(self.sizes)
         self.partition_elements = _element_counts(self.names, kind, self.sizes, dim)
-        if "energy" in self.names:
-            # its largest array: one partition's max(m, n)^2 distance block
-            b = max(self.sizes)
-            require_within_cap(b * b, f"energy needs a {b} x {b} distance block")
         self._depths_against = None
         if depth_names:
             self._depths_against = pooled_depths(self.samples, kind)
 
     def values(self, orders: np.ndarray) -> dict[str, np.ndarray]:
-        # the sample each partition reads: p of a stack of P, 0 of a stack of one
-        own = np.arange(len(orders)) % len(self.samples)
         inputs = {}
         if self._depths_against is not None:
-            rows = partition_depth_rows(self._depths_against, self.slices, orders, own)
+            rows = self._depths_against(orders, self.slices)
             inputs["depth_rows"] = rows
             if "q_matrix" in self.reads:
                 inputs["q_matrix"] = quality_indices(rows, self.sizes)
         if "pooled" in self.reads:
-            inputs["pooled"] = self.samples[own[:, None], orders]
+            inputs["pooled"] = self.samples[:, orders].reshape(-1, *self.samples.shape[1:])
         return {name: s.formula(inputs[s.reads], self.sizes) for name, s in self._entries}
 
 

@@ -99,17 +99,6 @@ def load_csv(path, group_column) -> LabeledDataset:
     return LabeledDataset(groups=groups, variable_names=names)
 
 
-def dump_csv(dataset: LabeledDataset, path, group_column_name: str = "group") -> None:
-    """Write a dataset back out; reloading yields identical sample matrices."""
-    path = Path(path)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(dataset.variable_names) + [group_column_name])
-        for label, arr in dataset.groups.items():
-            for row in arr:
-                writer.writerow([repr(float(v)) for v in row] + [label])
-
-
 def skulls_path() -> Path:
     """The bundled Egyptian skulls fixture.
 

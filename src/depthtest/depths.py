@@ -25,12 +25,12 @@ reference sample:
   :func:`chunks` budget.
 
 Depths of a pooled sample against groups of its own rows come from
-:func:`pooled_depths`, which returns the depth rows of a whole stack of
-partitions of a stack of pooled samples: Mahalanobis group by group,
-stacked over the partitions; projection partition by partition, on the
-scores of one pooled sample at a time; spatial block by block of query
-columns for a group of samples at a time, each block's unit vectors
-computed once for every partition and group.
+:func:`pooled_depths`, which evaluates every sample of a stack of pooled
+samples under every order of a stack of partitions: Mahalanobis group by
+group, stacked over the partitions; projection partition by partition,
+on the scores of one pooled sample at a time; spatial block by block of
+query columns for a group of samples at a time, each block's unit
+vectors computed once for every partition and group.
 The package's two memory rules live here too: :func:`chunks` and
 :func:`require_within_cap`.
 """
@@ -354,74 +354,83 @@ def depth_elements(kind: DepthKind, n: int, d: int) -> int:
 
 
 def pooled_depths(samples: np.ndarray, kind: DepthKind):
-    """``against(orders, own, slices)``: for a (P, N) stack of orders, the
-    (P,) sample indices ``own`` and the k group slices, the (P, k, N)
-    depths of every row of pooled sample ``own[p]`` against group g of
-    partition p, the rows ``orders[p, slices[g]]``. ``samples`` is an
-    (S, N, d) stack of pooled samples.
+    """``against(orders, slices)``: every sample of the (S, N, d) stack
+    ``samples`` under every order of a (P, N) stack, sample-major. Row g of
+    partition t·P + p of the (S·P, k, N) result holds the depth of each
+    position j, row ``orders[p, j]`` of sample t, against group g, the rows
+    ``orders[p, slices[g]]``. Permutation runs stack one sample, simulation
+    chunks evaluate one identity order.
 
-    Mahalanobis depth runs stacked over P, with the one sample broadcast
-    when S = 1. Spatial depth walks the samples in groups whose (d, N, w)
-    unit-vector blocks fit one :func:`chunks` budget together (or one
-    sample), in one buffer, and blocks of w <= ``_SPATIAL_CHUNK`` query
-    columns: a block's coordinates are summed per group, one coordinate at
-    a time, over a gather of the reference rows in partition order, for as
-    many partitions at a time as fit their (m, w) gathers into a budget.
-    Projection depth runs partition by partition into one (P, k, N) array,
-    gathering each group's reference rows from one (N, D) scores buffer,
-    refilled whenever a partition reads another sample than the one before.
-    :func:`depth_elements` gives the largest per-partition temporary. The
-    stack is first rescaled by :func:`unit_scaled`.
+    Each kernel forms the depths of the rows in sample order, and one
+    gather puts them in partition order. Mahalanobis depth runs stacked
+    over the S·P partitions, its query the samples broadcast over the
+    orders: a view when S = 1 or P = 1. Spatial depth walks the samples in
+    groups whose (d, N, w) unit-vector blocks fit one :func:`chunks` budget
+    together (or one sample), in one buffer, and blocks of w <=
+    ``_SPATIAL_CHUNK`` query columns: a block's coordinates are summed per
+    group, one coordinate at a time, over a gather of the reference rows in
+    partition order, for as many partitions at a time as fit their (m, w)
+    gathers into a budget. Projection depth runs partition by partition,
+    gathering each group's reference rows from one (N, D) scores buffer
+    filled once per sample and call. :func:`depth_elements` gives the
+    largest per-partition temporary. The stack is first rescaled by
+    :func:`unit_scaled`.
     """
     s, n, d = samples.shape
     _, (samples,) = unit_scaled(samples)
     if kind.kind == "mahalanobis":
         flat = samples.reshape(-1, d)
-        return lambda orders, own, slices: np.stack([
-            _mahalanobis_depths(
-                samples if s == 1 else samples[own], flat[orders[:, sl] + n * own[:, None]]
-            )
-            for sl in slices
-        ], axis=1)
-    if kind.kind == "projection":
-        dirs = _projection_directions(kind, n, d)
-        scores, held = np.empty((n, len(dirs))), None
+        starts = n * np.arange(s)[:, None, None]
 
-        def projection(orders, own, slices):
-            nonlocal held
-            outly = np.empty((len(orders), len(slices), n))
-            for p, t in enumerate(own):
-                if t != held:
-                    np.matmul(samples[t], dirs.T, out=scores)
-                    held = t
-                for g, sl in enumerate(slices):
-                    outly[p, g] = projection_outlyingness(scores[orders[p, sl]], scores)
+        def kernel(orders, slices):
+            query = np.broadcast_to(samples[:, None], (s, len(orders), n, d)).reshape(-1, n, d)
+            return np.stack([
+                _mahalanobis_depths(query, flat[(orders[:, sl] + starts).reshape(len(query), -1)])
+                for sl in slices
+            ], axis=1)
+
+    elif kind.kind == "projection":
+        dirs = _projection_directions(kind, n, d)
+        scores = np.empty((n, len(dirs)))
+
+        def kernel(orders, slices):
+            outly = np.empty((s, len(orders), len(slices), n))
+            for sample, rows in zip(samples, outly):
+                np.matmul(sample, dirs.T, out=scores)
+                for order, row in zip(orders, rows):
+                    for g, sl in enumerate(slices):
+                        row[g] = projection_outlyingness(scores[order[sl]], scores)
             np.add(outly, 1.0, out=outly)
             return np.divide(1.0, outly, out=outly)
 
-        return projection
+    else:
+        w = min(n, _SPATIAL_CHUNK)
+        sample_groups = list(chunks(s, d * n * w))
 
-    w = min(n, _SPATIAL_CHUNK)
-    sample_groups = list(chunks(s, d * n * w))
+        def kernel(orders, slices):
+            depths = np.empty((s * len(orders), len(slices), n))
+            buffer = np.empty(d * sample_groups[0][1] * n * w)
+            for first, last in sample_groups:
+                # sample first + t under order p: rows of the group's (G * N, w) planes
+                rows = (orders + n * np.arange(last - first)[:, None, None]).reshape(-1, n)
+                out = depths[first * len(orders) : last * len(orders)]
+                for start, stop in _column_blocks(n):
+                    shape = (d, last - first, n, stop - start)  # sample first + t at [:, t]
+                    comps = buffer[: d * (last - first) * n * (stop - start)].reshape(shape)
+                    for t in range(first, last):
+                        _unit_components(samples[t, start:stop], samples[t], out=comps[:, t - first])
+                    coords = comps.reshape(d, -1, stop - start)
+                    for g, sl in enumerate(slices):
+                        for a, b in chunks(len(rows), (sl.stop - sl.start) * (stop - start)):
+                            part = rows[a:b, sl]
+                            sums = np.stack([coord[part].sum(axis=1) for coord in coords])
+                            out[a:b, g, start:stop] = _spatial_from_sums(sums, part.shape[1])
+            return depths
 
-    def spatial(orders, own, slices):
-        depths = np.empty((len(orders), len(slices), n))
-        buffer = np.empty(d * sample_groups[0][1] * n * w)
-        for first, last in sample_groups:
-            # partitions of samples first..last - 1: rows of the group's (G * N, w) planes
-            mine = np.flatnonzero((own >= first) & (own < last))
-            rows = orders[mine] + n * (own[mine, None] - first)
-            for start, stop in _column_blocks(n):
-                shape = (d, last - first, n, stop - start)  # sample first + t at [:, t]
-                comps = buffer[: d * (last - first) * n * (stop - start)].reshape(shape)
-                for t in range(first, last):
-                    _unit_components(samples[t, start:stop], samples[t], out=comps[:, t - first])
-                coords = comps.reshape(d, -1, stop - start)
-                for g, sl in enumerate(slices):
-                    for a, b in chunks(len(rows), (sl.stop - sl.start) * (stop - start)):
-                        part = rows[a:b, sl]
-                        sums = np.stack([coord[part].sum(axis=1) for coord in coords])
-                        depths[mine[a:b], g, start:stop] = _spatial_from_sums(sums, part.shape[1])
-        return depths
+    def against(orders, slices):
+        depths, k = kernel(orders, slices), len(slices)
+        # row (t, p, g) gathers sample t's depths in the order of partition p
+        flat = orders[:, None, :] + n * np.arange(s * len(orders) * k).reshape(s, -1, k, 1)
+        return depths.reshape(-1)[flat].reshape(-1, k, n)
 
-    return spatial
+    return against

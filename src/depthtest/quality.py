@@ -9,13 +9,13 @@ on 1/2.
 For k groups every ordered pair (i, j) gives one index, with group i as
 reference. All of them come from the same depth rows: the groups are
 pooled once and the whole pooled sample is depthed against each group's
-empirical distribution. :func:`partition_depth_rows` forms the rows of a
-whole stack of partitions at once, and :func:`quality_indices` their
-(P, k, k) indices; permutation calibration feeds both chunks of
-re-partitions, and :func:`quality_matrix` is the stack of one identity
-partition. The two-sample pair :func:`quality` is entries (0, 1) and
-(1, 0) of the k = 2 matrix. The statistics on these matrices are the
-formulas of :mod:`depthtest.multi_sample`.
+empirical distribution. :func:`~depthtest.depths.pooled_depths` forms
+the rows of a whole stack of partitions at once, and
+:func:`quality_indices` their (P, k, k) indices; permutation and
+simulation chunks feed both, and :func:`quality_matrix` is one sample
+under the identity order. The two-sample pair :func:`quality` is entries
+(0, 1) and (1, 0) of the k = 2 matrix. The statistics on these matrices
+are the formulas of :mod:`depthtest.multi_sample`.
 """
 
 from __future__ import annotations
@@ -61,21 +61,6 @@ class QualityMatrix:
         return len(self.sizes)
 
 
-def partition_depth_rows(depths_against, slices, orders: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """(P, k, N) depth rows of the P partitions of a (P, N) stack of orders.
-
-    Partition p puts row ``orders[p, t]`` of pooled sample ``own[p]`` at
-    position t and group g at positions ``slices[g]``; its row g holds
-    every position's depth against group g, gathered into partition order
-    from the pooled-order depths of
-    :func:`~depthtest.depths.pooled_depths`."""
-    p, n = orders.shape
-    depths = depths_against(orders, own, slices)
-    # row (p, g) gathers its depths in the order of partition p
-    flat = orders[:, None, :] + n * np.arange(p * len(slices)).reshape(p, -1, 1)
-    return depths.reshape(-1)[flat]
-
-
 @lru_cache(maxsize=64)
 def _counting_layout(sizes: tuple[int, ...]):
     """The read-only arrays :func:`quality_indices` reuses for one set of
@@ -105,7 +90,7 @@ def _counting_layout(sizes: tuple[int, ...]):
 
 def quality_indices(rows: np.ndarray, sizes) -> np.ndarray:
     """(P, k, k) directed quality indices of a (P, k, N) stack of depth rows
-    (:func:`partition_depth_rows`); the diagonal is NaN.
+    (:func:`~depthtest.depths.pooled_depths`); the diagonal is NaN.
 
     Entry (i, j) counts, over group j's positions of row i, the group-i
     depths at or below each. Each row is sorted once, stably, with group
@@ -129,8 +114,7 @@ def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
     """All k(k-1) directed quality indices for a list of groups."""
     pooled, sizes = coerce_groups(groups)
     identity = np.arange(pooled.shape[0])[None]
-    against = pooled_depths(pooled[None], kind)
-    rows = partition_depth_rows(against, group_slices(sizes), identity, np.zeros(1, dtype=np.intp))
+    rows = pooled_depths(pooled[None], kind)(identity, group_slices(sizes))
     return QualityMatrix(q=quality_indices(rows, sizes)[0], sizes=tuple(sizes))
 
 

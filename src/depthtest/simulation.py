@@ -11,8 +11,8 @@ Replication r of grid point m draws from substream (seed, tag, m, r), so
 tables are pure functions of the ScenarioSpec. The R data sets of a grid
 point share their group sizes, so they are evaluated in chunks
 (:func:`~depthtest.depths.chunks`): one statistic engine stacks a chunk's
-pooled samples and evaluates the identity partition of each. Every value
-equals the one-off evaluation of its data set.
+pooled samples and evaluates each under the one identity order. Every
+value equals the one-off evaluation of its data set.
 """
 
 from __future__ import annotations
@@ -185,18 +185,18 @@ def _replicate(spec: ScenarioSpec, m: int, names, draw) -> dict[str, np.ndarray]
 
     The replications run in :func:`~depthtest.depths.chunks` sized by a
     data set's :func:`~depthtest.calibration._element_counts`: one engine
-    stacks the chunk's pooled samples and evaluates the identity partition
-    of each, so every value equals the one-off
+    stacks the chunk's pooled samples and evaluates each under the identity
+    order, so every value equals the one-off
     :func:`~depthtest.calibration.evaluate_statistics` of its data set. A
     data set's (N, 2) pooled sample fits within its (k >= 2, N) depth rows.
     """
     sizes = group_sizes(spec, m)
     each = _element_counts(names, spec.depth, sizes, spec.dimension)
-    identity = np.arange(sum(sizes))
+    identity = np.arange(sum(sizes))[None]
     values = {name: np.empty(spec.replications) for name in names}
     for first, stop in chunks(spec.replications, each):
         engine = _StatisticEngine([draw(spec, m, r) for r in range(first, stop)], spec.depth, names)
-        for name, stacked in engine.values(np.tile(identity, (stop - first, 1))).items():
+        for name, stacked in engine.values(identity).items():
             values[name][first:stop] = stacked
     return values
 
@@ -236,6 +236,8 @@ def power_table(spec: ScenarioSpec, statistics) -> PowerTable:
             "statistic 'cramer' needs 1-D samples; the simulation scenarios are bivariate"
         )
     eval_names = statistics if "min" in statistics else statistics + ("min",)
+    for m in spec.m_grid:  # refuse an energy block past the size cap before any draw
+        _element_counts(eval_names, spec.depth, group_sizes(spec, m), spec.dimension)
 
     rates: dict[tuple[str, int], float] = {}
     asymptotic_min: dict[int, float] = {}

@@ -27,7 +27,6 @@ from depthtest import (
 )
 from depthtest.calibration import STATISTICS, _StatisticEngine
 from depthtest.cli import main
-from depthtest.quality import partition_depth_rows
 from depthtest.rng import TAG_PERMUTATION, substream
 from oracles import arranged_depth_rows, cdist_energy, norm_cdf_quadrature
 
@@ -280,8 +279,7 @@ def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, 
         substream(spec.seed, TAG_PERMUTATION, b).permutation(pooled.shape[0])
         for b in range(spec.replications)
     ])
-    own = np.zeros(len(orders), dtype=np.intp)
-    stacked_rows = partition_depth_rows(engine._depths_against, engine.slices, orders, own)
+    stacked_rows = engine._depths_against(orders, engine.slices)
     stacked = engine.values(orders)
     counts = dict.fromkeys(names, 0)
     for b, order in enumerate(orders):

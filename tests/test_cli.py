@@ -571,6 +571,20 @@ class TestSimulationCommands:
             "20000000 elements\n"
         )
 
+    def test_energy_block_over_cap_refused_before_any_draw(self, monkeypatch, capsys):
+        # m = 200 fits; m = 4500 needs a 4500 x 4500 energy distance block
+        def no_draw(*args):
+            raise AssertionError("a data set was drawn")
+
+        monkeypatch.setattr(simulation, "_draw_groups", no_draw)
+        code = main(["power", "--scenario", "scale_shift", "--m-grid", "200,4500",
+                     "--reps", "200", "--stats", "energy", "--format", "csv"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: energy needs a 4500 x 4500 distance block, over the cap of 20000000 "
+            "elements\n"
+        )
+
     def test_type1_rows(self, tmp_path):
         out = tmp_path / "type1.csv"
         code = main(

@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from depthtest import (
     permutation_report,
 )
 from depthtest.depths import _unit_components, coordinate_distances, pooled_depths
-from depthtest.quality import partition_depth_rows
 from depthtest.samples import group_slices
 from oracles import spatial_depth_brute
 
@@ -126,8 +125,7 @@ class TestCoordinateDistances:
 
 
 def _partition_rows(pooled, sizes, kind, order):
-    against, own = pooled_depths(pooled[None], kind), np.zeros(1, dtype=np.intp)
-    return partition_depth_rows(against, group_slices(sizes), order[None], own)[0]
+    return pooled_depths(pooled[None], kind)(order[None], group_slices(sizes))[0]
 
 
 class TestPooledDepths:
@@ -164,6 +162,32 @@ class TestPooledDepths:
                 got = _partition_rows(pooled, sizes, kind, shuffled)
                 assert all(np.array_equal(o[shuffled], g) for o, g in zip(observed, got))
 
+    @pytest.mark.parametrize("kind", (MAHAL, SPATIAL, DepthKind("projection", 500, 5)),
+                             ids=lambda kind: kind.kind)
+    def test_every_sample_under_every_order(self, kind, monkeypatch, rng):
+        # S = 3 samples, each in its own power-of-two units, under P = 4
+        # orders: 12 partitions, sample-major, each row in partition order
+        monkeypatch.setattr(depths, "_directions", _dyadic_directions)
+        n, slices = 40, group_slices([12, 13, 15])
+        samples = np.stack([2.0 ** (9 * t) * rng.integers(-5, 6, size=(n, 3)) for t in range(3)])
+        orders = np.stack([np.arange(n)] + [rng.permutation(n) for _ in range(3)])
+        got = pooled_depths(samples, kind)(orders, slices)
+        assert got.shape == (12, 3, n)
+        for rows, (sample, order) in zip(got, product(samples, orders)):
+            for row, sl in zip(rows, slices):
+                assert np.array_equal(row, depth_values(sample[order], sample[order[sl]], kind))
+
+    @pytest.mark.parametrize("s, p", ((1, 5), (4, 1)))
+    def test_mahalanobis_query_is_a_view_of_the_stack(self, s, p, monkeypatch, rng):
+        # a copy of the samples broadcast over the orders would be writeable
+        queries, kernel = [], depths._mahalanobis_depths
+        monkeypatch.setattr(depths, "_mahalanobis_depths",
+                            lambda query, refs: queries.append(query) or kernel(query, refs))
+        orders = np.stack([rng.permutation(20) for _ in range(p)])
+        pooled_depths(rng.normal(size=(s, 20, 2)), MAHAL)(orders, group_slices([10, 10]))
+        assert [q.shape for q in queries] == [(s * p, 20, 2)] * 2
+        assert not any(q.flags.writeable for q in queries)
+
     @pytest.mark.parametrize("d", (1, 2, 4))
     def test_spatial_rows_match_depth_values(self, d, rng):
         # N = 270: two full blocks of 128 columns and one of 14
@@ -189,14 +213,12 @@ class TestSpatialBlocks:
         samples = np.stack([3.0**t * rng.integers(-2, 3, size=(n, 3)) for t in range(s)])
         sizes = [n // 3, n - n // 3]
         orders = np.stack([rng.permutation(n) for _ in range(3)])
-        own = np.arange(3) % s
         slices = group_slices(sizes)
-        got = pooled_depths(samples, SPATIAL)(orders, own, slices)
-        assert got.shape == (3, 2, n)
-        for p, (t, order) in enumerate(zip(own, orders)):
-            for g, sl in enumerate(slices):
-                want = depth_values(samples[t], samples[t][order[sl]], SPATIAL)
-                assert np.array_equal(got[p, g], want)
+        got = pooled_depths(samples, SPATIAL)(orders, slices)
+        assert got.shape == (3 * s, 2, n)
+        for rows, (sample, order) in zip(got, product(samples, orders)):
+            for row, sl in zip(rows, slices):
+                assert np.array_equal(row, depth_values(sample[order], sample[order[sl]], SPATIAL))
 
     @pytest.mark.parametrize("d", (2, 10))
     def test_duplicated_rows_across_blocks_tie(self, d, rng):
@@ -206,9 +228,10 @@ class TestSpatialBlocks:
         samples[:, positions] = samples[:, 5:6]
         positions.append(5)
         orders = np.stack([np.arange(n), rng.permutation(n)])
-        got = pooled_depths(samples, SPATIAL)(orders, np.arange(2), group_slices([W, W + 1]))
-        for row in got.reshape(-1, n):
-            assert len(set(row[positions])) == 1
+        got = pooled_depths(samples, SPATIAL)(orders, group_slices([W, W + 1]))
+        for rows, order in zip(got, np.tile(orders, (2, 1))):
+            for row in rows:
+                assert len(set(row[np.isin(order, positions)])) == 1
 
     def test_reports_independent_of_chunk_budget(self, monkeypatch, rng):
         # N = 2W + 1 = 257: three blocks, the last one widened
@@ -226,10 +249,10 @@ class TestSpatialBlocks:
         # N = 1000, d = 10: whole (d, N, N) coordinates would take 80 MB
         samples = rng.normal(size=(1, 1000, 10))
         orders = np.stack([np.arange(1000), rng.permutation(1000)])
-        own, slices = np.zeros(2, dtype=np.intp), group_slices([500, 500])
+        slices = group_slices([500, 500])
         tracemalloc.start()
         try:
-            partition_depth_rows(pooled_depths(samples, SPATIAL), slices, orders, own)
+            pooled_depths(samples, SPATIAL)(orders, slices)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -239,19 +262,17 @@ class TestSpatialBlocks:
         # 40 samples of N = 200 in d = 2: (d, N, W) blocks of 5 samples fit a
         # budget, so eight groups run; all 40 blocks at once take 16 MB
         samples = rng.normal(size=(40, 200, 2))
-        orders = np.stack([rng.permutation(200) for _ in range(40)])
-        own, slices = rng.permutation(40), group_slices([90, 110])
+        order, slices = rng.permutation(200), group_slices([90, 110])
         tracemalloc.start()
         try:
-            got = pooled_depths(samples, SPATIAL)(orders, own, slices)
+            got = pooled_depths(samples, SPATIAL)(order[None], slices)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * depths._CHUNK_ELEMENTS
-        for p, (t, order) in enumerate(zip(own, orders)):
-            for g, sl in enumerate(slices):
-                want = depth_values(samples[t], samples[t][order[sl]], SPATIAL)
-                assert np.array_equal(got[p, g], want)
+        for rows, sample in zip(got, samples):
+            for row, sl in zip(rows, slices):
+                assert np.array_equal(row, depth_values(sample[order], sample[order[sl]], SPATIAL))
 
 
 def _with_exact_zeros(matrix, rng, share=0.1):
@@ -376,14 +397,12 @@ class TestProjectionStrips:
         samples = np.stack([2.0**t * _flat_first_axis(rng, n, 3) for t in range(s)])
         sizes = [n // 3, n - n // 3]
         orders = np.stack([rng.permutation(n) for _ in range(4)])
-        own = np.arange(4) % s  # at S = 3 sample 0 comes back for the last partition
         slices = group_slices(sizes)
-        got = pooled_depths(samples, kind)(orders, own, slices)
-        assert got.shape == (4, 2, n)
-        for p, (t, order) in enumerate(zip(own, orders)):
-            for g, sl in enumerate(slices):
-                want = depth_values(samples[t], samples[t][order[sl]], kind)
-                assert np.array_equal(got[p, g], want)
+        got = pooled_depths(samples, kind)(orders, slices)
+        assert got.shape == (4 * s, 2, n)
+        for rows, (sample, order) in zip(got, product(samples, orders)):
+            for row, sl in zip(rows, slices):
+                assert np.array_equal(row, depth_values(sample[order], sample[order[sl]], kind))
         assert (got == 0.0).any() and (got > 0.0).any()
 
     def test_reports_independent_of_chunk_budget(self, monkeypatch, rng):
@@ -405,10 +424,10 @@ class TestProjectionStrips:
         orders = np.stack([rng.permutation(1000) for _ in range(3)])
         slices = group_slices([500, 500])
         peaks = []
-        for stack, own in ((samples[:1], np.zeros(3, dtype=np.intp)), (samples, np.arange(3))):
+        for stack, stack_orders in ((samples[:1], orders), (samples, orders[:1])):
             tracemalloc.start()
             try:
-                pooled_depths(stack, kind)(orders, own, slices)
+                pooled_depths(stack, kind)(stack_orders, slices)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

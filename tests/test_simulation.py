@@ -247,8 +247,8 @@ class TestBatchedReplications:
         values = _StatisticEngine.values
 
         def recording(self, orders):
-            assert len(self.samples) == len(orders)
-            stack_sizes.append(len(orders))
+            assert len(orders) == 1  # every data set under the identity order
+            stack_sizes.append(len(self.samples))
             return values(self, orders)
 
         monkeypatch.setattr(_StatisticEngine, "values", recording)
@@ -280,7 +280,7 @@ class TestBatchedReplications:
         values = _StatisticEngine.values
 
         def recording(self, orders):
-            stack_sizes.append(len(orders))
+            stack_sizes.append(len(self.samples))
             return values(self, orders)
 
         monkeypatch.setattr(_StatisticEngine, "values", recording)

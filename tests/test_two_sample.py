@@ -309,19 +309,18 @@ class TestEnergy:
     @pytest.mark.parametrize("sizes, dim", (((13, 9), 3), ((30, 30), 10), ((300, 7), 4), ((7, 300), 2)))
     def test_stack_equals_cdist_per_partition(self, sizes, dim, rng):
         # S = 4 data sets in one stack, each rescaled by its own power of
-        # two; partition p reads data set p % 4, in identity order for
-        # p < 4 and permuted after
+        # two, under P = 8 orders, the identity first: 32 values, sample-major
         datasets = [
             [scale * rng.normal(size=(size, dim)) for size in sizes]
             for scale in (1e-250, 1.0, 3.5, 1e250)
         ]
         datasets[1][1][0] = datasets[1][0][0]
         n, m = sum(sizes), sizes[0]
-        orders = np.vstack([np.tile(np.arange(n), (4, 1)), [rng.permutation(n) for _ in range(4)]])
+        orders = np.vstack([np.arange(n), [rng.permutation(n) for _ in range(7)]])
         got = _StatisticEngine(datasets, None, ("energy",)).values(orders)["energy"]
         pooled = [np.vstack(groups) for groups in datasets]
-        want = [cdist_energy(pooled[p % 4][o[:m]], pooled[p % 4][o[m:]]) for p, o in enumerate(orders)]
-        assert np.array_equal(got, want)
+        want = [cdist_energy(sample[o[:m]], sample[o[m:]]) for sample in pooled for o in orders]
+        assert len(got) == 32 and np.array_equal(got, want)
 
     def test_value_past_float64_range_is_domain_error(self, rng):
         x = rng.uniform(-1.0, 1.0, size=(20, 2)) * 0.85e308
