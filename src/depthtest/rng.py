@@ -43,8 +43,12 @@ def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     No rejection loop: one uniform consumed per variate, so the stream
     position is a pure function of the draw count.
     """
-    u = rng.random(shape)
+    return normals_from_uniforms(rng.random(shape))
+
+
+def normals_from_uniforms(u: np.ndarray) -> np.ndarray:
+    """``ndtri`` of an array of uniforms, in place."""
     # rng.random() can return exactly 0.0, where ndtri gives -inf; nudge
-    # into the open interval, in place.
+    # into the open interval
     np.maximum(u, np.finfo(float).tiny, out=u)
     return ndtri(u, out=u)

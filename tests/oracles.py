@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.spatial.distance import cdist
+from scipy.special import ndtri
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,40 @@ def brute_bdbr(depth_row_1, depth_row_2, n1: int, n2: int) -> float:
     b1 = aggregate(sorted(ranks1[n1:]), n2, n1)
     b2 = aggregate(sorted(ranks2[:n1]), n1, n2)
     return max(b1, b2)
+
+
+# ---------------------------------------------------------------------------
+# The k-sample limit law by the crude Monte-Carlo loop.
+# ---------------------------------------------------------------------------
+
+LIMIT_LAW_STREAM_TAG = 5  # the frozen stream tag of the limit-law draws
+
+
+def limit_law_inside(u, x: float, sizes) -> int:
+    """How many rows of the (draws, k) uniforms ``u`` give normals whose
+    pair combinations c*z_i + c_tilde*z_j all lie in [-x, x]: every
+    uniform through ``ndtri`` (0 nudged to the smallest normal double),
+    then every pair checked."""
+    k = len(sizes)
+    z = ndtri(np.maximum(u, np.finfo(float).tiny))
+    ok = np.ones(len(z), dtype=bool)
+    for i in range(k):
+        for j in range(i + 1, k):
+            tot = sizes[i] + sizes[j]
+            c, c_tilde = math.sqrt(sizes[j] / tot), math.sqrt(sizes[i] / tot)
+            ok &= np.abs(c * z[:, i] + c_tilde * z[:, j]) <= x
+    return int(ok.sum())
+
+
+def crude_limit_law_pvalue(x: float, sizes, seed: int, draws: int, rows_per_chunk: int) -> float:
+    """1 - (share of inside draws), the draws taken from the Philox stream
+    (seed, tag) in chunks of ``rows_per_chunk`` k-vectors."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, LIMIT_LAW_STREAM_TAG])))
+    inside = 0
+    for first in range(0, draws, rows_per_chunk):
+        rows = min(rows_per_chunk, draws - first)
+        inside += limit_law_inside(rng.random((rows, len(sizes))), x, sizes)
+    return 1.0 - inside / draws
 
 
 # ---------------------------------------------------------------------------

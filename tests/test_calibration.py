@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+import depthtest.calibration as calibration
 import depthtest.depths as depths
+import depthtest.rng
 from depthtest import (
     CalibrationSpec,
     DepthKind,
@@ -25,10 +28,16 @@ from depthtest import (
     quality_matrix,
     sample_scenario,
 )
-from depthtest.calibration import STATISTICS, _StatisticEngine
+from depthtest.calibration import STATISTICS, _StatisticEngine, _screen_band
 from depthtest.cli import main
 from depthtest.rng import TAG_PERMUTATION, substream
-from oracles import arranged_depth_rows, cdist_energy, norm_cdf_quadrature
+from oracles import (
+    arranged_depth_rows,
+    cdist_energy,
+    crude_limit_law_pvalue,
+    limit_law_inside,
+    norm_cdf_quadrature,
+)
 
 MAHAL = DepthKind("mahalanobis")
 
@@ -441,6 +450,105 @@ class TestMcAsymptotic:
             mc_asymptotic_min_pvalue(float("nan"), (10, 10), spec)
         with pytest.raises(DomainError):
             mc_asymptotic_min_pvalue(1.0, (10,), spec)
+
+
+LIMIT_LAW_SIZES = [
+    (30, 30), (30, 170),
+    (30, 30, 30), (30, 50, 170),
+    (30,) * 5, (10, 20, 30, 40, 300),
+    (30,) * 6, (5, 7, 11, 13, 17, 300),
+]
+LIMIT_LAW_X = (-1.0, 0.0, 1e-12, 1e-8, 0.5, 1.5, 2.3, 3.5, 8.0, 40.0, 1e300)
+
+
+@pytest.mark.parametrize("sizes", LIMIT_LAW_SIZES, ids=lambda sizes: ",".join(map(str, sizes)))
+def test_limit_law_equals_crude_loop(sizes, monkeypatch):
+    # the screen decides draws from their uniforms; the count must be the
+    # crude loop's exactly, at every x and chunk budget (3 elements a
+    # chunk is one draw row; 2^40 is every draw in one chunk)
+    for x in LIMIT_LAW_X:
+        for budget, draws in ((3, 300), (depths._CHUNK_ELEMENTS, 4001), (1 << 40, 4001)):
+            seed = 17 + draws
+            monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
+            got = mc_asymptotic_min_pvalue(x, sizes, CalibrationSpec(replications=draws, seed=seed))
+            assert got == crude_limit_law_pvalue(x, sizes, seed, draws, draws), (x, budget)
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+def _counting_ndtri(monkeypatch):
+    """Patch the package's ``ndtri`` to count the values it is called on."""
+    seen = []
+    real = depthtest.rng.ndtri
+
+    def ndtri(u, **kwargs):
+        seen.append(np.size(u))
+        return real(u, **kwargs)
+
+    monkeypatch.setattr(depthtest.rng, "ndtri", ndtri)
+    return seen
+
+
+class TestLimitLawScreen:
+    def test_most_draws_never_reach_ndtri(self, monkeypatch):
+        # x = 4, k = 3, equal sizes: |z| <= 4 / sqrt 2 for about 98.6% of
+        # the draws
+        seen = _counting_ndtri(monkeypatch)
+        spec = CalibrationSpec(replications=20_000, seed=5)
+        p = mc_asymptotic_min_pvalue(4.0, (30, 30, 30), spec)
+        assert sum(seen) < 0.05 * 60_000
+        assert p == crude_limit_law_pvalue(4.0, (30, 30, 30), 5, 20_000, 20_000)
+
+    def test_small_x_skips_the_screen(self, monkeypatch):
+        # x = 0 has an empty band, x = 1 at k = 3 would screen about 14% of
+        # the draws: every uniform goes through ndtri once, nothing else
+        seen = _counting_ndtri(monkeypatch)
+        spec = CalibrationSpec(replications=5000, seed=5)
+        assert mc_asymptotic_min_pvalue(0.0, (30, 30, 30), spec) == 1.0
+        assert sum(seen) == 15_000
+        mc_asymptotic_min_pvalue(1.0, (30, 30, 30), spec)
+        assert sum(seen) == 30_000
+        # at k = 2 a negative x has erf(t / sqrt 2)^2 near 1, and still no band
+        assert mc_asymptotic_min_pvalue(-3.0, (30, 30), spec) == 1.0
+        assert sum(seen) == 40_000
+
+    @pytest.mark.parametrize("t", np.geomspace(1e-12, 40.0, 61))
+    def test_band_is_sound_and_found_in_one_call(self, t, monkeypatch):
+        seen = _counting_ndtri(monkeypatch)
+        lo, hi = _screen_band(t)
+        assert seen == [128]
+        assert 0.0 < lo <= 0.5 <= hi < 1.0
+        inside = np.concatenate(([lo, hi], np.random.default_rng(0).uniform(lo, hi, 10_000)))
+        assert np.abs(depthtest.rng.normals_from_uniforms(inside)).max() <= t
+        # and not needlessly narrow: it holds the normal mass of [-t, t]
+        assert hi - lo >= math.erf(t / math.sqrt(2.0)) * (1.0 - 1e-3)
+
+    def test_uniforms_at_and_past_the_band_edges(self, monkeypatch):
+        # rows on the band's edges, one ulp outside them, at 0 and at 0.5;
+        # rows whose first two normals straddle the pair check's own edge
+        # sqrt(2) z = x, where a band a hair too wide would count rows the
+        # check rejects; and ordinary rows
+        x, sizes = 2.3, (30, 30, 30)
+        lo, hi = _screen_band(x * (1.0 - 1e-9) / math.sqrt(2.0))
+        edges = [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 1.0), 0.0, 0.5]
+        crossing = np.float64(0.5 * math.erfc(-x / 2.0)).view(np.int64) + np.arange(-1000, 1000)
+        straddle = np.repeat(crossing.view(np.float64)[:, None], 3, axis=1)
+        straddle[:, 2] = 0.5
+        assert 0 < limit_law_inside(straddle, x, sizes) < len(straddle)
+        rng = np.random.default_rng(3)
+        u = np.concatenate((rng.choice(edges, size=(600, 3)), straddle, rng.random((400, 3))))
+        monkeypatch.setattr(calibration, "substream", lambda *key: _FixedUniforms(u))
+        p = mc_asymptotic_min_pvalue(x, sizes, CalibrationSpec(replications=len(u), seed=0))
+        assert p == 1.0 - limit_law_inside(u, x, sizes) / len(u)
 
 
 class TestCalibrationSpecValidation:

@@ -731,6 +731,28 @@ print(json.dumps(loaded))
 """
 
 
+# `k-sample --stats min --asymptotic` at the default 10^6 limit-law draws,
+# as the crude Monte-Carlo loop reported them before the limit law's
+# screen: the screen must leave every count unchanged
+_LIMIT_LAW_REPORTS = {
+    ("c3300BC,c200BC,cAD150", 1): "3.51808028,0.001206,monte_carlo,mahalanobis,30;30;30,1",
+    ("c3300BC,c200BC,cAD150", 2026): "3.51808028,0.001349,monte_carlo,mahalanobis,30;30;30,2026",
+    (None, 1): "3.77150132,0.001527,monte_carlo,mahalanobis,30;30;30;30;30,1",
+    (None, 2026): "3.77150132,0.001568,monte_carlo,mahalanobis,30;30;30;30;30,2026",
+}
+
+
+@pytest.mark.parametrize("groups, seed", _LIMIT_LAW_REPORTS)
+def test_limit_law_reports_pinned(groups, seed, capsys):
+    argv = ["k-sample", "--input", str(skulls_path()), "--group", "epoch", "--stats", "min",
+            "--asymptotic", "--seed", str(seed), "--format", "csv"]
+    assert main(argv if groups is None else [*argv, "--groups", groups]) == 0
+    assert capsys.readouterr().out == (
+        "statistic_name,statistic,p_value,method,depth,sizes,seed\n"
+        f"min,{_LIMIT_LAW_REPORTS[groups, seed]}\n"
+    )
+
+
 def test_cli_leaves_scipy_stats_and_spatial_unloaded():
     # scipy.stats costs about a second of start-up, and scipy.spatial, with
     # the scipy.linalg and scipy.sparse it loads, 110 modules and 12 MB of
@@ -787,7 +809,7 @@ def test_reports_independent_of_simd_dispatch():
     commands = (
         ["k-sample", "--input", skulls_path(), "--group", "epoch",
          "--groups", "c3300BC,c200BC,cAD150", "--stats", "min,sum,dbr", "--perms", "99",
-         "--depth", "projection", "--seed", "3", "--format", "csv"],
+         "--depth", "projection", "--asymptotic", "--seed", "3", "--format", "csv"],
         ["power", "--scenario", "scale_shift", "--m-grid", "30", "--reps", "20",
          "--depth", "projection", "--seed", "2", "--format", "csv"],
     )
@@ -801,5 +823,5 @@ def test_reports_independent_of_simd_dispatch():
         ]
 
     plain = reports()
-    assert [text.count("\n") for text in plain] == [4, 8]
+    assert [text.count("\n") for text in plain] == [5, 8]
     assert reports(NPY_DISABLE_CPU_FEATURES=" ".join(targets)) == plain
