@@ -147,14 +147,14 @@ class _StatisticEngine:
     returns each statistic's (S·P,) values, sample-major. Permutation
     calibration stacks one sample (S = 1), a simulation chunk evaluates its
     data sets under one identity order (P = 1), and one-off evaluation is
-    both, so all three run the same arithmetic. The depth closure
-    (:func:`~depthtest.depths.pooled_depths`, with projection's scores
-    buffer) is the only state built once per engine; each stack builds
-    only the inputs the requested statistics read, once, and shares them
-    among those statistics: energy's distance blocks are computed from the
-    stack's pooled samples. ``partition_elements`` is the size of the
-    largest per-partition temporary, which permutation and simulation
-    chunks are measured in.
+    both, so all three run the same arithmetic. The engine keeps the pooled
+    samples and ``kind`` (None when no statistic reads depths), no depth
+    geometry: each stack builds only the inputs the requested statistics
+    read, once, and shares them among those statistics: its depth rows
+    come from one :func:`~depthtest.depths.pooled_depths` call, energy's
+    distance blocks from the stack's pooled samples. ``partition_elements``
+    is the size of the largest per-partition temporary, which permutation
+    and simulation chunks are measured in.
     """
 
     def __init__(self, datasets, kind: DepthKind | None, names) -> None:
@@ -172,14 +172,12 @@ class _StatisticEngine:
             raise DimensionMismatch("cramer statistic expects 1-D samples")
         self.slices = group_slices(self.sizes)
         self.partition_elements = _element_counts(self.names, kind, self.sizes, dim)
-        self._depths_against = None
-        if depth_names:
-            self._depths_against = pooled_depths(self.samples, kind)
+        self.kind = kind if depth_names else None
 
     def values(self, orders: np.ndarray) -> dict[str, np.ndarray]:
         inputs = {}
-        if self._depths_against is not None:
-            rows = self._depths_against(orders, self.slices)
+        if self.kind is not None:
+            rows = pooled_depths(self.samples, self.kind, orders, self.slices)
             inputs["depth_rows"] = rows
             if "q_matrix" in self.reads:
                 inputs["q_matrix"] = quality_indices(rows, self.sizes)

@@ -44,10 +44,13 @@ def load_csv(path, group_column) -> LabeledDataset:
     ParseError subclasses with row/column context on malformed input."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
         try:
-            rows = list(csv.reader(handle))
+            rows = list(reader)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:  # an unmatched quote can swallow the file into one field
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     rows = [row for row in rows if row]
     if not rows:
         raise ParseError(f"{path}: file is empty")

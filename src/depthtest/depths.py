@@ -25,12 +25,13 @@ reference sample:
   :func:`chunks` budget.
 
 Depths of a pooled sample against groups of its own rows come from
-:func:`pooled_depths`, which evaluates every sample of a stack of pooled
-samples under every order of a stack of partitions: Mahalanobis group by
-group, stacked over the partitions; projection partition by partition,
-on the scores of one pooled sample at a time; spatial block by block of
-query columns for a group of samples at a time, each block's unit
-vectors computed once for every partition and group.
+:func:`pooled_depths`, a plain function that returns the depth rows of
+every sample of a stack of pooled samples under every order of a stack of
+partitions: Mahalanobis group by group, stacked over the partitions;
+projection partition by partition, on the scores of one pooled sample at
+a time; spatial block by block of query columns for a group of samples
+at a time, each block's unit vectors computed once for every partition
+and group. It holds no state between calls.
 The package's two memory rules live here too: :func:`chunks` and
 :func:`require_within_cap`.
 """
@@ -344,8 +345,8 @@ def depth_elements(kind: DepthKind, n: int, d: int) -> int:
     builds per partition for n pooled rows in d dimensions: Mahalanobis'
     (d, n) deviations, spatial's (d, w) sums over a block of w = min(n,
     ``_SPATIAL_CHUNK``) columns (it cuts its (m, w) reference gathers to a
-    chunk), or one projection depth row. Each closure bounds what it builds
-    per pooled sample itself."""
+    chunk), or one projection depth row. Each kind bounds what it builds per
+    pooled sample itself."""
     if kind.kind == "mahalanobis":
         return d * n
     if kind.kind == "spatial":
@@ -353,84 +354,70 @@ def depth_elements(kind: DepthKind, n: int, d: int) -> int:
     return n
 
 
-def pooled_depths(samples: np.ndarray, kind: DepthKind):
-    """``against(orders, slices)``: every sample of the (S, N, d) stack
-    ``samples`` under every order of a (P, N) stack, sample-major. Row g of
-    partition t·P + p of the (S·P, k, N) result holds the depth of each
+def pooled_depths(samples: np.ndarray, kind: DepthKind, orders: np.ndarray, slices) -> np.ndarray:
+    """The (S·P, k, N) depth rows of every sample of the (S, N, d) stack
+    ``samples`` under every order of the (P, N) stack ``orders``,
+    sample-major. Row g of partition t·P + p holds the depth of each
     position j, row ``orders[p, j]`` of sample t, against group g, the rows
     ``orders[p, slices[g]]``. Permutation runs stack one sample, simulation
     chunks evaluate one identity order.
 
-    Each kernel forms the depths of the rows in sample order, and one
-    gather puts them in partition order. Mahalanobis depth runs stacked
-    over the S·P partitions, its query the samples broadcast over the
-    orders: a view when S = 1 or P = 1. Spatial depth walks the samples in
-    groups whose (d, N, w) unit-vector blocks fit one :func:`chunks` budget
-    together (or one sample), in one buffer, and blocks of w <=
-    ``_SPATIAL_CHUNK`` query columns: a block's coordinates are summed per
-    group, one coordinate at a time, over a gather of the reference rows in
-    partition order, for as many partitions at a time as fit their (m, w)
-    gathers into a budget. Projection depth runs partition by partition,
-    gathering each group's reference rows from one (N, D) scores buffer
-    filled once per sample and call. :func:`depth_elements` gives the
-    largest per-partition temporary. The stack is first rescaled by
-    :func:`unit_scaled`.
+    Each kind forms the depths of the rows in sample order, and one gather
+    puts them in partition order. Mahalanobis depth runs stacked over the
+    S·P partitions, its query the samples broadcast over the orders: a view
+    when S = 1 or P = 1. Spatial depth walks the samples in groups whose
+    (d, N, w) unit-vector blocks fit one :func:`chunks` budget together (or
+    one sample), in one buffer, and blocks of w <= ``_SPATIAL_CHUNK`` query
+    columns: a block's coordinates are summed per group, one coordinate at
+    a time, over a gather of the reference rows in partition order, for as
+    many partitions at a time as fit their (m, w) gathers into a budget.
+    Projection depth runs partition by partition, gathering each group's
+    reference rows from one (N, D) scores buffer filled once per sample.
+    :func:`depth_elements` gives the largest per-partition temporary. The
+    stack is first rescaled by :func:`unit_scaled`; nothing outlives the
+    call.
     """
-    s, n, d = samples.shape
+    (s, n, d), p, k = samples.shape, len(orders), len(slices)
     _, (samples,) = unit_scaled(samples)
     if kind.kind == "mahalanobis":
-        flat = samples.reshape(-1, d)
+        stacked = samples.reshape(-1, d)
         starts = n * np.arange(s)[:, None, None]
-
-        def kernel(orders, slices):
-            query = np.broadcast_to(samples[:, None], (s, len(orders), n, d)).reshape(-1, n, d)
-            return np.stack([
-                _mahalanobis_depths(query, flat[(orders[:, sl] + starts).reshape(len(query), -1)])
-                for sl in slices
-            ], axis=1)
-
+        query = np.broadcast_to(samples[:, None], (s, p, n, d)).reshape(-1, n, d)
+        depths = np.stack([
+            _mahalanobis_depths(query, stacked[(orders[:, sl] + starts).reshape(s * p, -1)])
+            for sl in slices
+        ], axis=1)
     elif kind.kind == "projection":
         dirs = _projection_directions(kind, n, d)
         scores = np.empty((n, len(dirs)))
-
-        def kernel(orders, slices):
-            outly = np.empty((s, len(orders), len(slices), n))
-            for sample, rows in zip(samples, outly):
-                np.matmul(sample, dirs.T, out=scores)
-                for order, row in zip(orders, rows):
-                    for g, sl in enumerate(slices):
-                        row[g] = projection_outlyingness(scores[order[sl]], scores)
-            np.add(outly, 1.0, out=outly)
-            return np.divide(1.0, outly, out=outly)
-
+        depths = np.empty((s, p, k, n))
+        for sample, rows in zip(samples, depths):
+            np.matmul(sample, dirs.T, out=scores)
+            for order, row in zip(orders, rows):
+                for g, sl in enumerate(slices):
+                    row[g] = projection_outlyingness(scores[order[sl]], scores)
+        np.add(depths, 1.0, out=depths)
+        np.divide(1.0, depths, out=depths)
     else:
         w = min(n, _SPATIAL_CHUNK)
         sample_groups = list(chunks(s, d * n * w))
-
-        def kernel(orders, slices):
-            depths = np.empty((s * len(orders), len(slices), n))
-            buffer = np.empty(d * sample_groups[0][1] * n * w)
-            for first, last in sample_groups:
-                # sample first + t under order p: rows of the group's (G * N, w) planes
-                rows = (orders + n * np.arange(last - first)[:, None, None]).reshape(-1, n)
-                out = depths[first * len(orders) : last * len(orders)]
-                for start, stop in _column_blocks(n):
-                    shape = (d, last - first, n, stop - start)  # sample first + t at [:, t]
-                    comps = buffer[: d * (last - first) * n * (stop - start)].reshape(shape)
-                    for t in range(first, last):
-                        _unit_components(samples[t, start:stop], samples[t], out=comps[:, t - first])
-                    coords = comps.reshape(d, -1, stop - start)
-                    for g, sl in enumerate(slices):
-                        for a, b in chunks(len(rows), (sl.stop - sl.start) * (stop - start)):
-                            part = rows[a:b, sl]
-                            sums = np.stack([coord[part].sum(axis=1) for coord in coords])
-                            out[a:b, g, start:stop] = _spatial_from_sums(sums, part.shape[1])
-            return depths
-
-    def against(orders, slices):
-        depths, k = kernel(orders, slices), len(slices)
-        # row (t, p, g) gathers sample t's depths in the order of partition p
-        flat = orders[:, None, :] + n * np.arange(s * len(orders) * k).reshape(s, -1, k, 1)
-        return depths.reshape(-1)[flat].reshape(-1, k, n)
-
-    return against
+        depths = np.empty((s * p, k, n))
+        buffer = np.empty(d * sample_groups[0][1] * n * w)
+        for first, last in sample_groups:
+            # sample first + t under order p: rows of the group's (G * N, w) planes
+            rows = (orders + n * np.arange(last - first)[:, None, None]).reshape(-1, n)
+            out = depths[first * p : last * p]
+            for start, stop in _column_blocks(n):
+                shape = (d, last - first, n, stop - start)  # sample first + t at [:, t]
+                comps = buffer[: d * (last - first) * n * (stop - start)].reshape(shape)
+                for t in range(first, last):
+                    _unit_components(samples[t, start:stop], samples[t], out=comps[:, t - first])
+                coords = comps.reshape(d, -1, stop - start)
+                for g, sl in enumerate(slices):
+                    for a, b in chunks(len(rows), (sl.stop - sl.start) * (stop - start)):
+                        part = rows[a:b, sl]
+                        sums = np.stack([coord[part].sum(axis=1) for coord in coords])
+                        out[a:b, g, start:stop] = _spatial_from_sums(sums, part.shape[1])
+    # row (t, p, g) gathers sample t's depths in the order of partition p
+    positions = orders[:, None, :] + n * np.arange(s * p * k).reshape(s, -1, k, 1)
+    return depths.reshape(-1)[positions].reshape(-1, k, n)

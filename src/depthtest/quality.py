@@ -114,7 +114,7 @@ def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
     """All k(k-1) directed quality indices for a list of groups."""
     pooled, sizes = coerce_groups(groups)
     identity = np.arange(pooled.shape[0])[None]
-    rows = pooled_depths(pooled[None], kind)(identity, group_slices(sizes))
+    rows = pooled_depths(pooled[None], kind, identity, group_slices(sizes))
     return QualityMatrix(q=quality_indices(rows, sizes)[0], sizes=tuple(sizes))
 
 

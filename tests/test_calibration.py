@@ -288,7 +288,7 @@ def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, 
         substream(spec.seed, TAG_PERMUTATION, b).permutation(pooled.shape[0])
         for b in range(spec.replications)
     ])
-    stacked_rows = engine._depths_against(orders, engine.slices)
+    stacked_rows = depths.pooled_depths(engine.samples, engine.kind, orders, engine.slices)
     stacked = engine.values(orders)
     counts = dict.fromkeys(names, 0)
     for b, order in enumerate(orders):
@@ -596,3 +596,18 @@ def test_energy_chunk_counts_the_pooled_gather(rng):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * depths._CHUNK_ELEMENTS
+
+
+def test_engine_holds_no_depth_geometry_between_calls(rng):
+    # N = 1000, D = 500: a projection scores buffer kept between calls
+    # would alone hold 4 MB after the values are returned
+    groups = [rng.normal(size=(500, 10)), rng.normal(size=(500, 10))]
+    tracemalloc.start()
+    try:
+        engine = _StatisticEngine([groups], DepthKind("projection"), ("min",))
+        engine.values(np.arange(engine.total)[None])
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 1000 * 500 * 8
+    assert not any(callable(value) for value in vars(engine).values())

@@ -223,6 +223,18 @@ class TestExitCodes:
         assert code == 1
         assert f"{data}: not UTF-8 text" in capsys.readouterr().err
 
+    def test_oversized_field_is_data_error(self, tmp_path, capsys):
+        # an unmatched quote on line 3 makes the rest of a 160 KB file one
+        # field, past the csv module's 131,072-character limit
+        data = tmp_path / "unmatched.csv"
+        data.write_text("a,b,g\n1.0,2.0,x\n\"3.0,4.0,x\n" + "5.0,6.0,y\n" * 16_000)
+        code = main(["two-sample", "--input", str(data), "--group", "g", "--stats", "min"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {data}: line ")
+        assert "field larger than field limit" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         (

@@ -125,7 +125,7 @@ class TestCoordinateDistances:
 
 
 def _partition_rows(pooled, sizes, kind, order):
-    return pooled_depths(pooled[None], kind)(order[None], group_slices(sizes))[0]
+    return pooled_depths(pooled[None], kind, order[None], group_slices(sizes))[0]
 
 
 class TestPooledDepths:
@@ -171,7 +171,7 @@ class TestPooledDepths:
         n, slices = 40, group_slices([12, 13, 15])
         samples = np.stack([2.0 ** (9 * t) * rng.integers(-5, 6, size=(n, 3)) for t in range(3)])
         orders = np.stack([np.arange(n)] + [rng.permutation(n) for _ in range(3)])
-        got = pooled_depths(samples, kind)(orders, slices)
+        got = pooled_depths(samples, kind, orders, slices)
         assert got.shape == (12, 3, n)
         for rows, (sample, order) in zip(got, product(samples, orders)):
             for row, sl in zip(rows, slices):
@@ -184,7 +184,7 @@ class TestPooledDepths:
         monkeypatch.setattr(depths, "_mahalanobis_depths",
                             lambda query, refs: queries.append(query) or kernel(query, refs))
         orders = np.stack([rng.permutation(20) for _ in range(p)])
-        pooled_depths(rng.normal(size=(s, 20, 2)), MAHAL)(orders, group_slices([10, 10]))
+        pooled_depths(rng.normal(size=(s, 20, 2)), MAHAL, orders, group_slices([10, 10]))
         assert [q.shape for q in queries] == [(s * p, 20, 2)] * 2
         assert not any(q.flags.writeable for q in queries)
 
@@ -214,7 +214,7 @@ class TestSpatialBlocks:
         sizes = [n // 3, n - n // 3]
         orders = np.stack([rng.permutation(n) for _ in range(3)])
         slices = group_slices(sizes)
-        got = pooled_depths(samples, SPATIAL)(orders, slices)
+        got = pooled_depths(samples, SPATIAL, orders, slices)
         assert got.shape == (3 * s, 2, n)
         for rows, (sample, order) in zip(got, product(samples, orders)):
             for row, sl in zip(rows, slices):
@@ -228,7 +228,7 @@ class TestSpatialBlocks:
         samples[:, positions] = samples[:, 5:6]
         positions.append(5)
         orders = np.stack([np.arange(n), rng.permutation(n)])
-        got = pooled_depths(samples, SPATIAL)(orders, group_slices([W, W + 1]))
+        got = pooled_depths(samples, SPATIAL, orders, group_slices([W, W + 1]))
         for rows, order in zip(got, np.tile(orders, (2, 1))):
             for row in rows:
                 assert len(set(row[np.isin(order, positions)])) == 1
@@ -252,7 +252,7 @@ class TestSpatialBlocks:
         slices = group_slices([500, 500])
         tracemalloc.start()
         try:
-            pooled_depths(samples, SPATIAL)(orders, slices)
+            pooled_depths(samples, SPATIAL, orders, slices)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -265,7 +265,7 @@ class TestSpatialBlocks:
         order, slices = rng.permutation(200), group_slices([90, 110])
         tracemalloc.start()
         try:
-            got = pooled_depths(samples, SPATIAL)(order[None], slices)
+            got = pooled_depths(samples, SPATIAL, order[None], slices)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,7 +398,7 @@ class TestProjectionStrips:
         sizes = [n // 3, n - n // 3]
         orders = np.stack([rng.permutation(n) for _ in range(4)])
         slices = group_slices(sizes)
-        got = pooled_depths(samples, kind)(orders, slices)
+        got = pooled_depths(samples, kind, orders, slices)
         assert got.shape == (4 * s, 2, n)
         for rows, (sample, order) in zip(got, product(samples, orders)):
             for row, sl in zip(rows, slices):
@@ -427,7 +427,7 @@ class TestProjectionStrips:
         for stack, stack_orders in ((samples[:1], orders), (samples, orders[:1])):
             tracemalloc.start()
             try:
-                pooled_depths(stack, kind)(stack_orders, slices)
+                pooled_depths(stack, kind, stack_orders, slices)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
