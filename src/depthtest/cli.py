@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import sys
@@ -79,10 +78,6 @@ def _fmt_p(value: float | None) -> float | None:
 
 def _depth(args: argparse.Namespace) -> DepthKind:
     return DepthKind(kind=args.depth, direction_count=args.directions, direction_seed=args.seed)
-
-
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _depth_label(kind: DepthKind | None) -> str:
@@ -184,7 +179,7 @@ def _run_tests(args: argparse.Namespace) -> dict:
             p, method = _asymptotic_pvalue(name, observed[name], sizes, args)
             outcomes.append(statistic_outcome(name, observed[name], p, method, depth, sizes))
     rows = [_outcome_row(outcome, args.seed) for outcome in outcomes]
-    return {"results": rows, "labels": list(dataset.labels)}
+    return {"results": rows, "fixture_hashes": {args.input: dataset.sha256}}
 
 
 def _run_power(args: argparse.Namespace) -> dict:
@@ -254,7 +249,7 @@ def _run_scale_curve(args: argparse.Namespace) -> dict:
             rows.append(
                 {"group": label, "alpha": float(f"{alpha:.6g}"), "volume": _fmt_stat(volume)}
             )
-    return {"results": rows}
+    return {"results": rows, "fixture_hashes": {args.input: dataset.sha256}}
 
 
 def _emit(args: argparse.Namespace, body: dict) -> None:
@@ -262,7 +257,7 @@ def _emit(args: argparse.Namespace, body: dict) -> None:
         report = {
             "config": {key: getattr(args, key) for key in CONFIG_KEYS},
             "results": body["results"],
-            "fixture_hashes": {args.input: _sha256(args.input)} if args.input else {},
+            "fixture_hashes": body.get("fixture_hashes", {}),
         }
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:

@@ -7,11 +7,15 @@ never imports the production implementations it checks.
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import ndtri
+
+from depthtest.errors import MissingGroupColumn, NonNumericCell, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +317,72 @@ def brute_quality_counts(ref_depths, other_depths) -> float:
             if rv <= dv:
                 total += 1
     return total / (len(ref_depths) * len(other_depths))
+
+
+# ---------------------------------------------------------------------------
+# CSV loading: csv.reader over a text handle and one float() per cell.
+# ---------------------------------------------------------------------------
+
+
+def load_csv_reference(path, group_column):
+    """The row-by-row loader: (groups by sorted label, variable names), or
+    the loader's exception with the same type and message. A csv module
+    error names the line the reader had reached when it failed."""
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    rows = [row for row in rows if row]
+    if not rows:
+        raise ParseError(f"{path}: file is empty")
+    header = [cell.strip() for cell in rows[0]]
+    rows = rows[1:]
+    if not rows:
+        raise ParseError(f"{path}: no data rows after header")
+
+    width = len(header)
+    if isinstance(group_column, int) or (isinstance(group_column, str) and group_column.isdigit()):
+        group_idx = int(group_column)
+        if not 0 <= group_idx < width:
+            raise MissingGroupColumn(f"group column index {group_idx} out of range")
+    else:
+        positions = [i for i, name in enumerate(header) if name == group_column]
+        if not positions:
+            raise MissingGroupColumn(f"group column {group_column!r} not in header {header}")
+        if len(positions) > 1:
+            raise MissingGroupColumn(
+                f"group column {group_column!r} appears {len(positions)} times in the header, "
+                f"at 0-based positions {positions}; select one by index"
+            )
+        group_idx = positions[0]
+
+    if width < 2:
+        raise ParseError(f"{path}: need at least one numeric column besides the group column")
+    data = {}
+    for rownum, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise ParseError(f"{path}: row {rownum} has {len(row)} fields, expected {width}")
+        label = row[group_idx].strip()
+        values = []
+        for colnum, cell in enumerate(row):
+            if colnum == group_idx:
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise NonNumericCell(
+                    f"{path}: row {rownum}, column {colnum + 1}: {cell!r} is not numeric"
+                ) from None
+        data.setdefault(label, []).append(values)
+
+    groups = {label: np.asarray(data[label], dtype=float) for label in sorted(data)}
+    for label, arr in groups.items():
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"{path}: group {label!r} contains non-finite values")
+    names = tuple(name for i, name in enumerate(header) if i != group_idx)
+    return groups, names

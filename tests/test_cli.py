@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,24 @@ import depthtest.depths as depths
 import depthtest.simulation as simulation
 from depthtest.cli import _build_parser, main
 from depthtest import skulls_path
+
+
+# Runs the CLI on argv[2:] and prints how often it opened the file argv[1].
+_OPEN_PROBE = """
+import os, sys
+target = sys.argv[1]
+opens = []
+
+def count(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)) and os.fspath(args[0]) == target:
+        opens.append(args[1])
+
+sys.addaudithook(count)
+from depthtest.cli import main
+code = main(sys.argv[2:])
+print(f"opens of the input: {len(opens)}")
+sys.exit(code)
+"""
 
 
 def _write_two_identical_groups(path, rng):
@@ -88,6 +107,25 @@ class TestTwoSampleCommand:
         }
         assert row["sizes"] == [25, 25]
         assert row["seed"] == 1
+
+    @pytest.mark.parametrize("command", (
+        ["two-sample", "--stats", "min", "--perms", "9"],
+        ["k-sample", "--stats", "min,sum", "--asymptotic", "--mc-draws", "100"],
+        ["scale-curve", "--alphas", "0.5"],
+    ), ids=lambda command: command[0])
+    def test_fixture_hash_is_of_the_bytes_read_once(self, tmp_path, rng, command):
+        data = tmp_path / "two.csv"
+        out = tmp_path / "report.json"
+        _write_two_identical_groups(data, rng)
+        done = subprocess.run(
+            [sys.executable, "-c", _OPEN_PROBE, str(data), *command,
+             "--input", str(data), "--group", "grp", "--seed", "1", "--output", str(out)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.stdout == "opens of the input: 1\n"
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert json.loads(out.read_text())["fixture_hashes"] == {str(data): digest}
 
     def test_csv_format(self, tmp_path, rng):
         data = tmp_path / "two.csv"
