@@ -27,7 +27,9 @@ from .depths import DepthKind, chunks, depth_elements, pooled_depths, require_wi
 from .errors import DepthTestError, DimensionMismatch, DomainError, UnknownStatistic
 from .multi_sample import _max_stack, _min_stack, _product_stack, _sum_stack
 from .quality import quality_indices
-from .rng import TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, normals_from_uniforms, substream
+from .rng import (
+    TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, key_element, normals_from_uniforms, substream,
+)
 from .samples import coerce_groups, group_slices
 from .two_sample import TestOutcome, _bdbr_stack, _dbr_stack, _energy_stack, cramer_univariate
 
@@ -84,6 +86,7 @@ class CalibrationSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        key_element(self.seed, "seed")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -267,6 +270,10 @@ def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationS
 # margin far above ndtri's error (a few ulps) and the rounding of
 # c*z_i + c_tilde*z_j, so a screened draw passes every pair check exactly.
 _SCREEN_MARGIN = 1e-9
+# Unscreened draws get their normals in blocks of this many uniforms (the
+# last cut to a power of two of rows), so that the sizes a long run
+# allocates come from a fixed set.
+_BLOCK_ELEMENTS = 1 << 14
 # Steps of 0, 1, 2, 4, ..., 2^62 bit patterns toward 0.5 from the guesses
 # of the low and the high band edge; the last reaches 0.5 from any positive
 # double below 1.
@@ -308,6 +315,48 @@ def _rows_within(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return rows
 
 
+def _inside_counts(remainders, x: float, weights) -> tuple[int, int]:
+    """``(rows, inside)``: how many rows the (n, k) uniform arrays of
+    ``remainders`` hold, and how many of them give normals whose every
+    pair value c*z_i + c_tilde*z_j lies in [-x, x].
+
+    The rows are gathered across the arrays into blocks of
+    ``_BLOCK_ELEMENTS`` uniforms, each turned into normals by one
+    ``normals_from_uniforms`` call. The last block is cut to the smallest
+    power of two of rows that holds it and padded with 0.5, whose normal
+    is exactly 0; padding rows are never counted. Block sizes thus come
+    from a fixed set, so that a long run does not fragment the heap.
+    """
+    block, filled = None, 0
+    rows = inside = 0
+
+    def count(uniforms: np.ndarray, n: int) -> int:
+        z = normals_from_uniforms(uniforms)
+        ok = np.ones(z.shape[1], dtype=bool)
+        for i, j, c, c_tilde in weights:
+            ok &= np.abs(c * z[i] + c_tilde * z[j]) <= x
+        return int(np.count_nonzero(ok[:n]))
+
+    for u in remainders:
+        if block is None:
+            block = np.empty((u.shape[1], max(1, _BLOCK_ELEMENTS // u.shape[1])))
+        rows += len(u)
+        first = 0
+        while first < len(u):
+            take = min(block.shape[1] - filled, len(u) - first)
+            block[:, filled:filled + take] = u[first:first + take].T
+            filled += take
+            first += take
+            if filled == block.shape[1]:
+                inside += count(block, filled)
+                filled = 0
+    if filled:
+        last = block[:, :min(block.shape[1], 1 << (filled - 1).bit_length())]
+        last[:, filled:] = 0.5
+        inside += count(last, filled)
+    return rows, inside
+
+
 def mc_asymptotic_min_pvalue(x: float, sizes, spec: CalibrationSpec) -> float:
     """Upper-tail asymptotic p-value of the k-sample minimum statistic.
 
@@ -326,11 +375,11 @@ def mc_asymptotic_min_pvalue(x: float, sizes, spec: CalibrationSpec) -> float:
     itself, and a draw with all k uniforms in it counts as inside without
     its normals. ndtri is monotone up to a few ulps, far inside the 1e-9
     margin, so each screened draw passes the pair checks it skips. Every
-    other draw takes the unscreened path, and the draws, their chunks and
-    the stream are unchanged: the count is the unscreened count exactly.
-    The screen runs only when erf(t / sqrt 2)^k, the share of draws it
-    would decide, is at least a half; below that its pass costs more than
-    it saves.
+    other draw takes the unscreened path (:func:`_inside_counts`), and the
+    draws, their chunks and the stream are unchanged: the count is the
+    unscreened count exactly. The screen runs only when erf(t / sqrt 2)^k,
+    the share of draws it would decide, is at least a half; below that its
+    pass costs more than it saves.
     """
     if not np.isfinite(x):
         raise DomainError("statistic must be finite")
@@ -345,16 +394,13 @@ def mc_asymptotic_min_pvalue(x: float, sizes, spec: CalibrationSpec) -> float:
     t = x * (1.0 - _SCREEN_MARGIN) / max(c + c_tilde for _, _, c, c_tilde in weights)
     band = _screen_band(t) if t > 0.0 and math.erf(t / math.sqrt(2.0)) ** k >= 0.5 else None
     rng = substream(spec.seed, TAG_MC_ASYMPTOTIC)
-    inside = 0
-    for first, stop in chunks(spec.replications, k):
-        u = rng.random((stop - first, k))
-        if band is not None:
-            screened = _rows_within(u, *band)
-            inside += int(np.count_nonzero(screened))
-            u = np.compress(~screened, u, axis=0)
-        z = normals_from_uniforms(u)
-        ok = np.ones(len(z), dtype=bool)
-        for i, j, c, c_tilde in weights:
-            ok &= np.abs(c * z[:, i] + c_tilde * z[:, j]) <= x
-        inside += int(ok.sum())
+
+    def unscreened():
+        for first, stop in chunks(spec.replications, k):
+            u = rng.random((stop - first, k))
+            yield u if band is None else np.compress(~_rows_within(u, *band), u, axis=0)
+
+    rows, inside = _inside_counts(unscreened(), x, weights)
+    # every screened draw is inside
+    inside += spec.replications - rows
     return 1.0 - inside / spec.replications

@@ -20,7 +20,6 @@ import functools
 import io
 import json
 import sys
-from pathlib import Path
 
 from .calibration import (
     STATISTICS,
@@ -269,7 +268,10 @@ def _emit(args: argparse.Namespace, body: dict) -> None:
             writer.writerow(";".join(map(str, c)) if isinstance(c, list) else c for c in cells)
         text = buffer.getvalue()
     if args.output:
-        Path(args.output).write_text(text)
+        # open(), not Path: Path interns the parts of each new file name,
+        # which churns a long-lived process's interned-string table
+        with open(args.output, "w") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSample, SingularCovariance, SizeLimit
-from .rng import TAG_DIRECTIONS, standard_normals, substream
+from .rng import TAG_DIRECTIONS, key_element, standard_normals, substream
 from .samples import as_sample_matrix, require_same_dimension
 
 VALID_KINDS = ("mahalanobis", "spatial", "projection")
@@ -109,6 +109,7 @@ class DepthKind:
     direction_seed: int = 0
 
     def __post_init__(self) -> None:
+        key_element(self.direction_seed, "direction_seed")
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown depth kind {self.kind!r}; expected one of {VALID_KINDS}")
         if self.kind == "projection" and self.direction_count < 1:

@@ -10,9 +10,11 @@ at the fixed asymptotic cutoff 1.96 is reported as a secondary column.
 Replication r of grid point m draws from substream (seed, tag, m, r), so
 tables are pure functions of the ScenarioSpec. The R data sets of a grid
 point share their group sizes, so they are evaluated in chunks
-(:func:`~depthtest.depths.chunks`): one statistic engine stacks a chunk's
-pooled samples and evaluates each under the one identity order. Every
-value equals the one-off evaluation of its data set.
+(:func:`~depthtest.depths.chunks`): a chunk's data sets are drawn
+together, each from its own substream, their uniforms turned into normals
+in one call, and one statistic engine stacks their pooled samples and
+evaluates each under the one identity order. Every value equals the
+one-off evaluation of its data set.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from .depths import (
     require_within_cap,
 )
 from .errors import DomainError, UnknownStatistic
-from .rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
+from .rng import (
+    TAG_NULL_CALIBRATION, TAG_SCENARIO, key_element, normals_from_uniforms, substream,
+)
+from .samples import group_slices
 
 ASYMPTOTIC_UPPER_95 = 1.96
 
@@ -78,6 +83,7 @@ class ScenarioSpec:
     alpha_level: float = 0.05
 
     def __post_init__(self) -> None:
+        key_element(self.seed, "seed")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.size_rule not in SIZE_RULES:
@@ -152,50 +158,58 @@ def group_sizes(spec: ScenarioSpec, m: int) -> tuple[int, ...]:
     return (m, m // 2, m // 4)
 
 
-def _draw_groups(params, sizes, key) -> list[np.ndarray]:
-    """Groups ``mean + z @ factor.T`` for the (mean, factor) ``params``, with
-    z standard normal from substream ``key``."""
-    rng = substream(*key)
-    groups = []
-    for (mean, factor), count in zip(params, sizes):
-        z = standard_normals(rng, (count, mean.size))
-        groups.append(mean + z @ factor.T)
-    return groups
+def _draw_groups(params, sizes, keys) -> list[list[np.ndarray]]:
+    """One data set per substream key: groups ``mean + z @ factor.T`` for
+    the (mean, factor) ``params``, with z standard normal from the key's
+    stream, group after group in stream order. The uniforms of all the
+    data sets become normals in one ``normals_from_uniforms`` call."""
+    dim = params[0][0].size
+    u = np.stack([substream(*key).random((sum(sizes), dim)) for key in keys])
+    z = normals_from_uniforms(u)
+    slices = group_slices(sizes)
+    return [
+        [mean + normals[rows] @ factor.T for (mean, factor), rows in zip(params, slices)]
+        for normals in z
+    ]
+
+
+def _datasets(spec: ScenarioSpec, m: int, replications, tag: int) -> list[list[np.ndarray]]:
+    """The data sets of ``replications`` at grid point m, replication r from
+    substream (seed, tag, m, r): the scenario's groups for TAG_SCENARIO;
+    for TAG_NULL_CALIBRATION, homogeneous draws (all groups standard
+    normal) at the scenario's sizes, on a stream disjoint from them."""
+    if tag == TAG_SCENARIO:
+        params = _FACTORED[spec.scenario]
+    else:
+        params = _FACTORED["null"][:1] * spec.group_count
+    keys = [(spec.seed, tag, m, r) for r in replications]
+    return _draw_groups(params, group_sizes(spec, m), keys)
 
 
 def sample_scenario(spec: ScenarioSpec, m: int, replication: int) -> list[np.ndarray]:
     """Group samples for one replication, from substream (seed, m, replication)."""
-    sizes = group_sizes(spec, m)
-    return _draw_groups(
-        _FACTORED[spec.scenario], sizes, (spec.seed, TAG_SCENARIO, m, replication)
-    )
+    return _datasets(spec, m, (replication,), TAG_SCENARIO)[0]
 
 
-def _sample_null(spec: ScenarioSpec, m: int, replication: int) -> list[np.ndarray]:
-    """Homogeneous draws (all groups standard normal) at the scenario's sizes,
-    on a stream disjoint from the evaluation draws."""
-    sizes = group_sizes(spec, m)
-    params = _FACTORED["null"][:1] * spec.group_count
-    return _draw_groups(params, sizes, (spec.seed, TAG_NULL_CALIBRATION, m, replication))
-
-
-def _replicate(spec: ScenarioSpec, m: int, names, draw) -> dict[str, np.ndarray]:
+def _replicate(spec: ScenarioSpec, m: int, names, tag: int) -> dict[str, np.ndarray]:
     """(R,) values of each named statistic over the spec's R replications at
-    grid point m; replication r evaluates the groups ``draw(spec, m, r)``.
+    grid point m; replication r evaluates the data set ``_datasets`` draws
+    for it under ``tag``.
 
     The replications run in :func:`~depthtest.depths.chunks` sized by a
-    data set's :func:`~depthtest.calibration._element_counts`: one engine
-    stacks the chunk's pooled samples and evaluates each under the identity
-    order, so every value equals the one-off
-    :func:`~depthtest.calibration.evaluate_statistics` of its data set. A
-    data set's (N, 2) pooled sample fits within its (k >= 2, N) depth rows.
+    data set's :func:`~depthtest.calibration._element_counts`: the chunk's
+    data sets are drawn together, and one engine stacks their pooled
+    samples and evaluates each under the identity order, so every value
+    equals the one-off :func:`~depthtest.calibration.evaluate_statistics`
+    of its data set. A data set's (N, 2) pooled sample fits within its
+    (k >= 2, N) depth rows.
     """
     sizes = group_sizes(spec, m)
     each = _element_counts(names, spec.depth, sizes, spec.dimension)
     identity = np.arange(sum(sizes))[None]
     values = {name: np.empty(spec.replications) for name in names}
     for first, stop in chunks(spec.replications, each):
-        engine = _StatisticEngine([draw(spec, m, r) for r in range(first, stop)], spec.depth, names)
+        engine = _StatisticEngine(_datasets(spec, m, range(first, stop), tag), spec.depth, names)
         for name, stacked in engine.values(identity).items():
             values[name][first:stop] = stacked
     return values
@@ -208,7 +222,7 @@ def type1_quantiles(spec: ScenarioSpec) -> TypeOneTable:
         raise DomainError("type-I quantiles are defined for the null scenario")
     rows = []
     for m in spec.m_grid:
-        values = _replicate(spec, m, ("min",), sample_scenario)["min"]
+        values = _replicate(spec, m, ("min",), TAG_SCENARIO)["min"]
         quantile = _critical_value(values, "upper", spec.alpha_level)
         rows.append(TypeOneRow(m=m, sizes=group_sizes(spec, m), quantile=quantile))
     return TypeOneTable(rows=tuple(rows), reference=ASYMPTOTIC_UPPER_95, spec=spec)
@@ -244,8 +258,8 @@ def power_table(spec: ScenarioSpec, statistics) -> PowerTable:
     sizes_by_m: dict[int, tuple[int, ...]] = {}
     for m in spec.m_grid:
         sizes_by_m[m] = group_sizes(spec, m)
-        null_values = _replicate(spec, m, statistics, _sample_null)
-        values = _replicate(spec, m, eval_names, sample_scenario)
+        null_values = _replicate(spec, m, statistics, TAG_NULL_CALIBRATION)
+        values = _replicate(spec, m, eval_names, TAG_SCENARIO)
         for name in statistics:
             tail = STATISTICS[name].tail
             crit = _critical_value(null_values[name], tail, spec.alpha_level)

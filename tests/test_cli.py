@@ -530,7 +530,7 @@ class TestConfigBlock:
         }
 
 
-def _no_simulation(spec, m, names, draw):
+def _no_simulation(spec, m, names, tag):
     """Stands in for simulation._replicate: the config block does not
     depend on the simulated values."""
     return {name: np.zeros(spec.replications) for name in names}
@@ -765,17 +765,20 @@ class TestScaleCurveCommand:
 _HEAVY_SCIPY_PROBE = """
 import json, os, sys
 import depthtest.cli
-heavy = ("scipy.stats", "scipy.spatial", "scipy.linalg", "scipy.sparse")
+heavy = ("scipy.stats", "scipy.spatial", "scipy.linalg", "scipy.sparse", "scipy.special",
+         "numpy.f2py")
 loaded = [[name for name in heavy if name in sys.modules]]
-skulls = str(depthtest.skulls_path())
+data = ["--input", str(depthtest.skulls_path()), "--group", "epoch"]
 for argv in (
-    ["k-sample", "--depth", "spatial", "--stats", "min,dbr", "--perms", "9", "--asymptotic",
+    ["k-sample", *data, "--depth", "spatial", "--stats", "min,dbr", "--perms", "9",
+     "--asymptotic", "--mc-draws", "1000"],
+    ["k-sample", *data, "--depth", "projection", "--stats", "min", "--asymptotic",
      "--mc-draws", "1000"],
-    ["two-sample", "--groups", "c4000BC,cAD150", "--stats", "energy,min", "--perms", "9"],
+    ["two-sample", *data, "--groups", "c4000BC,cAD150", "--stats", "energy,min", "--perms", "9"],
+    ["power", "--scenario", "scale_shift", "--m-grid", "20", "--reps", "3"],
+    ["type1", "--scenario", "null", "--m-grid", "20", "--reps", "3", "--depth", "projection"],
 ):
-    code = depthtest.cli.main(
-        [argv[0], "--input", skulls, "--group", "epoch", *argv[1:], "--output", os.devnull]
-    )
+    code = depthtest.cli.main([*argv, "--output", os.devnull])
     loaded.append([code, *(name for name in heavy if name in sys.modules)])
 print(json.dumps(loaded))
 """
@@ -806,12 +809,14 @@ def test_limit_law_reports_pinned(groups, seed, capsys):
 def test_cli_leaves_scipy_stats_and_spatial_unloaded():
     # scipy.stats costs about a second of start-up, and scipy.spatial, with
     # the scipy.linalg and scipy.sparse it loads, 110 modules and 12 MB of
-    # RSS; only scale curves need scipy.spatial (qhull)
+    # RSS; scipy.special, with the numpy.f2py its array-API layer loads,
+    # 0.3 s and 20 MB. Only scale curves need scipy.spatial (qhull), and
+    # only MANOVA scipy.special (fdtrc); normals come from the numpy ndtri
     done = subprocess.run(
         [sys.executable, "-c", _HEAVY_SCIPY_PROBE], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert json.loads(done.stdout) == [[], [0], [0]]
+    assert json.loads(done.stdout) == [[], [0], [0], [0], [0], [0]]
 
 
 def test_large_projection_report_independent_of_blas_threads(tmp_path):

@@ -82,13 +82,12 @@ class TestScenarioSampling:
         spec = _spec(scenario=scenario, m_grid=(12,), size_rule="half", seed=10)
         sizes = group_sizes(spec, 12)
         null = [(np.zeros(2), np.eye(2))] * spec.group_count
-        for draw, tag, params in ((sample_scenario, TAG_SCENARIO, SCENARIOS[scenario]),
-                                  (simulation._sample_null, TAG_NULL_CALIBRATION, null)):
+        for tag, params in ((TAG_SCENARIO, SCENARIOS[scenario]), (TAG_NULL_CALIBRATION, null)):
             for r in (0, 5):
                 rng = substream(spec.seed, tag, 12, r)
                 want = [mean + standard_normals(rng, (count, 2)) @ np.linalg.cholesky(cov).T
                         for (mean, cov), count in zip(params, sizes)]
-                got = draw(spec, 12, r)
+                got = simulation._datasets(spec, 12, (r,), tag)[0]
                 assert len(got) == len(want)
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -223,8 +222,7 @@ class TestPower:
         def no_draw(*args):
             raise AssertionError("drew a data set")
 
-        monkeypatch.setattr(simulation, "sample_scenario", no_draw)
-        monkeypatch.setattr(simulation, "_sample_null", no_draw)
+        monkeypatch.setattr(simulation, "_draw_groups", no_draw)
         with pytest.raises(UnknownStatistic, match="'cramer' needs 1-D samples"):
             power_table(_spec(scenario="scale_shift"), ("min", "cramer"))
 
@@ -284,19 +282,20 @@ class TestBatchedReplications:
             return values(self, orders)
 
         monkeypatch.setattr(_StatisticEngine, "values", recording)
-        for draw in (sample_scenario, simulation._sample_null):
+        for tag in (TAG_SCENARIO, TAG_NULL_CALIBRATION):
             stack_sizes.clear()
-            simulation._replicate(spec, 100, ("min",), draw)
+            simulation._replicate(spec, 100, ("min",), tag)
             assert stack_sizes == [7]
 
     @pytest.mark.parametrize("scenario, names", SCENARIO_NAMES, ids=("k2", "k3"))
     @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.kind)
     def test_replications_equal_one_off_evaluation(self, kind, scenario, names):
         spec = _spec(scenario=scenario, m_grid=(30,), depth=kind, replications=7, seed=43)
-        for draw in (sample_scenario, simulation._sample_null):
-            values = simulation._replicate(spec, 30, names, draw)
+        for tag in (TAG_SCENARIO, TAG_NULL_CALIBRATION):
+            values = simulation._replicate(spec, 30, names, tag)
             for r in range(spec.replications):
-                one = evaluate_statistics(draw(spec, 30, r), names, kind)
+                groups = simulation._datasets(spec, 30, (r,), tag)[0]
+                one = evaluate_statistics(groups, names, kind)
                 assert {name: values[name][r] for name in names} == one
 
     def test_multi_chunk_report_independent_of_blas_threads(self, monkeypatch):
