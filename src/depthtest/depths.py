@@ -29,9 +29,13 @@ Depths of a pooled sample against groups of its own rows come from
 every sample of a stack of pooled samples under every order of a stack of
 partitions: Mahalanobis group by group, stacked over the partitions;
 projection partition by partition, on the scores of one pooled sample at
-a time; spatial block by block of query columns for a group of samples
-at a time, each block's unit vectors computed once for every partition
-and group. It holds no state between calls.
+a time; spatial, under several orders, block by block of query columns
+for a group of samples at a time, each block's unit vectors computed once
+for every partition and group. Under one order (a simulation chunk, a
+one-off evaluation, a scale curve) spatial depth walks tile rows of the
+samples in partition order and computes each pair's unit vector once:
+u(i -> a) = -u(a -> i) exactly, and every sum still adds its terms in
+reference order. It holds no state between calls.
 The package's two memory rules live here too: :func:`chunks` and
 :func:`require_within_cap`.
 """
@@ -63,6 +67,11 @@ _SPATIAL_CHUNK = 128
 # d = 10 took 53.6 ms at 256 rows, 56.3 ms at 128 and 56.9 ms with whole
 # planes.
 _SPATIAL_ROWS = 256
+
+# Reference rows per tile row of one-order spatial depth. On a 2-core Xeon,
+# one order at (S, N, d) = (1, 1000, 10) took 31-34 ms at 64 rows, 33-37 ms
+# at 32 and 39-42 ms at 128; at (5, 200, 2), 32 rows were the slowest.
+_SPATIAL_TILE = 64
 
 # Element budget of every per-chunk temporary of a stacked loop (2 MiB of
 # float64): permutation partitions, simulated data sets and limit-law draws.
@@ -233,6 +242,74 @@ def _spatial_depths(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return out
 
 
+def _add_rows(sums: np.ndarray, rows: np.ndarray, slot: int, stop: int, sign: int = 1) -> None:
+    """Add ``sign`` times rows ``slot + 1`` to ``stop`` of the (d, G, R, w)
+    ``rows`` to the (d, G, w) running ``sums`` one after the other, in row
+    order: ``sign`` times the sums ride in row ``slot``, which they
+    overwrite, as the first row of one reduce. Negation is exact and
+    rounding symmetric, so -((-s + a) + b) = (s - a) - b."""
+    np.multiply(sums, sign, out=rows[:, :, slot])
+    np.add.reduce(rows[:, :, slot : stop + 1], axis=2, out=sums)
+    if sign < 0:
+        np.negative(sums, out=sums)
+
+
+def _one_order_spatial(samples: np.ndarray, slices) -> np.ndarray:
+    """(S, k, N) spatial depth rows of the (S, N, d) ``samples``, already
+    in partition order, against the groups ``slices``: consecutive
+    ranges covering ``range(N)`` in ascending order.
+
+    Tile row r0:r1 takes the unit vectors from its rows to the columns
+    r0:N from :func:`_unit_components`, in rows 1 on of a (d, G, T + 1,
+    N - r0) buffer, and copies their transpose into rows 1 on of a second
+    (d, G, N - r1 + 1, T) buffer: negated, as :func:`_add_rows` adds it,
+    those are the rows r1:N of the columns r0:r1, since u(i -> a) =
+    -u(a -> i) exactly. Each group adds its rows of both to per-column
+    running sums, the direct rows first, so that every column gets its
+    group's rows in ascending order: after tile row r0:r1 the columns
+    r0:r1 are complete. Every sum adds the terms of the reference
+    order in that order, starting from zero, so only the sign of an
+    all-zero sum can differ, and squaring erases it. Every reduce but a
+    lone last row's is at least 2 columns wide, and that one adds the
+    row's zero self-term alone, so no sum goes pairwise and, unlike
+    :func:`_column_blocks`, no tile is widened. Groups run in
+    ascending order, so the row each group's sums ride in holds a row of
+    a group already added. The samples go in groups whose two buffers fit
+    one :func:`chunks` budget together (or one sample), both views of one
+    allocation; their (k, d, G, N) running sums come on top. glibc sets
+    its mmap and trim thresholds from the largest block freed: with two
+    allocations, one process rotating simulation ops over the depths took
+    about 1,000 page faults per spatial and per projection op, against
+    none with one.
+    """
+    s, n, d = samples.shape
+    tiles = [(r0, min(r0 + _SPATIAL_TILE, n)) for r0 in range(0, n, _SPATIAL_TILE)]
+    direct_size = d * max((r1 - r0 + 1) * (n - r0) for r0, r1 in tiles)
+    crossed_size = d * max((n - r1 + 1) * (r1 - r0) for r0, r1 in tiles)
+    sample_groups = list(chunks(s, direct_size + crossed_size))
+    buffer = np.empty(sample_groups[0][1] * (direct_size + crossed_size))
+    depths = np.empty((s, len(slices), n))
+    for first, last in sample_groups:
+        group = last - first
+        direct, crossed = buffer[: group * direct_size], buffer[group * direct_size :]
+        sums = np.zeros((len(slices), d, group, n))
+        for r0, r1 in tiles:
+            h = r1 - r0
+            rows = direct[: d * group * (h + 1) * (n - r0)].reshape(d, group, h + 1, n - r0)
+            for t, sample in enumerate(samples[first:last]):
+                _unit_components(sample[r0:], sample[r0:r1], out=rows[:, t, 1:])
+            cols = crossed[: d * group * (n - r1 + 1) * h].reshape(d, group, n - r1 + 1, h)
+            np.copyto(cols[:, :, 1:], rows[:, :, 1:, h:].transpose(0, 1, 3, 2))
+            for acc, sl in zip(sums, slices):
+                if max(r0, sl.start) < min(r1, sl.stop):
+                    _add_rows(acc[..., r0:], rows, max(r0, sl.start) - r0, min(r1, sl.stop) - r0)
+                if max(r1, sl.start) < sl.stop:
+                    _add_rows(acc[..., r0:r1], cols, max(r1, sl.start) - r1, sl.stop - r1, -1)
+        for g, sl in enumerate(slices):
+            depths[first:last, g] = _spatial_from_sums(sums[g], sl.stop - sl.start)
+    return depths
+
+
 @lru_cache(maxsize=64)
 def _directions(seed: int, count: int, dim: int) -> np.ndarray:
     """Seeded unit directions, cached and shared by every caller with the
@@ -345,9 +422,12 @@ def depth_elements(kind: DepthKind, n: int, d: int) -> int:
     """Size, in elements, of the largest temporary :func:`pooled_depths`
     builds per partition for n pooled rows in d dimensions: Mahalanobis'
     (d, n) deviations, spatial's (d, w) sums over a block of w = min(n,
-    ``_SPATIAL_CHUNK``) columns (it cuts its (m, w) reference gathers to a
-    chunk), or one projection depth row. Each kind bounds what it builds per
-    pooled sample itself."""
+    ``_SPATIAL_CHUNK``) columns under several orders (it cuts its (m, w)
+    reference gathers to a chunk), or one projection depth row. Each kind
+    bounds what it builds per pooled sample itself: spatial depth under
+    one order builds no per-partition temporary, but two tile buffers for
+    as many samples as fit one :func:`chunks` budget (or one sample), and
+    their (k, d, n) running sums."""
     if kind.kind == "mahalanobis":
         return d * n
     if kind.kind == "spatial":
@@ -364,19 +444,24 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind, orders: np.ndarray, slic
     chunks evaluate one identity order.
 
     Each kind forms the depths of the rows in sample order, and one gather
-    puts them in partition order. Mahalanobis depth runs stacked over the
-    S·P partitions, its query the samples broadcast over the orders: a view
-    when S = 1 or P = 1. Spatial depth walks the samples in groups whose
-    (d, N, w) unit-vector blocks fit one :func:`chunks` budget together (or
-    one sample), in one buffer, and blocks of w <= ``_SPATIAL_CHUNK`` query
+    puts them in partition order, except spatial depth under one order.
+    Mahalanobis depth runs stacked over the S·P partitions, its query the
+    samples broadcast over the orders: a view when S = 1 or P = 1. Spatial
+    depth under several orders walks the samples in groups whose (d, N, w)
+    unit-vector blocks fit one :func:`chunks` budget together (or one
+    sample), in one buffer, and blocks of w <= ``_SPATIAL_CHUNK`` query
     columns: a block's coordinates are summed per group, one coordinate at
     a time, over a gather of the reference rows in partition order, for as
     many partitions at a time as fit their (m, w) gathers into a budget.
-    Projection depth runs partition by partition, gathering each group's
-    reference rows from one (N, D) scores buffer filled once per sample.
-    :func:`depth_elements` gives the largest per-partition temporary. The
-    stack is first rescaled by :func:`unit_scaled`; nothing outlives the
-    call.
+    Under one order (P = 1) it relabels the samples into partition order
+    and walks tile rows of ``_SPATIAL_TILE`` rows, each pair's unit vector
+    computed once and added to running sums in ascending row order, with
+    no gather (:func:`_one_order_spatial`); the depths are bit for bit
+    those of the column blocks. Projection depth runs partition by
+    partition, gathering each group's reference rows from one (N, D)
+    scores buffer filled once per sample. :func:`depth_elements` gives the
+    largest per-partition temporary. The stack is first rescaled by
+    :func:`unit_scaled`; nothing outlives the call.
     """
     (s, n, d), p, k = samples.shape, len(orders), len(slices)
     _, (samples,) = unit_scaled(samples)
@@ -399,6 +484,8 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind, orders: np.ndarray, slic
                     row[g] = projection_outlyingness(scores[order[sl]], scores)
         np.add(depths, 1.0, out=depths)
         np.divide(1.0, depths, out=depths)
+    elif p == 1:
+        return _one_order_spatial(samples[:, orders[0]], slices)
     else:
         w = min(n, _SPATIAL_CHUNK)
         sample_groups = list(chunks(s, d * n * w))

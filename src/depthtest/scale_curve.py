@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .depths import DepthKind, depth_values, unit_scaled
+from .depths import DepthKind, pooled_depths, unit_scaled
 from .errors import DomainError
 from .samples import as_sample_matrix
 
@@ -79,7 +79,8 @@ def scale_curve(sample, alphas, kind: DepthKind) -> ScaleCurve:
     decimal it prints as, so 0.07 of 100 rows is 7 rows, not the 8 that
     ``ceil(0.07 * 100)`` gives in floating point. Depths are computed
     once, so the regions are exactly nested and the volume sequence is
-    nondecreasing.
+    nondecreasing. They are the depth row of the sample as one group, a
+    one-order :func:`~depthtest.depths.pooled_depths` call.
     """
     sample = as_sample_matrix(sample, "sample")
     alphas = np.asarray(alphas, dtype=float)
@@ -89,7 +90,8 @@ def scale_curve(sample, alphas, kind: DepthKind) -> ScaleCurve:
         raise ValueError("alphas must lie in (0, 1]")
     if np.any(np.diff(alphas) <= 0.0):
         raise ValueError("alphas must be strictly increasing")
-    depths = depth_values(sample, sample, kind)
+    n = len(sample)
+    depths = pooled_depths(sample[None], kind, np.arange(n)[None], [slice(0, n)])[0, 0]
     deepest_first = np.sort(depths)[::-1]
     volumes = []
     for alpha in alphas:

@@ -806,6 +806,35 @@ def test_limit_law_reports_pinned(groups, seed, capsys):
     )
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# spatial simulation reports as the column-block kernel gave them, before
+# one-order depths came from tile rows of 64: pooled N of 80 to 385 span up
+# to seven tiles, and N = 129, 193 and 385 end on a lone row
+_SPATIAL_SIMULATION_REPORTS = {
+    "power_scale_shift_spatial.csv": ["power", "--scenario", "scale_shift",
+                                      "--m-grid", "40,65,129", "--reps", "6", "--seed", "1"],
+    "power_three_group_b_spatial.csv": ["power", "--scenario", "three_group_b",
+                                        "--size-rule", "half", "--m-grid", "130", "--reps", "6",
+                                        "--seed", "2"],
+    "type1_null_spatial.csv": ["type1", "--scenario", "null", "--m-grid", "129",
+                               "--reps", "10", "--seed", "3"],
+    "power_scale_shift_half_spatial.csv": ["power", "--scenario", "scale_shift",
+                                           "--size-rule", "half", "--m-grid", "86,129,257",
+                                           "--reps", "6", "--seed", "4"],
+    "type1_null_half_spatial.csv": ["type1", "--scenario", "null", "--size-rule", "half",
+                                    "--m-grid", "86,129", "--reps", "10", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("golden", _SPATIAL_SIMULATION_REPORTS)
+def test_spatial_simulation_reports_pinned(golden, capsys):
+    argv = [*_SPATIAL_SIMULATION_REPORTS[golden], "--depth", "spatial", "--format", "csv"]
+    assert main(argv) == 0
+    with open(os.path.join(GOLDEN, golden), newline="") as pinned:
+        assert capsys.readouterr().out == pinned.read()
+
+
 def test_cli_leaves_scipy_stats_and_spatial_unloaded():
     # scipy.stats costs about a second of start-up, and scipy.spatial, with
     # the scipy.linalg and scipy.sparse it loads, 110 modules and 12 MB of

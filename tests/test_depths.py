@@ -275,6 +275,54 @@ class TestSpatialBlocks:
                 assert np.array_equal(row, depth_values(sample[order], sample[order[sl]], SPATIAL))
 
 
+T = depths._SPATIAL_TILE
+
+
+def _bits(values):
+    return np.asarray(values).view(np.int64)
+
+
+class TestOneOrderTiles:
+    """One order takes the tile-row path: each tile row's unit vectors,
+    and their negated transpose, summed in ascending row order."""
+
+    @pytest.mark.parametrize("s", (1, 3))
+    @pytest.mark.parametrize("d", (1, 2, 10))
+    @pytest.mark.parametrize("n, k", [
+        (n, k) for n in (2, 3, T - 1, T, T + 1, 2 * T, 2 * T + 1) for k in (2, 3) if k <= n
+    ])
+    def test_one_order_equals_its_row_of_the_stack(self, n, k, d, s, rng):
+        # integer rows, half of them copies of others, so exact zero
+        # distances occur; group cuts at n/3 and 2n/3 fall inside tiles
+        samples = np.stack([3.0**t * rng.integers(-2, 3, size=(n, d)) for t in range(s)])
+        copies = rng.choice(n, size=n // 2)
+        samples[:, rng.choice(n, size=n // 2)] = samples[:, copies]
+        cuts = [0, *(n * g // k for g in range(1, k)), n]
+        slices = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        orders = np.stack([np.arange(n), rng.permutation(n), rng.permutation(n)])
+        stacked = pooled_depths(samples, SPATIAL, orders, slices)
+        for p, order in enumerate(orders):
+            got = pooled_depths(samples, SPATIAL, orders[p : p + 1], slices)
+            assert got.shape == (s, k, n)
+            assert np.array_equal(_bits(got), _bits(stacked[p :: len(orders)]))
+            for rows, sample in zip(got, samples):
+                for row, sl in zip(rows, slices):
+                    want = depth_values(sample[order], sample[order[sl]], SPATIAL)
+                    assert np.array_equal(_bits(row), _bits(want))
+
+    def test_one_order_peak_memory(self, rng):
+        # N = 1000, d = 10 in one sample: the two tile buffers of the first
+        # tile row, (d, T + 1, N) and (d, N - T + 1, T), take about 10 MB
+        samples = rng.normal(size=(1, 1000, 10))
+        tracemalloc.start()
+        try:
+            pooled_depths(samples, SPATIAL, rng.permutation(1000)[None], group_slices([500, 500]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
 def _with_exact_zeros(matrix, rng, share=0.1):
     # ties: a tenth of the entries become exact zeros, half of them -0.0
     hit = rng.random(matrix.shape) < share

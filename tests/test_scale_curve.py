@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from depthtest import (
+    DegenerateSample,
     DepthKind,
     DomainError,
+    SingularCovariance,
     default_alpha_grid,
     depth_values,
     hull_volume,
@@ -89,6 +91,30 @@ class TestScaleCurve:
         curve = scale_curve(sample, [0.07, 0.2, 0.5], MAHAL)
         expected = [hull_volume(deepest_first[:count]) for count in (7, 20, 50)]
         assert curve.volumes.tolist() == pytest.approx(expected, rel=1e-12)
+
+    def test_regions_from_the_self_depths(self, any_kind, rng):
+        # 150 integer rows: three tiles of one-order spatial depth, and
+        # depth ties at many cuts; each region holds every row at least as
+        # deep as the count-th deepest of depth_values(sample, sample)
+        sample = rng.integers(-4, 5, size=(150, 2)).astype(float)
+        depths = depth_values(sample, sample, any_kind)
+        deepest_first = np.sort(depths)[::-1]
+        alphas = default_alpha_grid()
+        expected = [
+            hull_volume(sample[depths >= deepest_first[-(-percent * 150 // 100) - 1]])
+            for percent in range(1, 100)
+        ]
+        assert scale_curve(sample, alphas, any_kind).volumes.tolist() == expected
+
+    def test_one_row(self):
+        # a lone row is its own deepest point under spatial depth; the
+        # other depths are undefined on one reference row
+        row = [[1.0, -2.0]]
+        assert scale_curve(row, [0.5, 1.0], DepthKind("spatial")).volumes.tolist() == [0.0, 0.0]
+        with pytest.raises(SingularCovariance):
+            scale_curve(row, [1.0], MAHAL)
+        with pytest.raises(DegenerateSample):
+            scale_curve(row, [1.0], DepthKind("projection"))
 
     def test_full_mass_is_full_hull(self, any_kind, rng):
         sample = rng.normal(size=(25, 3))
