@@ -141,58 +141,55 @@ def _element_counts(names, kind: DepthKind | None, sizes, dim: int) -> int:
 
 
 class _StatisticEngine:
-    """Shared evaluator for a stack of pooled samples under re-partitioning.
-
-    ``datasets`` is a list of S data sets, each a list of groups, all with
-    the same group sizes; each is validated and pooled. ``values(orders)``
-    evaluates every pooled sample under every order of a (P, N) stack, the
-    partition that puts row ``orders[p, j]`` of sample t at position j, and
-    returns each statistic's (S·P,) values, sample-major. Permutation
-    calibration stacks one sample (S = 1), a simulation chunk evaluates its
-    data sets under one identity order (P = 1), and one-off evaluation is
-    both, so all three run the same arithmetic. The engine keeps the pooled
-    samples and ``kind`` (None when no statistic reads depths), no depth
-    geometry: each stack builds only the inputs the requested statistics
-    read, once, and shares them among those statistics: its depth rows
-    come from one :func:`~depthtest.depths.pooled_depths` call, energy's
-    distance blocks from the stack's pooled samples. ``partition_elements``
-    is the size of the largest per-partition temporary, which permutation
-    and simulation chunks are measured in.
+    """Evaluator of the named statistics for groups of ``sizes`` in ``dim``
+    dimensions: a plan that holds no data, built once per permutation run
+    or simulation grid point. ``values(samples, orders)`` evaluates every
+    pooled sample of an (S, N, d) stack, its groups consecutive row blocks,
+    under every order of a (P, N) stack, the partition that puts row
+    ``orders[p, j]`` of sample t at position j, and returns each
+    statistic's (S·P,) values, sample-major. Permutation calibration passes
+    one sample (S = 1), a simulation chunk its data sets under one identity
+    order (P = 1), and one-off evaluation is both, so all three run the
+    same arithmetic. ``kind`` is None when no statistic reads depths. Each
+    call builds only the inputs the requested statistics read, once, and
+    shares them among those statistics: its depth rows come from one
+    :func:`~depthtest.depths.pooled_depths` call, energy's distance blocks
+    from the stack's pooled samples. ``partition_elements`` is the size of
+    the largest per-partition temporary, which permutation and simulation
+    chunks are measured in.
     """
 
-    def __init__(self, datasets, kind: DepthKind | None, names) -> None:
-        pooled = [coerce_groups(groups) for groups in datasets]
-        self.sizes = pooled[0][1]
-        self.samples = np.stack([sample for sample, _ in pooled])
+    def __init__(self, sizes, dim: int, kind: DepthKind | None, names) -> None:
+        self.sizes, self.total = tuple(sizes), sum(sizes)
         self.names = require_statistics(names, len(self.sizes))
         depth_names = [name for name in self.names if STATISTICS[name].depth_based]
         if depth_names and kind is None:
             raise ValueError(f"statistic {depth_names[0]!r} needs a DepthKind")
         self._entries = [(name, STATISTICS[name]) for name in self.names]
         self.reads = frozenset(statistic.reads for _, statistic in self._entries)
-        _, self.total, dim = self.samples.shape
         if "cramer" in self.names and dim != 1:
             raise DimensionMismatch("cramer statistic expects 1-D samples")
         self.slices = group_slices(self.sizes)
         self.partition_elements = _element_counts(self.names, kind, self.sizes, dim)
         self.kind = kind if depth_names else None
 
-    def values(self, orders: np.ndarray) -> dict[str, np.ndarray]:
+    def values(self, samples: np.ndarray, orders: np.ndarray) -> dict[str, np.ndarray]:
         inputs = {}
         if self.kind is not None:
-            rows = pooled_depths(self.samples, self.kind, orders, self.slices)
+            rows = pooled_depths(samples, self.kind, orders, self.slices)
             inputs["depth_rows"] = rows
             if "q_matrix" in self.reads:
                 inputs["q_matrix"] = quality_indices(rows, self.sizes)
         if "pooled" in self.reads:
-            inputs["pooled"] = self.samples[:, orders].reshape(-1, *self.samples.shape[1:])
+            inputs["pooled"] = samples[:, orders].reshape(-1, *samples.shape[1:])
         return {name: s.formula(inputs[s.reads], self.sizes) for name, s in self._entries}
 
 
 def evaluate_statistics(groups, names, kind: DepthKind | None) -> dict[str, float]:
     """Observed values of several statistics on one fixed partition."""
-    engine = _StatisticEngine([groups], kind, names)
-    values = engine.values(np.arange(engine.total)[None])
+    pooled, sizes = coerce_groups(groups)
+    engine = _StatisticEngine(sizes, pooled.shape[1], kind, names)
+    values = engine.values(pooled[None], np.arange(engine.total)[None])
     return {name: float(value[0]) for name, value in values.items()}
 
 
@@ -208,15 +205,15 @@ def statistic_outcome(name, observed, p, method, kind, sizes) -> TestOutcome:
     )
 
 
-def _stack_values(engine: _StatisticEngine, orders: np.ndarray, first: int) -> dict[str, np.ndarray]:
-    """``engine.values(orders)``; when the stack fails, the error of its
-    first failing partition, naming the replication if it is permuted."""
+def _stack_values(engine: _StatisticEngine, sample, orders, first: int) -> dict[str, np.ndarray]:
+    """``engine.values(sample, orders)``; when the stack fails, the error of
+    its first failing partition, naming the replication if it is permuted."""
     try:
-        return engine.values(orders)
+        return engine.values(sample, orders)
     except DepthTestError:
         for t, order in enumerate(orders, start=first):
             try:
-                engine.values(order[None])
+                engine.values(sample, order[None])
             except DepthTestError as exc:
                 if t == 0:
                     raise
@@ -239,7 +236,8 @@ def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationS
     elements each; exceedances are counted per chunk by vectorised
     comparisons, so memory stays within one chunk whatever B is.
     """
-    engine = _StatisticEngine([groups], kind, names)
+    pooled, sizes = coerce_groups(groups)
+    engine = _StatisticEngine(sizes, pooled.shape[1], kind, names)
     names = engine.names
     counts = dict.fromkeys(names, 0)
     for first, stop in chunks(spec.replications + 1, engine.partition_elements):
@@ -249,7 +247,7 @@ def permutation_report(groups, names, kind: DepthKind | None, spec: CalibrationS
             if t else np.arange(engine.total)
             for t in range(first, stop)
         ])
-        values = _stack_values(engine, orders, first)
+        values = _stack_values(engine, pooled[None], orders, first)
         if first == 0:
             observed = {name: value[0] for name, value in values.items()}
             values = {name: value[1:] for name, value in values.items()}

@@ -29,9 +29,9 @@ Depths of a pooled sample against groups of its own rows come from
 every sample of a stack of pooled samples under every order of a stack of
 partitions: Mahalanobis group by group, stacked over the partitions;
 projection partition by partition, on the scores of one pooled sample at
-a time; spatial, under several orders, block by block of query columns
-for a group of samples at a time, each block's unit vectors computed once
-for every partition and group. Under one order (a simulation chunk, a
+a time; spatial, under several orders, one sample at a time, block by
+block of query columns, each block's unit vectors computed once for every
+partition and group. Under one order (a simulation chunk, a
 one-off evaluation, a scale curve) spatial depth walks tile rows of the
 samples in partition order and computes each pair's unit vector once:
 u(i -> a) = -u(a -> i) exactly, and every sum still adds its terms in
@@ -78,8 +78,8 @@ _SPATIAL_TILE = 64
 _CHUNK_ELEMENTS = 1 << 18
 
 # Largest array that no chunk can shrink (160 MB of float64): energy's largest
-# distance block, projection's (N, D) scores, a simulated pooled sample. Spatial's
-# coordinate buffer, one budget or one sample's (d, N, 128) block, has no cap.
+# distance block, projection's (N, D) scores, a simulated pooled sample, each
+# statistic's simulated values. Spatial's (d, N, 128) coordinate block has no cap.
 _CACHE_ELEMENT_CAP = 20_000_000
 
 
@@ -447,12 +447,11 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind, orders: np.ndarray, slic
     puts them in partition order, except spatial depth under one order.
     Mahalanobis depth runs stacked over the S·P partitions, its query the
     samples broadcast over the orders: a view when S = 1 or P = 1. Spatial
-    depth under several orders walks the samples in groups whose (d, N, w)
-    unit-vector blocks fit one :func:`chunks` budget together (or one
-    sample), in one buffer, and blocks of w <= ``_SPATIAL_CHUNK`` query
-    columns: a block's coordinates are summed per group, one coordinate at
-    a time, over a gather of the reference rows in partition order, for as
-    many partitions at a time as fit their (m, w) gathers into a budget.
+    depth under several orders walks one sample at a time, in blocks of w
+    <= ``_SPATIAL_CHUNK`` query columns whose (d, N, w) unit vectors share
+    one buffer: a block's coordinates are summed per group, one coordinate
+    at a time, over a gather of the reference rows in partition order, for
+    as many partitions at once as fit their (m, w) gathers into a budget.
     Under one order (P = 1) it relabels the samples into partition order
     and walks tile rows of ``_SPATIAL_TILE`` rows, each pair's unit vector
     computed once and added to running sums in ascending row order, with
@@ -487,23 +486,15 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind, orders: np.ndarray, slic
     elif p == 1:
         return _one_order_spatial(samples[:, orders[0]], slices)
     else:
-        w = min(n, _SPATIAL_CHUNK)
-        sample_groups = list(chunks(s, d * n * w))
-        depths = np.empty((s * p, k, n))
-        buffer = np.empty(d * sample_groups[0][1] * n * w)
-        for first, last in sample_groups:
-            # sample first + t under order p: rows of the group's (G * N, w) planes
-            rows = (orders + n * np.arange(last - first)[:, None, None]).reshape(-1, n)
-            out = depths[first * p : last * p]
+        buffer = np.empty(d * n * min(n, _SPATIAL_CHUNK))
+        depths = np.empty((s, p, k, n))
+        for sample, out in zip(samples, depths):
             for start, stop in _column_blocks(n):
-                shape = (d, last - first, n, stop - start)  # sample first + t at [:, t]
-                comps = buffer[: d * (last - first) * n * (stop - start)].reshape(shape)
-                for t in range(first, last):
-                    _unit_components(samples[t, start:stop], samples[t], out=comps[:, t - first])
-                coords = comps.reshape(d, -1, stop - start)
+                coords = buffer[: d * n * (stop - start)].reshape(d, n, stop - start)
+                _unit_components(sample[start:stop], sample, out=coords)
                 for g, sl in enumerate(slices):
-                    for a, b in chunks(len(rows), (sl.stop - sl.start) * (stop - start)):
-                        part = rows[a:b, sl]
+                    for a, b in chunks(p, (sl.stop - sl.start) * (stop - start)):
+                        part = orders[a:b, sl]
                         sums = np.stack([coord[part].sum(axis=1) for coord in coords])
                         out[a:b, g, start:stop] = _spatial_from_sums(sums, part.shape[1])
     # row (t, p, g) gathers sample t's depths in the order of partition p

@@ -9,12 +9,12 @@ at the fixed asymptotic cutoff 1.96 is reported as a secondary column.
 
 Replication r of grid point m draws from substream (seed, tag, m, r), so
 tables are pure functions of the ScenarioSpec. The R data sets of a grid
-point share their group sizes, so they are evaluated in chunks
-(:func:`~depthtest.depths.chunks`): a chunk's data sets are drawn
-together, each from its own substream, their uniforms turned into normals
-in one call, and one statistic engine stacks their pooled samples and
-evaluates each under the one identity order. Every value equals the
-one-off evaluation of its data set.
+point share their group sizes, so one statistic engine serves them all,
+in chunks (:func:`~depthtest.depths.chunks`): a chunk's data sets are
+drawn together, each from its own substream, their normals made in one
+call and their groups written straight into one (S, N, d) stack, which
+the engine evaluates under the one identity order. Every value equals
+the one-off evaluation of its data set.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ class ScenarioSpec:
             raise ValueError("alpha_level must be inside (0, 1)")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        require_within_cap(self.replications, f"{self.replications} replications keep as "
+                           "many values per statistic")
         # every group is a depth reference: refuse one too small before any
         # draw, and a pooled sample or its depth geometry past the size cap too
         need = min_reference_rows(self.depth, self.dimension)
@@ -158,26 +160,25 @@ def group_sizes(spec: ScenarioSpec, m: int) -> tuple[int, ...]:
     return (m, m // 2, m // 4)
 
 
-def _draw_groups(params, sizes, keys) -> list[list[np.ndarray]]:
-    """One data set per substream key: groups ``mean + z @ factor.T`` for
-    the (mean, factor) ``params``, with z standard normal from the key's
-    stream, group after group in stream order. The uniforms of all the
-    data sets become normals in one ``normals_from_uniforms`` call."""
+def _draw_groups(params, sizes, keys) -> np.ndarray:
+    """The (S, N, d) stack of one pooled data set per substream key: group g
+    is ``mean + z @ factor.T`` for the g-th (mean, factor) of ``params``,
+    written over its z, standard normal from the key's stream in group
+    order. The uniforms of all the data sets become normals in one
+    ``normals_from_uniforms`` call."""
     dim = params[0][0].size
     u = np.stack([substream(*key).random((sum(sizes), dim)) for key in keys])
     z = normals_from_uniforms(u)
-    slices = group_slices(sizes)
-    return [
-        [mean + normals[rows] @ factor.T for (mean, factor), rows in zip(params, slices)]
-        for normals in z
-    ]
+    for (mean, factor), rows in zip(params, group_slices(sizes)):
+        z[:, rows] = mean + z[:, rows] @ factor.T
+    return z
 
 
-def _datasets(spec: ScenarioSpec, m: int, replications, tag: int) -> list[list[np.ndarray]]:
-    """The data sets of ``replications`` at grid point m, replication r from
-    substream (seed, tag, m, r): the scenario's groups for TAG_SCENARIO;
-    for TAG_NULL_CALIBRATION, homogeneous draws (all groups standard
-    normal) at the scenario's sizes, on a stream disjoint from them."""
+def _datasets(spec: ScenarioSpec, m: int, replications, tag: int) -> np.ndarray:
+    """The (S, N, d) data sets of ``replications`` at grid point m, r from
+    substream (seed, tag, m, r): the scenario's groups for TAG_SCENARIO; for
+    TAG_NULL_CALIBRATION, homogeneous draws (all groups standard normal) at
+    the scenario's sizes, on a stream disjoint from them."""
     if tag == TAG_SCENARIO:
         params = _FACTORED[spec.scenario]
     else:
@@ -188,7 +189,8 @@ def _datasets(spec: ScenarioSpec, m: int, replications, tag: int) -> list[list[n
 
 def sample_scenario(spec: ScenarioSpec, m: int, replication: int) -> list[np.ndarray]:
     """Group samples for one replication, from substream (seed, m, replication)."""
-    return _datasets(spec, m, (replication,), TAG_SCENARIO)[0]
+    pooled = _datasets(spec, m, (replication,), TAG_SCENARIO)[0]
+    return [pooled[rows] for rows in group_slices(group_sizes(spec, m))]
 
 
 def _replicate(spec: ScenarioSpec, m: int, names, tag: int) -> dict[str, np.ndarray]:
@@ -196,21 +198,19 @@ def _replicate(spec: ScenarioSpec, m: int, names, tag: int) -> dict[str, np.ndar
     grid point m; replication r evaluates the data set ``_datasets`` draws
     for it under ``tag``.
 
-    The replications run in :func:`~depthtest.depths.chunks` sized by a
-    data set's :func:`~depthtest.calibration._element_counts`: the chunk's
-    data sets are drawn together, and one engine stacks their pooled
-    samples and evaluates each under the identity order, so every value
-    equals the one-off :func:`~depthtest.calibration.evaluate_statistics`
-    of its data set. A data set's (N, 2) pooled sample fits within its
-    (k >= 2, N) depth rows.
+    One statistic engine serves the grid point. The replications run in
+    :func:`~depthtest.depths.chunks` of its ``partition_elements``: a
+    chunk's data sets are drawn into one (S, N, d) stack, which the engine
+    evaluates under the identity order, so every value equals the one-off
+    :func:`~depthtest.calibration.evaluate_statistics` of its data set. A
+    data set's (N, 2) pooled sample fits within its (k >= 2, N) depth rows.
     """
-    sizes = group_sizes(spec, m)
-    each = _element_counts(names, spec.depth, sizes, spec.dimension)
-    identity = np.arange(sum(sizes))[None]
+    engine = _StatisticEngine(group_sizes(spec, m), spec.dimension, spec.depth, names)
+    identity = np.arange(engine.total)[None]
     values = {name: np.empty(spec.replications) for name in names}
-    for first, stop in chunks(spec.replications, each):
-        engine = _StatisticEngine(_datasets(spec, m, range(first, stop), tag), spec.depth, names)
-        for name, stacked in engine.values(identity).items():
+    for first, stop in chunks(spec.replications, engine.partition_elements):
+        stack = _datasets(spec, m, range(first, stop), tag)
+        for name, stacked in engine.values(stack, identity).items():
             values[name][first:stop] = stacked
     return values
 

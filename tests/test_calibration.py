@@ -283,13 +283,13 @@ def test_permutation_report_equals_looped_replay(kind, k, d, extra, shared_row, 
 
     pooled = np.vstack(groups)
     sizes = [g.shape[0] for g in groups]
-    engine = _StatisticEngine([groups], kind, names)
+    engine = _StatisticEngine(sizes, d, kind, names)
     orders = np.stack([
         substream(spec.seed, TAG_PERMUTATION, b).permutation(pooled.shape[0])
         for b in range(spec.replications)
     ])
-    stacked_rows = depths.pooled_depths(engine.samples, engine.kind, orders, engine.slices)
-    stacked = engine.values(orders)
+    stacked_rows = depths.pooled_depths(pooled[None], engine.kind, orders, engine.slices)
+    stacked = engine.values(pooled[None], orders)
     counts = dict.fromkeys(names, 0)
     for b, order in enumerate(orders):
         arranged = pooled[order]
@@ -334,13 +334,13 @@ def test_chunk_size_leaves_report_unchanged(kind, k, monkeypatch):
     else:
         names = ("min", "product", "sum", "dbr")
     spec = CalibrationSpec(replications=8, seed=11)
-    per_partition = _StatisticEngine([groups], kind, names).partition_elements
+    per_partition = _StatisticEngine([len(g) for g in groups], 2, kind, names).partition_elements
     stack_sizes = []
     values = _StatisticEngine.values
 
-    def recording(self, orders):
+    def recording(self, samples, orders):
         stack_sizes.append(len(orders))
-        return values(self, orders)
+        return values(self, samples, orders)
 
     monkeypatch.setattr(_StatisticEngine, "values", recording)
     reports = []
@@ -575,8 +575,8 @@ def test_permuted_energy_equals_cdist_reference(sizes, dim, budget, monkeypatch,
     stacks = []
     values = _StatisticEngine.values
 
-    def recording(self, orders):
-        out = values(self, orders)
+    def recording(self, samples, orders):
+        out = values(self, samples, orders)
         stacks.append((orders, out["energy"]))
         return out
 
@@ -611,10 +611,11 @@ def test_engine_holds_no_depth_geometry_between_calls(rng):
     groups = [rng.normal(size=(500, 10)), rng.normal(size=(500, 10))]
     tracemalloc.start()
     try:
-        engine = _StatisticEngine([groups], DepthKind("projection"), ("min",))
-        engine.values(np.arange(engine.total)[None])
+        engine = _StatisticEngine((500, 500), 10, DepthKind("projection"), ("min",))
+        engine.values(np.vstack(groups)[None], np.arange(engine.total)[None])
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert current < 1000 * 500 * 8
     assert not any(callable(value) for value in vars(engine).values())
+    assert not any(isinstance(value, np.ndarray) for value in vars(engine).values())

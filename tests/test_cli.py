@@ -635,6 +635,20 @@ class TestSimulationCommands:
             "elements\n"
         )
 
+    @pytest.mark.parametrize("command", ("power", "type1"))
+    def test_replications_past_cap_are_data_error(self, command, monkeypatch, capsys):
+        # each statistic's values over 10^12 replications would take 7.3 TiB
+        def no_draw(*args):
+            raise AssertionError("a data set was drawn")
+
+        monkeypatch.setattr(simulation, "_draw_groups", no_draw)
+        code = main([command, "--scenario", "null", "--m-grid", "4", "--reps", "1000000000000"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: 1000000000000 replications keep as many values per statistic, over the cap "
+            "of 20000000 elements\n"
+        )
+
     def test_type1_rows(self, tmp_path):
         out = tmp_path / "type1.csv"
         code = main(
@@ -831,6 +845,31 @@ _SPATIAL_SIMULATION_REPORTS = {
 def test_spatial_simulation_reports_pinned(golden, capsys):
     argv = [*_SPATIAL_SIMULATION_REPORTS[golden], "--depth", "spatial", "--format", "csv"]
     assert main(argv) == 0
+    with open(os.path.join(GOLDEN, golden), newline="") as pinned:
+        assert capsys.readouterr().out == pinned.read()
+
+
+_SKULLS = ["--input", str(skulls_path()), "--group", "epoch"]
+_THREE_GROUP_B = ["power", "--scenario", "three_group_b", "--size-rule", "half",
+                  "--m-grid", "40", "--reps", "12", "--seed", "3"]
+
+# reports as the engine gave them when it held its samples: spatial depth of
+# one skulls sample under 100 orders, and simulated data sets drawn per group
+_ENGINE_REPORTS = {
+    "k_sample_3_epochs_spatial.csv": ["k-sample", *_SKULLS, "--groups", "c3300BC,c200BC,cAD150",
+                                      "--stats", "min,product,sum,dbr", "--perms", "99",
+                                      "--depth", "spatial", "--seed", "1"],
+    "two_sample_spatial.csv": ["two-sample", *_SKULLS, "--groups", "c4000BC,cAD150",
+                               "--stats", "min,max,dbr,bdbr,energy", "--perms", "99",
+                               "--depth", "spatial", "--seed", "2"],
+    "power_three_group_b_mahalanobis.csv": [*_THREE_GROUP_B, "--depth", "mahalanobis"],
+    "power_three_group_b_projection.csv": [*_THREE_GROUP_B, "--depth", "projection"],
+}
+
+
+@pytest.mark.parametrize("golden", _ENGINE_REPORTS)
+def test_engine_reports_pinned(golden, capsys):
+    assert main([*_ENGINE_REPORTS[golden], "--format", "csv"]) == 0
     with open(os.path.join(GOLDEN, golden), newline="") as pinned:
         assert capsys.readouterr().out == pinned.read()
 

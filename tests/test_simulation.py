@@ -22,6 +22,7 @@ from depthtest import (
 )
 from depthtest.calibration import _StatisticEngine, _element_counts
 from depthtest.rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
+from depthtest.samples import group_slices
 from depthtest.simulation import SCENARIOS, group_sizes
 
 MAHAL = DepthKind("mahalanobis")
@@ -87,7 +88,8 @@ class TestScenarioSampling:
                 rng = substream(spec.seed, tag, 12, r)
                 want = [mean + standard_normals(rng, (count, 2)) @ np.linalg.cholesky(cov).T
                         for (mean, cov), count in zip(params, sizes)]
-                got = simulation._datasets(spec, 12, (r,), tag)[0]
+                pooled = simulation._datasets(spec, 12, (r,), tag)[0]
+                got = [pooled[rows] for rows in group_slices(sizes)]
                 assert len(got) == len(want)
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -139,6 +141,16 @@ class TestSpecValidation:
         ):
             _spec(m_grid=(40, 600), size_rule="half")
         _spec(m_grid=(40, 333), size_rule="half")
+
+    def test_replications_past_cap_rejected(self):
+        # each statistic keeps an (R,) array of values that no chunk shrinks
+        with pytest.raises(
+            SizeLimit,
+            match="20000001 replications keep as many values per statistic, over the cap of "
+            "20000000 elements",
+        ):
+            _spec(replications=20_000_001)
+        assert _spec(replications=20_000_000).replications == 20_000_000
 
     def test_projection_scores_over_cap_rejected(self, monkeypatch):
         # every pooled sample fits; m = 60 needs 120 x 10 direction scores
@@ -237,17 +249,18 @@ class TestBatchedReplications:
     @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.kind)
     def test_chunk_size_leaves_tables_unchanged(self, kind, scenario, names, monkeypatch):
         # one data set per chunk, two per chunk (the last holding one) and all
-        # five in one chunk; one engine call per chunk in each pass
+        # five in one chunk; one engine call per chunk, one engine per pass
         spec = _spec(scenario=scenario, m_grid=(12,), size_rule="half", depth=kind,
                      replications=5, seed=41)
         sizes = group_sizes(spec, 12)
-        stack_sizes = []
+        stack_sizes, engines = [], set()
         values = _StatisticEngine.values
 
-        def recording(self, orders):
+        def recording(self, samples, orders):
             assert len(orders) == 1  # every data set under the identity order
-            stack_sizes.append(len(self.samples))
-            return values(self, orders)
+            stack_sizes.append(len(samples))
+            engines.add(self)
+            return values(self, samples, orders)
 
         monkeypatch.setattr(_StatisticEngine, "values", recording)
 
@@ -265,8 +278,10 @@ class TestBatchedReplications:
             for budget, chunks in ((1, [1] * 5), (2 * per_dataset, [2, 2, 1]), (1 << 40, [5])):
                 monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
                 stack_sizes.clear()
+                engines.clear()
                 tables.append(table())
                 assert stack_sizes == chunks * passes
+                assert len(engines) == passes
             assert tables[0] == tables[1] == tables[2]
 
     def test_projection_chunk_holds_every_replication(self, monkeypatch):
@@ -277,9 +292,9 @@ class TestBatchedReplications:
         stack_sizes = []
         values = _StatisticEngine.values
 
-        def recording(self, orders):
-            stack_sizes.append(len(self.samples))
-            return values(self, orders)
+        def recording(self, samples, orders):
+            stack_sizes.append(len(samples))
+            return values(self, samples, orders)
 
         monkeypatch.setattr(_StatisticEngine, "values", recording)
         for tag in (TAG_SCENARIO, TAG_NULL_CALIBRATION):
@@ -294,7 +309,8 @@ class TestBatchedReplications:
         for tag in (TAG_SCENARIO, TAG_NULL_CALIBRATION):
             values = simulation._replicate(spec, 30, names, tag)
             for r in range(spec.replications):
-                groups = simulation._datasets(spec, 30, (r,), tag)[0]
+                pooled = simulation._datasets(spec, 30, (r,), tag)[0]
+                groups = [pooled[rows] for rows in group_slices(group_sizes(spec, 30))]
                 one = evaluate_statistics(groups, names, kind)
                 assert {name: values[name][r] for name in names} == one
 

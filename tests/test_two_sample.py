@@ -317,8 +317,9 @@ class TestEnergy:
         datasets[1][1][0] = datasets[1][0][0]
         n, m = sum(sizes), sizes[0]
         orders = np.vstack([np.arange(n), [rng.permutation(n) for _ in range(7)]])
-        got = _StatisticEngine(datasets, None, ("energy",)).values(orders)["energy"]
         pooled = [np.vstack(groups) for groups in datasets]
+        engine = _StatisticEngine(sizes, dim, None, ("energy",))
+        got = engine.values(np.stack(pooled), orders)["energy"]
         want = [cdist_energy(sample[o[:m]], sample[o[m:]]) for sample in pooled for o in orders]
         assert len(got) == 32 and np.array_equal(got, want)
 
