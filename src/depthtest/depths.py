@@ -280,7 +280,9 @@ def _one_order_spatial(samples: np.ndarray, slices) -> np.ndarray:
     its mmap and trim thresholds from the largest block freed: with two
     allocations, one process rotating simulation ops over the depths took
     about 1,000 page faults per spatial and per projection op, against
-    none with one.
+    none with one. ``cli.main`` now fixes both thresholds for its
+    process, but the one-allocation rule remains for library callers
+    that never run it.
     """
     s, n, d = samples.shape
     tiles = [(r0, min(r0 + _SPATIAL_TILE, n)) for r0 in range(0, n, _SPATIAL_TILE)]
