@@ -18,6 +18,7 @@ results are pure functions of the inputs and the seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,9 +39,9 @@ from .two_sample import TestOutcome, _bdbr_stack, _dbr_stack, _energy_stack, cra
 class Statistic:
     """One statistic: its rejecting tail ("upper" or "lower"), whether it
     is defined only at k = 2, the input it ``reads`` for a stack of P
-    partitions (``q_matrix`` (P, k, k), ``depth_rows`` (P, k, N), or
-    ``pooled``, the (P, N, d) pooled samples in partition order, whose
-    consecutive row blocks are the groups), and its
+    partitions (``q_matrix`` or ``rank_sums`` (P, k, k), ``depth_rows``
+    (P, k, N), or ``pooled``, the (P, N, d) pooled samples in partition
+    order, whose consecutive row blocks are the groups), and its
     ``formula``: the (P,) statistics of that input and the group sizes."""
 
     tail: str
@@ -50,7 +51,7 @@ class Statistic:
 
     @property
     def depth_based(self) -> bool:
-        return self.reads in ("q_matrix", "depth_rows")
+        return self.reads in ("q_matrix", "rank_sums", "depth_rows")
 
     def defined_at(self, group_count: int) -> bool:
         return group_count == 2 or not self.two_group_only
@@ -68,7 +69,7 @@ STATISTICS = {
     "max": Statistic("upper", True, "q_matrix", _max_stack),
     "product": Statistic("lower", False, "q_matrix", _product_stack),
     "sum": Statistic("lower", False, "q_matrix", _sum_stack),
-    "dbr": Statistic("upper", False, "depth_rows", _dbr_stack),
+    "dbr": Statistic("upper", False, "rank_sums", _dbr_stack),
     "bdbr": Statistic("upper", True, "depth_rows", _bdbr_stack),
     "energy": Statistic("upper", True, "pooled", _energy_stack),
     "cramer": Statistic("upper", True, "pooled", _per_partition(
@@ -153,10 +154,10 @@ class _StatisticEngine:
     same arithmetic. ``kind`` is None when no statistic reads depths. Each
     call builds only the inputs the requested statistics read, once, and
     shares them among those statistics: its depth rows come from one
-    :func:`~depthtest.depths.pooled_depths` call, energy's distance blocks
-    from the stack's pooled samples. ``partition_elements`` is the size of
-    the largest per-partition temporary, which permutation and simulation
-    chunks are measured in.
+    :func:`~depthtest.depths.pooled_depths` call, Q and the rank sums from
+    one sort of them, energy's distance blocks from the stack's pooled
+    samples. ``partition_elements`` sizes the largest per-partition
+    temporary, which permutation and simulation chunks are measured in.
     """
 
     def __init__(self, sizes, dim: int, kind: DepthKind | None, names) -> None:
@@ -178,8 +179,9 @@ class _StatisticEngine:
         if self.kind is not None:
             rows = pooled_depths(samples, self.kind, orders, self.slices)
             inputs["depth_rows"] = rows
-            if "q_matrix" in self.reads:
-                inputs["q_matrix"] = quality_indices(rows, self.sizes)
+            if self.reads & {"q_matrix", "rank_sums"}:
+                sums = "rank_sums" in self.reads
+                inputs["q_matrix"], inputs["rank_sums"] = quality_indices(rows, self.sizes, sums)
         if "pooled" in self.reads:
             inputs["pooled"] = samples[:, orders].reshape(-1, *samples.shape[1:])
         return {name: s.formula(inputs[s.reads], self.sizes) for name, s in self._entries}
@@ -381,7 +383,10 @@ def mc_asymptotic_min_pvalue(x: float, sizes, spec: CalibrationSpec) -> float:
     """
     if not np.isfinite(x):
         raise DomainError("statistic must be finite")
-    sizes = tuple(int(s) for s in sizes)
+    try:  # a float or a string is refused, not truncated onto other sizes
+        sizes = tuple(operator.index(s) for s in sizes)
+    except TypeError:
+        raise TypeError(f"group sizes {sizes!r} are not all integers") from None
     if any(s <= 0 for s in sizes):
         raise DomainError("group sizes must be positive")
     k = len(sizes)

@@ -15,7 +15,8 @@ the rows of a whole stack of partitions at once, and
 simulation chunks feed both, and :func:`quality_matrix` is one sample
 under the identity order. The two-sample pair :func:`quality` is entries
 (0, 1) and (1, 0) of the k = 2 matrix. The statistics on these matrices
-are the formulas of :mod:`depthtest.multi_sample`.
+are the formulas of :mod:`depthtest.multi_sample`. The sort that counts
+Q also gives the depth-rank (DbR) statistic's rank sums when asked.
 """
 
 from __future__ import annotations
@@ -88,26 +89,37 @@ def _counting_layout(sizes: tuple[int, ...]):
     return layout
 
 
-def quality_indices(rows: np.ndarray, sizes) -> np.ndarray:
-    """(P, k, k) directed quality indices of a (P, k, N) stack of depth rows
-    (:func:`~depthtest.depths.pooled_depths`); the diagonal is NaN.
+def quality_indices(rows: np.ndarray, sizes, rank_sums: bool = False):
+    """``(q, sums)``: the (P, k, k) directed quality indices of a (P, k, N)
+    stack of depth rows (:func:`~depthtest.depths.pooled_depths`), NaN on
+    the diagonal, and DbR's (P, k, k) rank sums if ``rank_sums``, else None.
 
-    Entry (i, j) counts, over group j's positions of row i, the group-i
-    depths at or below each. Each row is sorted once, stably, with group
-    i's block moved first, so every group-i depth precedes the equal depths
-    of the other groups (-0.0 equals 0.0): the running count of group-i
-    depths at a group-j position is that position's count. The counts are
-    exact integers, so each index is the count over mᵢmⱼ correctly rounded.
+    Each row is sorted once, stably, with group i's block moved first, so
+    every group-i depth precedes the equal depths of the other groups
+    (-0.0 equals 0.0). Entry (i, j) of q is the running count of group-i
+    depths at each of group j's positions in row i, summed, over mᵢmⱼ;
+    entry (i, j) of sums adds their ranks, the depths at or above each.
+    Both are exact integers, so each index is correctly rounded.
     """
     p, k, n = rows.shape
     flat, row_offsets, bins, own, denominators = _counting_layout(tuple(sizes))
-    order = np.argsort(rows.reshape(p, k * n)[:, flat], axis=-1, kind="stable")
+    moved = rows.reshape(p, k * n)[:, flat]
+    order = np.argsort(moved, axis=-1, kind="stable")
     below = np.add.accumulate(order < own, axis=-1, dtype=np.intp)
     # partition p's bins follow partition p - 1's; float sums of the counts are exact
     keys = bins[order + row_offsets]
     keys += (k * k * np.arange(p)).reshape(p, 1, 1)
     counts = np.bincount(keys.ravel(), weights=below.ravel(), minlength=p * k * k)
-    return counts.reshape(p, k, k) / denominators
+    q = counts.reshape(p, k, k) / denominators
+    if not rank_sums:
+        return q, None
+    # a position's rank is N less the start of its run of equal depths
+    ordered = moved.reshape(-1)[order + n * np.arange(p * k).reshape(p, k, 1)]
+    starts = np.zeros_like(order)
+    np.copyto(starts[..., 1:], np.arange(1, n), where=ordered[..., 1:] != ordered[..., :-1])
+    np.maximum.accumulate(starts, axis=-1, out=starts)
+    sums = np.bincount(keys.ravel(), weights=(n - starts).ravel(), minlength=p * k * k)
+    return q, sums.reshape(p, k, k)
 
 
 def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
@@ -115,7 +127,8 @@ def quality_matrix(groups, kind: DepthKind) -> QualityMatrix:
     pooled, sizes = coerce_groups(groups)
     identity = np.arange(pooled.shape[0])[None]
     rows = pooled_depths(pooled[None], kind, identity, group_slices(sizes))
-    return QualityMatrix(q=quality_indices(rows, sizes)[0], sizes=tuple(sizes))
+    q, _ = quality_indices(rows, sizes)
+    return QualityMatrix(q=q[0], sizes=tuple(sizes))
 
 
 def quality(x, y, kind: DepthKind) -> QualityPair:

@@ -243,7 +243,8 @@ def _critical_value(null_values: np.ndarray, tail: str, alpha: float) -> float:
 
 def power_table(spec: ScenarioSpec, statistics) -> PowerTable:
     """Rejection rates under the scenario, against critical values estimated
-    from a null run of the same sizes and depth."""
+    from a null run of the same sizes and depth. ``asymptotic_min`` applies
+    the two-sample cutoff 1.96 at every k: its size is about 0.125 at k = 3."""
     statistics = require_statistics(statistics, spec.group_count)
     if "cramer" in statistics:
         raise UnknownStatistic(

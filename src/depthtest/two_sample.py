@@ -1,9 +1,10 @@
 """The depth-rank formulas and the two-sample baselines.
 
-The depth-rank (DbR) and modified depth-rank (B*) formulas read stacks of
-depth rows; energy reads a stack of pooled samples in partition order, and
-Cramer the 1-D groups of one partition. These are their rows of the
-statistic table :data:`depthtest.calibration.STATISTICS`.
+The depth-rank (DbR) formula reads stacks of rank sums from
+:func:`~depthtest.quality.quality_indices`, the modified depth-rank (B*)
+formula stacks of depth rows; energy reads a stack of pooled samples in
+partition order, and Cramer the 1-D groups of one partition. These are
+their rows of the statistic table :data:`depthtest.calibration.STATISTICS`.
 Outside the table: the MANOVA trio with its F-law p-value. One-off values
 of the table statistics come from :func:`~depthtest.calibration.evaluate_statistics`.
 """
@@ -20,7 +21,7 @@ from .depths import DepthKind, _spd_cholesky, coordinate_distances, unit_scaled
 from .errors import (
     DimensionMismatch, DomainError, SingularCovariance, SingularScatter, UnknownStatistic,
 )
-from .samples import as_sample_matrix, group_slices, require_same_dimension
+from .samples import as_sample_matrix, require_same_dimension
 
 MANOVA_KINDS = ("wilks", "hotelling", "pillai")
 
@@ -58,42 +59,19 @@ class EigenSummary:
 # ---------------------------------------------------------------------------
 
 
-def depth_ranks(depths: np.ndarray) -> np.ndarray:
-    """Rank of each observation along the last axis: how many depths
-    (itself included) are >= its own.
+def _dbr_stack(rank_sums: np.ndarray, sizes) -> np.ndarray:
+    """(P,) depth-rank statistics of a (P, k, k) stack of rank sums
+    (:func:`~depthtest.quality.quality_indices`).
 
-    The deepest point gets rank 1; ties share the weak-inequality count.
-    """
-    n = depths.shape[-1]
-    order = np.argsort(depths, axis=-1)
-    ordered = np.sort(depths, axis=-1)
-    # a sorted position's count of smaller depths is where its run of
-    # equal depths starts (-0.0 equals 0.0)
-    run_starts = np.empty(depths.shape, dtype=bool)
-    run_starts[..., 0] = False
-    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=run_starts[..., 1:])
-    below = np.maximum.accumulate(np.where(run_starts, np.arange(n), 0), axis=-1)
-    ranks = np.empty_like(order)
-    row_offsets = np.arange(0, order.size, n).reshape(order.shape[:-1] + (1,))
-    ranks.reshape(-1)[order + row_offsets] = n - below
-    return ranks
-
-
-def _dbr_stack(depth_rows: np.ndarray, sizes) -> np.ndarray:
-    """(P,) depth-rank statistics of a (P, k, N) stack of depth rows.
-
-    Row g of a partition holds the depths of the whole pooled arrangement
-    against group g's empirical distribution; each row gives one
+    Entry (g, j) sums the ranks of group j's points among the pooled depths
+    against group g, the deepest ranked 1 and ties sharing the
+    weak-inequality count; each reference row g gives one
     Kruskal-Wallis-type rank sum, and the k of them are averaged. At k = 2
     this is the two-sample depth-rank statistic; at k > 2 it is the
     natural extension, calibrated by permutation. Upper-tail rejection.
     """
-    total = sum(sizes)
-    t = len(sizes)
-    starts = [sl.start for sl in group_slices(sizes)]
-    # (P, k, k) rank sums: reference row, then group
-    rank_sums = np.add.reduceat(depth_ranks(depth_rows), starts, axis=-1).astype(float)
-    terms = (rank_sums * rank_sums / np.array(sizes, dtype=float)).reshape(len(depth_rows), -1)
+    total, t = sum(sizes), len(sizes)
+    terms = (rank_sums * rank_sums / np.array(sizes, dtype=float)).reshape(len(rank_sums), -1)
     # accumulated in reference-then-group order, one term at a time
     acc = np.add.accumulate(terms, axis=1)[:, -1]
     return 12.0 / (total * (total + 1.0) * t) * acc - 3.0 * (total + 1.0)

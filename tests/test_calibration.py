@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from depthtest import (
 )
 from depthtest.calibration import STATISTICS, _StatisticEngine, _screen_band
 from depthtest.cli import main
+from depthtest.quality import quality_indices
 from depthtest.rng import TAG_PERMUTATION, substream
 from oracles import (
     arranged_depth_rows,
@@ -110,9 +112,27 @@ class TestEvaluation:
             assert values[name] == STATISTICS[name].formula(qm.q[None], qm.sizes)[0]
         pooled = np.vstack([x, y])
         rows = np.stack([depth_values(pooled, x, any_kind), depth_values(pooled, y, any_kind)])
-        for name in ("dbr", "bdbr"):
-            assert values[name] == STATISTICS[name].formula(rows[None], qm.sizes)[0]
+        _, rank_sums = quality_indices(rows[None], qm.sizes, rank_sums=True)
+        assert values["dbr"] == STATISTICS["dbr"].formula(rank_sums, qm.sizes)[0]
+        assert values["bdbr"] == STATISTICS["bdbr"].formula(rows[None], qm.sizes)[0]
         assert values["energy"] == STATISTICS["energy"].formula(pooled[None], qm.sizes)[0]
+
+    @pytest.mark.parametrize("names, sums_read", ((("min",), False),
+                                                  (("min", "sum", "max", "bdbr"), False),
+                                                  (("min", "dbr"), True), (("dbr",), True)))
+    def test_rank_sums_only_when_read(self, names, sums_read, monkeypatch, rng):
+        # a Q-only run does no rank-sum work
+        calls = []
+
+        def spy(rows, sizes, rank_sums=False):
+            result = quality_indices(rows, sizes, rank_sums)
+            calls.append(result[1] is not None)
+            return result
+
+        monkeypatch.setattr(calibration, "quality_indices", spy)
+        groups = [rng.normal(size=(8, 2)), rng.normal(size=(7, 2))]
+        permutation_report(groups, names, MAHAL, CalibrationSpec(replications=9, seed=3))
+        assert calls and set(calls) == {sums_read}
 
     def test_cramer_evaluation(self, rng):
         x = rng.normal(size=(8, 1))
@@ -450,6 +470,17 @@ class TestMcAsymptotic:
             mc_asymptotic_min_pvalue(float("nan"), (10, 10), spec)
         with pytest.raises(DomainError):
             mc_asymptotic_min_pvalue(1.0, (10,), spec)
+
+    def test_non_integer_sizes_refused(self):
+        # refused, not truncated onto the p-value of other sizes
+        spec = CalibrationSpec(replications=100, seed=0)
+        for size in (30.9, 0.5, "30", np.float64(30.0)):
+            sizes = (size, 30, 30)
+            with pytest.raises(TypeError, match=re.escape(f"group sizes {sizes!r} are not all")):
+                mc_asymptotic_min_pvalue(2.3, sizes, spec)
+        assert mc_asymptotic_min_pvalue(2.3, (np.int64(30), 30, 30), spec) == (
+            mc_asymptotic_min_pvalue(2.3, (30, 30, 30), spec)
+        )
 
 
 LIMIT_LAW_SIZES = [

@@ -9,6 +9,7 @@ from depthtest import (
     quality_brute_oracle,
     sample_scenario,
 )
+from depthtest.quality import quality_indices
 
 MAHAL = DepthKind("mahalanobis")
 SPATIAL = DepthKind("spatial")
@@ -123,3 +124,13 @@ def test_antisymmetry_deviation_shrinks():
         return float(np.median(devs))
 
     assert median_deviation(400) < median_deviation(50)
+
+
+@pytest.mark.parametrize("sizes", ((4, 6), (5, 3, 4), (30, 30, 30)))
+def test_rank_sums_leave_quality_bits_unchanged(sizes, rng):
+    k, n = len(sizes), sum(sizes)
+    for rows in (rng.random((6, k, n)), rng.choice([-0.0, 0.0, 1.0, 2.0], size=(6, k, n))):
+        q, none = quality_indices(rows, sizes)
+        with_sums, sums = quality_indices(rows, sizes, rank_sums=True)
+        assert none is None and sums.shape == (6, k, k)
+        assert np.array_equal(q.view(np.int64), with_sums.view(np.int64))

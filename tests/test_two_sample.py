@@ -17,12 +17,13 @@ from depthtest import (
 )
 from depthtest.calibration import STATISTICS, _StatisticEngine
 from depthtest.depths import depth_values
-from depthtest.two_sample import depth_ranks
+from depthtest.quality import quality_indices
 
 from oracles import (
     brute_bdbr,
     brute_cramer,
     brute_dbr,
+    brute_depth_ranks,
     brute_energy,
     cdist_energy,
     f_sf_oracle,
@@ -104,10 +105,11 @@ class TestQualityPairStatistics:
 class TestDepthRank:
     def test_rank_definition_on_tied_depths(self):
         sample = np.array([[0.0], [1.0], [2.0]])
-        ranks = depth_ranks(depth_values(sample, sample, MAHAL))
-        # depths (0.5, 1.0, 0.5): the deepest point has rank 1, the tied
-        # outer points count each other -> rank 3
-        assert list(ranks) == [3, 1, 3]
+        row = depth_values(np.vstack([sample, sample]), sample, MAHAL)
+        # depths (0.5, 1.0, 0.5) twice: the two deepest points share rank 2,
+        # the four tied outer points count each other -> rank 6
+        assert brute_depth_ranks(list(row)) == [6, 2, 6, 6, 2, 6]
+        assert _statistic("dbr", sample, sample, MAHAL) == brute_dbr([row, row], [3, 3])
 
     def test_golden_fixture(self):
         assert _statistic("dbr", X5, Y5, MAHAL) == pytest.approx(DBR_GOLDEN, rel=1e-12)
@@ -135,6 +137,16 @@ class TestDepthRank:
             assert _statistic("dbr", x, y, any_kind) == pytest.approx(
                 brute_dbr(rows, [n1, n2]), rel=1e-12
             )
+        # stacks of tie-heavy integer depth rows, with -0.0 tying 0.0
+        for sizes in ((4, 6), (5, 3, 4)):
+            k, n = len(sizes), sum(sizes)
+            for values in ([0.0, 1.0, 2.0], [-0.0, 0.0, 1.0]):
+                rows = rng.choice(values, size=(4, k, n))
+                _, rank_sums = quality_indices(rows, sizes, rank_sums=True)
+                got = STATISTICS["dbr"].formula(rank_sums, sizes)
+                assert list(got) == pytest.approx(
+                    [brute_dbr(stack, sizes) for stack in rows], rel=1e-12
+                )
 
 
 class TestModifiedRank:
