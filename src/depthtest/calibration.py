@@ -29,7 +29,8 @@ from .errors import DepthTestError, DimensionMismatch, DomainError, UnknownStati
 from .multi_sample import _max_stack, _min_stack, _product_stack, _sum_stack
 from .quality import quality_indices
 from .rng import (
-    TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, key_element, normals_from_uniforms, substream,
+    TAG_MC_ASYMPTOTIC, TAG_PERMUTATION, key_element, normals_from_uniforms, require_integer,
+    substream,
 )
 from .samples import coerce_groups, group_slices
 from .two_sample import TestOutcome, _bdbr_stack, _dbr_stack, _energy_stack, cramer_univariate
@@ -88,7 +89,7 @@ class CalibrationSpec:
 
     def __post_init__(self) -> None:
         key_element(self.seed, "seed")
-        if self.replications < 1:
+        if require_integer(self.replications, "replications") < 1:
             raise ValueError("replications must be >= 1")
 
 
@@ -274,34 +275,22 @@ _SCREEN_MARGIN = 1e-9
 # last cut to a power of two of rows), so that the sizes a long run
 # allocates come from a fixed set.
 _BLOCK_ELEMENTS = 1 << 14
-# Steps of 0, 1, 2, 4, ..., 2^62 bit patterns toward 0.5 from the guesses
-# of the low and the high band edge; the last reaches 0.5 from any positive
-# double below 1.
-_BAND_STEPS = np.array([[1], [-1]]) * np.concatenate(([0], np.left_shift(1, np.arange(63))))
 
 
-def _screen_band(t: float) -> tuple[float, float]:
+def _screen_band(t: float) -> tuple[float, float] | None:
     """``(lo, hi)``, 0 < lo <= 0.5 <= hi < 1, such that the normals
-    ``normals_from_uniforms`` makes of lo and of hi lie in [-t, t] (t > 0).
+    ``normals_from_uniforms`` makes of lo and of hi lie in [-t, t] (t > 0),
+    or None if the closed-form edges fail that check.
 
-    Each edge starts at Phi(-t) or Phi(t) from ``math.erfc`` and backs off
-    toward 0.5 in the ``_BAND_STEPS`` of its bit pattern; one call checks
-    all 2 x 64 candidates and keeps the outermost that pass. 0.5 passes
-    (ndtri(0.5) = 0), so the search ends there at the latest.
+    The edges are Phi(-s) and Phi(s) from ``math.erfc``, with
+    s = min(t, 6) (1 - 1e-6): the shrink clears the rounding of erfc and
+    ndtri, and the cap keeps hi off the coarse doubles just below 1. One
+    call on the 2 edges checks them.
     """
-    # lo > 0 leaves a zero uniform to the unscreened path
-    guess = np.array([
-        max(0.5 * math.erfc(t / math.sqrt(2.0)), np.finfo(float).tiny),
-        min(0.5 * math.erfc(-t / math.sqrt(2.0)), np.nextafter(1.0, 0.0)),
-    ])
-    bits = guess.view(np.int64)[:, None] + _BAND_STEPS
-    half = np.float64(0.5).view(np.int64)
-    np.minimum(bits[0], half, out=bits[0])
-    np.maximum(bits[1], half, out=bits[1])
-    candidates = bits.view(np.float64)
-    passed = np.abs(normals_from_uniforms(candidates.copy())) <= t
-    lo, hi = candidates[(0, 1), passed.argmax(axis=1)]
-    return float(lo), float(hi)
+    s = min(t, 6.0) * (1.0 - 1e-6) / math.sqrt(2.0)
+    lo, hi = 0.5 * math.erfc(s), 0.5 * math.erfc(-s)
+    z = normals_from_uniforms(np.array([lo, hi]))
+    return (lo, hi) if np.abs(z).max() <= t else None
 
 
 def _rows_within(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -370,16 +359,17 @@ def mc_asymptotic_min_pvalue(x: float, sizes, spec: CalibrationSpec) -> float:
     Each normal is ``ndtri`` of one Philox uniform. A screen decides most
     draws of a large x from their uniforms alone: if every |z_i| <= t with
     t = x (1 - 1e-9) / max(c + c_tilde), every pair gives
-    |c*z_i + c_tilde*z_j| <= (c + c_tilde) t < x. :func:`_screen_band` finds
-    uniforms [lo, hi] whose normals lie in [-t, t], checked with ``ndtri``
-    itself, and a draw with all k uniforms in it counts as inside without
-    its normals. ndtri is monotone up to a few ulps, far inside the 1e-9
-    margin, so each screened draw passes the pair checks it skips. Every
-    other draw takes the unscreened path (:func:`_inside_counts`), and the
-    draws, their chunks and the stream are unchanged: the count is the
-    unscreened count exactly. The screen runs only when erf(t / sqrt 2)^k,
-    the share of draws it would decide, is at least a half; below that its
-    pass costs more than it saves.
+    |c*z_i + c_tilde*z_j| <= (c + c_tilde) t < x. :func:`_screen_band` gives
+    uniforms [lo, hi] in closed form and checks with ``ndtri`` itself that
+    their normals lie in [-t, t], and a draw with all k uniforms in it
+    counts as inside without its normals. ndtri is monotone up to a few
+    ulps, far inside the 1e-9 margin, so each screened draw passes the pair
+    checks it skips. Every other draw takes the unscreened path
+    (:func:`_inside_counts`), and the draws, their chunks and the stream
+    are unchanged: the count is the unscreened count exactly, with any
+    sound band or none. The screen runs only when erf(t / sqrt 2)^k, the
+    share of draws it would decide, is at least a half (below that its
+    pass costs more than it saves), and when the band passes its check.
     """
     if not np.isfinite(x):
         raise DomainError("statistic must be finite")

@@ -1,8 +1,10 @@
 """CSV ingestion for group-labeled numeric datasets.
 
 The first row is the header. One column carries the group label,
-selected by 0-based index or by header name, which must then occur once;
-every other column must parse as a decimal real. Groups are keyed by
+selected by 0-based index or by header name, which must then occur once.
+A string of digits is an index unless it is out of range, when it is a
+name; digits that index one column and name another are refused. Every
+other column must parse as a decimal real. Groups are keyed by
 label and ordered lexicographically; row order within a group follows
 the file. All implemented statistics are label-symmetric and both
 directed quality indices are always reported, so the group ordering
@@ -71,19 +73,29 @@ def load_csv(path, group_column) -> LabeledDataset:
         raise ParseError(f"{path}: no data rows after header")
 
     width = len(header)
-    if isinstance(group_column, int) or (isinstance(group_column, str) and group_column.isdigit()):
+    positions = [i for i, name in enumerate(header) if name == group_column]
+    digits = isinstance(group_column, int) or (
+        isinstance(group_column, str) and group_column.isdecimal()
+    )
+    if digits and 0 <= int(group_column) < width:
         group_idx = int(group_column)
-        if not 0 <= group_idx < width:
-            raise MissingGroupColumn(f"group column index {group_idx} out of range")
-    else:
-        positions = [i for i, name in enumerate(header) if name == group_column]
-        if not positions:
-            raise MissingGroupColumn(f"group column {group_column!r} not in header {header}")
-        if len(positions) > 1:
+        others = [i for i in positions if i != group_idx]
+        if others:
             raise MissingGroupColumn(
-                f"group column {group_column!r} appears {len(positions)} times in the header, "
-                f"at 0-based positions {positions}; select one by index"
+                f"group column {group_column!r} is ambiguous: as an index it selects column "
+                f"{group_idx} ({header[group_idx]!r}), as a header name the column at 0-based "
+                f"position(s) {others}; select that one by its index or rename it"
             )
+    elif digits and not positions:
+        raise MissingGroupColumn(f"group column index {int(group_column)} out of range")
+    elif not positions:
+        raise MissingGroupColumn(f"group column {group_column!r} not in header {header}")
+    elif len(positions) > 1:
+        raise MissingGroupColumn(
+            f"group column {group_column!r} appears {len(positions)} times in the header, "
+            f"at 0-based positions {positions}; select one by index"
+        )
+    else:
         group_idx = positions[0]
 
     if width < 2:

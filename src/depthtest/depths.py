@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSample, SingularCovariance, SizeLimit
-from .rng import TAG_DIRECTIONS, key_element, standard_normals, substream
+from .rng import TAG_DIRECTIONS, key_element, require_integer, standard_normals, substream
 from .samples import as_sample_matrix, require_same_dimension
 
 VALID_KINDS = ("mahalanobis", "spatial", "projection")
@@ -119,9 +119,10 @@ class DepthKind:
 
     def __post_init__(self) -> None:
         key_element(self.direction_seed, "direction_seed")
+        count = require_integer(self.direction_count, "direction_count")
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown depth kind {self.kind!r}; expected one of {VALID_KINDS}")
-        if self.kind == "projection" and self.direction_count < 1:
+        if self.kind == "projection" and count < 1:
             raise ValueError("direction_count must be >= 1 for projection depth")
 
 

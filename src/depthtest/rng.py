@@ -35,15 +35,22 @@ TAG_MC_ASYMPTOTIC = 5
 KEY_LIMIT = 1 << 64
 
 
+def require_integer(k, what: str) -> int:
+    """``k`` as an int if it is a Python or numpy integer. A float or a
+    string raises TypeError, naming it as ``what``, rather than being
+    truncated or failing later in a count or an allocation."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise TypeError(f"{what} {k!r} is not an integer") from None
+
+
 def key_element(k, what: str = "stream key element") -> int:
     """``k`` as a stream key element: a Python or numpy integer in
     [0, 2^64). A float or a string raises TypeError, naming it as
     ``what``, rather than being truncated onto another key's stream; an
     integer outside the range raises ValueError."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise TypeError(f"{what} {k!r} is not an integer") from None
+    k = require_integer(k, what)
     if not 0 <= k < KEY_LIMIT:
         raise ValueError(f"{what} {k} is outside [0, 2^64)")
     return k

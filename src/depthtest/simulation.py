@@ -34,7 +34,8 @@ from .depths import (
 )
 from .errors import DomainError, UnknownStatistic
 from .rng import (
-    TAG_NULL_CALIBRATION, TAG_SCENARIO, key_element, normals_from_uniforms, substream,
+    TAG_NULL_CALIBRATION, TAG_SCENARIO, key_element, normals_from_uniforms, require_integer,
+    substream,
 )
 from .samples import group_slices
 
@@ -88,14 +89,14 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.size_rule not in SIZE_RULES:
             raise ValueError(f"unknown size rule {self.size_rule!r}")
-        if not self.m_grid or any(m < 4 for m in self.m_grid):
+        if not self.m_grid or any(require_integer(m, "m_grid entry") < 4 for m in self.m_grid):
             raise ValueError("m_grid entries must be >= 4")
         for i, m in enumerate(self.m_grid):
             if m in self.m_grid[:i]:
                 raise ValueError(f"m_grid entry {m} is listed more than once")
         if not 0.0 < self.alpha_level < 1.0:
             raise ValueError("alpha_level must be inside (0, 1)")
-        if self.replications < 1:
+        if require_integer(self.replications, "replications") < 1:
             raise ValueError("replications must be >= 1")
         require_within_cap(self.replications, f"{self.replications} replications keep as "
                            "many values per statistic")

@@ -346,12 +346,23 @@ def load_csv_reference(path, group_column):
         raise ParseError(f"{path}: no data rows after header")
 
     width = len(header)
-    if isinstance(group_column, int) or (isinstance(group_column, str) and group_column.isdigit()):
+    positions = [i for i, name in enumerate(header) if name == group_column]
+    digits = isinstance(group_column, int) or (
+        isinstance(group_column, str) and group_column.isdecimal()
+    )
+    in_range = digits and 0 <= int(group_column) < width
+    if in_range and set(positions) - {int(group_column)}:
+        others = [i for i in positions if i != int(group_column)]
+        raise MissingGroupColumn(
+            f"group column {group_column!r} is ambiguous: as an index it selects column "
+            f"{int(group_column)} ({header[int(group_column)]!r}), as a header name the column "
+            f"at 0-based position(s) {others}; select that one by its index or rename it"
+        )
+    if in_range:
         group_idx = int(group_column)
-        if not 0 <= group_idx < width:
-            raise MissingGroupColumn(f"group column index {group_idx} out of range")
+    elif digits and not positions:
+        raise MissingGroupColumn(f"group column index {int(group_column)} out of range")
     else:
-        positions = [i for i, name in enumerate(header) if name == group_column]
         if not positions:
             raise MissingGroupColumn(f"group column {group_column!r} not in header {header}")
         if len(positions) > 1:

@@ -529,6 +529,11 @@ def _counting_ndtri(monkeypatch):
     return seen
 
 
+# the smallest t, rounded up, at which the screen runs: erf(t / sqrt 2)^k
+# reaches 1/2 at t = 1.05179... for k = 2, and later for larger k
+_SCREEN_DOMAIN = 1.0518
+
+
 class TestLimitLawScreen:
     def test_most_draws_never_reach_ndtri(self, monkeypatch):
         # x = 4, k = 3, equal sizes: |z| <= 4 / sqrt 2 for about 98.6% of
@@ -561,14 +566,26 @@ class TestLimitLawScreen:
 
     @pytest.mark.parametrize("t", np.geomspace(1e-12, 40.0, 61))
     def test_band_is_sound_and_found_in_one_call(self, t, monkeypatch):
+        # below the screen's domain the closed form may round itself out of
+        # a band
         seen = _counting_ndtri(monkeypatch)
-        lo, hi = _screen_band(t)
-        assert seen == [128]
+        band = _screen_band(t)
+        assert seen == [2]
+        if band is None:
+            assert t < _SCREEN_DOMAIN
+            return
+        lo, hi = band
         assert 0.0 < lo <= 0.5 <= hi < 1.0
         inside = np.concatenate(([lo, hi], np.random.default_rng(0).uniform(lo, hi, 10_000)))
         assert np.abs(depthtest.rng.normals_from_uniforms(inside)).max() <= t
         # and not needlessly narrow: it holds the normal mass of [-t, t]
         assert hi - lo >= math.erf(t / math.sqrt(2.0)) * (1.0 - 1e-3)
+
+    def test_band_found_across_the_screens_domain(self):
+        # a band that turned None would switch the screen off, which costs
+        # time but no count
+        for t in np.geomspace(_SCREEN_DOMAIN, 1e6, 2001):
+            assert _screen_band(t) is not None, t
 
     def test_uniforms_at_and_past_the_band_edges(self, monkeypatch):
         # rows on the band's edges, one ulp outside them, at 0 and at 0.5;

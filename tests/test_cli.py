@@ -256,6 +256,20 @@ class TestExitCodes:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_digit_header_name_as_group_column(self, tmp_path, capsys):
+        # 2021 is past the header's width, so it names the column; digits that
+        # index one column and name another are a data error naming both
+        data = tmp_path / "year.csv"
+        data.write_text("x,2021\n1,a\n2,b\n3,a\n5,b\n")
+        argv = ["two-sample", "--input", str(data), "--group", "2021", "--stats", "min"]
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",mahalanobis,2;2,0")
+        data.write_text("1,x,g\n1,a,2\n2,b,3\n3,a,1\n5,b,0\n")
+        assert main(argv[:4] + ["1"] + argv[5:]) == 1
+        assert "group column '1' is ambiguous: as an index it selects column 1 ('x')" in (
+            capsys.readouterr().err
+        )
+
     def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "binary.csv"
         data.write_bytes(b"\x7fELF\x02\x01\x01\x00\xd0\x8f\xff,grp\n")

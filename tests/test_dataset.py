@@ -126,6 +126,29 @@ class TestLoadCsv:
         with pytest.raises(MissingGroupColumn, match="index 2 out of range"):
             load_csv(path, 2)
 
+    def test_digit_header_name_selects_its_column(self, tmp_path):
+        # 2021 is no valid index of a 2-column header, so it names the column
+        path = tmp_path / "year.csv"
+        path.write_text("x,2021\n1.5,a\n2.5,b\n3.5,a\n")
+        ds = load_csv(path, "2021")
+        assert ds.variable_names == ("x",)
+        assert ds.groups["a"].tolist() == [[1.5], [3.5]]
+        # an int is an index only
+        with pytest.raises(MissingGroupColumn, match="index 2021 out of range"):
+            load_csv(path, 2021)
+
+    def test_digits_that_index_one_column_and_name_another_are_refused(self, tmp_path):
+        path = tmp_path / "ambiguous.csv"
+        path.write_text("1,x,g\n5,a,2\n6,b,4\n")
+        with pytest.raises(
+            MissingGroupColumn,
+            match=r"group column '1' is ambiguous: as an index it selects column 1 \('x'\), "
+            r"as a header name the column at 0-based position\(s\) \[0\]",
+        ):
+            load_csv(path, "1")
+        # an int is an index only
+        assert load_csv(path, 1).variable_names == ("1", "g")
+
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes("a,v\nx,1\ny,2\n".encode("utf-8-sig"))
@@ -195,6 +218,12 @@ INPUTS = (
     ("repeated-group", b"g,x,g\na,1,2\n", "g", False),
     ("group-by-index", b"g,x,g\na,1,2\nb,3,4\n", "2", False),
     ("group-only", b"g\na\n", "g", False),
+    ("digit-name-past-the-width", b"x,2021\n1,a\n2,b\n", "2021", False),
+    ("digit-name-repeated-past-the-width", b"7,x,7\na,1,2\n", "7", False),
+    ("digit-index-naming-another-column", b"1,x,g\na,1,2\nb,3,4\n", "1", False),
+    ("digit-index-naming-itself", b"0,1,2\n1,a,3\n2,b,4\n", "1", False),
+    ("digit-index-named-twice", b"x,1,1\n1,a,2\n", "1", False),
+    ("non-decimal-digit-name", "x,\u00b2\n1,a\n2,b\n".encode(), "\u00b2", False),
     ("ragged", b"x,y,g\n1,2,a\n1,a\n", "g", False),
     ("ragged-long", b"x,y,g\n1,2,a\n3,4,b,5\n", "g", False),
     ("ragged-short", b"g,x,y\na,1,2\nb,3\n", "g", False),

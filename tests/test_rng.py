@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,3 +149,26 @@ def test_specs_refuse_non_integral_seed_before_any_work():
     with pytest.raises(TypeError, match="direction_seed 1.5 is not an integer"):
         DepthKind("projection", direction_seed=1.5)
     assert CalibrationSpec(replications=49, seed=np.int64(1)).seed == 1
+
+
+@pytest.mark.parametrize("build, message", (
+    (lambda: CalibrationSpec(replications=1e4, seed=1), "replications 10000.0"),
+    (lambda: CalibrationSpec(replications="5", seed=1), "replications '5'"),
+    (lambda: ScenarioSpec("null", (20,), "equal", DepthKind("mahalanobis"), 5.0, 3),
+     "replications 5.0"),
+    (lambda: ScenarioSpec("null", (20, 40.0), "equal", DepthKind("mahalanobis"), 5, 3),
+     "m_grid entry 40.0"),
+    (lambda: DepthKind("projection", direction_count=10.5), "direction_count 10.5"),
+), ids=("calibration-float", "calibration-string", "scenario-reps", "m-grid", "directions"))
+def test_specs_refuse_non_integral_counts_at_construction(build, message):
+    # a float count used to be accepted here and fail later inside range(),
+    # np.empty or the direction draw
+    with pytest.raises(TypeError, match=f"{re.escape(message)} is not an integer"):
+        build()
+
+
+def test_specs_accept_numpy_integer_counts():
+    assert CalibrationSpec(replications=np.int64(49), seed=1).replications == 49
+    spec = ScenarioSpec("null", (np.int32(20),), "equal", DepthKind("mahalanobis"), np.uint8(5), 3)
+    assert (spec.m_grid, spec.replications) == ((20,), 5)
+    assert DepthKind("projection", direction_count=np.int16(10)).direction_count == 10
