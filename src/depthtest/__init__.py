@@ -42,7 +42,7 @@ from .simulation import (
     sample_scenario,
     type1_quantiles,
 )
-from .two_sample import EigenSummary, TestOutcome, cramer_univariate, manova, manova_eigen
+from .two_sample import TestOutcome, cramer_univariate, manova
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "DepthTestError",
     "DimensionMismatch",
     "DomainError",
-    "EigenSummary",
     "LabeledDataset",
     "MissingGroupColumn",
     "NonNumericCell",
@@ -80,7 +79,6 @@ __all__ = [
     "hull_volume",
     "load_csv",
     "manova",
-    "manova_eigen",
     "mc_asymptotic_min_pvalue",
     "permutation_report",
     "power_table",

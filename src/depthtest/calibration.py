@@ -33,7 +33,7 @@ from .rng import (
     substream,
 )
 from .samples import coerce_groups, group_slices
-from .two_sample import TestOutcome, _bdbr_stack, _dbr_stack, _energy_stack, cramer_univariate
+from .two_sample import TestOutcome, _bdbr_stack, _cramer_stack, _dbr_stack, _energy_stack
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ class Statistic:
         return group_count == 2 or not self.two_group_only
 
 
-def _per_partition(formula):
-    """A stacked formula from one that takes a single partition's input."""
-    return lambda inputs, sizes: np.array([formula(one, sizes) for one in inputs])
-
-
 # The k = 2 rows are the two-sample statistics; MANOVA stays outside, with
 # its own F-law p-value and no permutation path.
 STATISTICS = {
@@ -73,9 +68,7 @@ STATISTICS = {
     "dbr": Statistic("upper", False, "rank_sums", _dbr_stack),
     "bdbr": Statistic("upper", True, "depth_rows", _bdbr_stack),
     "energy": Statistic("upper", True, "pooled", _energy_stack),
-    "cramer": Statistic("upper", True, "pooled", _per_partition(
-        lambda rows, sizes: cramer_univariate(rows[: sizes[0]], rows[sizes[0]:])
-    )),
+    "cramer": Statistic("upper", True, "pooled", _cramer_stack),
 }
 
 

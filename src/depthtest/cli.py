@@ -73,14 +73,6 @@ PROFILES = {
     "full": {"m_grid": tuple(range(100, 1001, 100)), "type1": 10_000, "power": 1000},
 }
 
-# The JSON report's config block: every flag of every subcommand, by the
-# parsed attribute (dest) it is stored under.
-CONFIG_KEYS = (
-    "command", "input", "group_column", "groups", "depth", "directions", "statistics",
-    "permutations", "asymptotic", "mc_draws", "scenario", "m_grid", "size_rule",
-    "replications", "profile", "alpha_level", "seed", "format",
-)
-
 
 def _fmt_stat(value: float) -> float:
     return float(f"{value:.9g}")
@@ -269,7 +261,10 @@ def _run_scale_curve(args: argparse.Namespace) -> dict:
 def _emit(args: argparse.Namespace, body: dict) -> None:
     if args.format == "json":
         report = {
-            "config": {key: getattr(args, key) for key in CONFIG_KEYS},
+            "config": {
+                key: value for key, value in vars(args).items()
+                if key not in ("handler", "columns", "output")
+            },
             "results": body["results"],
             "fixture_hashes": body.get("fixture_hashes", {}),
         }
@@ -342,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(
         input=None, group_column=None, groups=None, statistics=None, permutations=0,
         asymptotic=False, mc_draws=1_000_000, scenario=None, m_grid=None, size_rule="equal",
-        replications=None, profile="desk", alpha_level=0.05,
+        replications=None, profile="desk", alpha_level=0.05, alphas=None,
     )
 
     def add_common(p: argparse.ArgumentParser) -> None:

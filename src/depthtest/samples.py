@@ -61,7 +61,8 @@ def coerce_groups(groups) -> tuple[np.ndarray, list[int]]:
 def group_slices(sizes) -> list[slice]:
     """Row block of each group in a pooled matrix stacked in group order.
 
-    Plain Python: it runs several times per permutation replication, where
-    numpy's per-call overhead on a k-element array would dominate.
+    Plain Python: it runs once per statistic engine and once per simulation
+    chunk, on k sizes, where numpy's per-call overhead would outweigh the
+    work.
     """
     return [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]

@@ -44,16 +44,6 @@ class TestOutcome:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class EigenSummary:
-    """Eigenvalues of the within-scatter-whitened between scatter."""
-
-    eigenvalues: tuple[float, ...]
-    p: int
-    n1: int
-    n2: int
-
-
 # ---------------------------------------------------------------------------
 # Depth-rank machinery shared by the DbR and modified DbR tests.
 # ---------------------------------------------------------------------------
@@ -124,63 +114,44 @@ def _bdbr_stack(depth_rows: np.ndarray, sizes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def manova_eigen(x, y) -> EigenSummary:
-    """Eigenvalues of S_W^{-1} S_B for two groups."""
+def manova(x, y, which: str) -> TestOutcome:
+    """Wilks / Hotelling / Pillai statistic with its F-law p-value.
+
+    With two groups the between scatter is (n1 n2 / N) d d^T for the mean
+    difference d, so S_W^{-1} S_B has one nonzero eigenvalue,
+    lam = (n1 n2 / N) |L^{-1} d|^2 with L the Cholesky factor of the
+    within scatter S_W. Wilks is 1/(1 + lam), Hotelling lam and Pillai
+    lam/(1 + lam), and all three are Hotelling's T^2 in other units, with
+    the one F value lam (N - p - 1)/p on (p, N - p - 1) degrees of freedom.
+    """
+    if which not in MANOVA_KINDS:
+        raise UnknownStatistic(f"unknown MANOVA statistic {which!r}")
     x = as_sample_matrix(x, "x")
     y = as_sample_matrix(y, "y")
     p = require_same_dimension(x, y)
     _, (x, y) = unit_scaled(x, y)
     n1, n2 = x.shape[0], y.shape[0]
-    if n1 + n2 <= p + 1:
+    df2 = n1 + n2 - p - 1
+    if df2 <= 0:
         raise SingularScatter(f"need n1 + n2 > p + 1 (got {n1 + n2} observations, p={p})")
-    grand = np.vstack([x, y]).mean(axis=0)
-    s_w = np.zeros((p, p))
-    s_b = np.zeros((p, p))
-    for grp in (x, y):
-        mean = grp.mean(axis=0)
-        centered = grp - mean
-        s_w += centered.T @ centered
-        offset = mean - grand
-        s_b += grp.shape[0] * np.outer(offset, offset)
+    mean_x, mean_y = x.mean(axis=0), y.mean(axis=0)
+    centered_x, centered_y = x - mean_x, y - mean_y
     try:
-        lower = _spd_cholesky(s_w)
+        lower = _spd_cholesky(centered_x.T @ centered_x + centered_y.T @ centered_y)
     except SingularCovariance as exc:
         raise SingularScatter("within-group scatter is not invertible") from exc
-    half = np.linalg.solve(lower, s_b)
-    whitened = np.linalg.solve(lower, half.T)
-    eigenvalues = np.sort(np.linalg.eigvalsh((whitened + whitened.T) / 2.0))[::-1]
-    return EigenSummary(eigenvalues=tuple(float(v) for v in eigenvalues), p=p, n1=n1, n2=n2)
-
-
-def manova(x, y, which: str) -> TestOutcome:
-    """Wilks / Hotelling / Pillai statistic with its F-approximation p-value."""
-    if which not in MANOVA_KINDS:
-        raise UnknownStatistic(f"unknown MANOVA statistic {which!r}")
-    summary = manova_eigen(x, y)
-    lam = np.array(summary.eigenvalues)
-    lam = np.maximum(lam, 0.0)
-    p, n1, n2 = summary.p, summary.n1, summary.n2
-    df2 = n1 + n2 - p - 1
-    ratio = df2 / p
-    if which == "wilks":
-        stat = float(np.prod(1.0 / (1.0 + lam)))
-        f_value = (1.0 - stat) / stat * ratio
-    elif which == "hotelling":
-        stat = float(lam.sum())
-        f_value = ratio * stat
-    else:
-        stat = float((lam / (1.0 + lam)).sum())
-        f_value = ratio * stat / (1.0 - stat) if stat < 1.0 else np.inf
+    whitened = np.linalg.solve(lower, mean_x - mean_y)
+    lam = n1 * n2 / (n1 + n2) * float(whitened @ whitened)
+    stat = {"wilks": 1.0 / (1.0 + lam), "hotelling": lam, "pillai": lam / (1.0 + lam)}[which]
     # fdtrc is what scipy.stats.f.sf evaluates; they differ only at x < 0,
     # which a MANOVA F value never reaches. Imported here: scipy.special
     # costs every other command about 0.3 s and 20 MB of start-up.
     from scipy.special import fdtrc
 
-    p_value = float(fdtrc(p, df2, f_value))
     return TestOutcome(
         statistic_name=which,
         statistic=stat,
-        p_value=p_value,
+        p_value=float(fdtrc(p, df2, df2 / p * lam)),
         method="asymptotic",
         depth_kind=None,
         sizes=(n1, n2),
@@ -203,6 +174,13 @@ def cramer_univariate(x, y) -> float:
     ecdf_y = np.searchsorted(yv, pooled, side="right") / n
     gap_sq = (ecdf_x - ecdf_y) ** 2
     return m * n / (m + n) * float(gap_sq.mean())
+
+
+def _cramer_stack(pooled: np.ndarray, sizes) -> np.ndarray:
+    """(P,) Cramer statistics of a (P, N, 1) stack of pooled samples in
+    partition order, one :func:`cramer_univariate` call per partition."""
+    m = sizes[0]
+    return np.array([cramer_univariate(rows[:m], rows[m:]) for rows in pooled])
 
 
 def _energy_stack(pooled: np.ndarray, sizes) -> np.ndarray:

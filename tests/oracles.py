@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,33 @@ def f_sf_oracle(value: float, df1: int, df2: int) -> float:
         return 1.0
     w = df2 / (df2 + df1 * value)
     return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, w)
+
+
+def exact_manova_eigenvalue(x, y) -> Fraction:
+    """The one nonzero eigenvalue of S_W^{-1} S_B for two groups,
+    (n1 n2 / N) d^T S_W^{-1} d with d the mean difference, in exact
+    rational arithmetic on the given floats: S_W d' = d is solved by
+    Gauss-Jordan elimination over Fractions."""
+    groups = [[[Fraction(float(v)) for v in row] for row in np.asarray(g, dtype=float)]
+              for g in (x, y)]
+    p = len(groups[0][0])
+    means = [[sum(row[j] for row in g) / len(g) for j in range(p)] for g in groups]
+    diff = [a - b for a, b in zip(*means)]
+    system = [
+        [sum((row[i] - m[i]) * (row[j] - m[j]) for g, m in zip(groups, means) for row in g)
+         for j in range(p)] + [diff[i]]
+        for i in range(p)
+    ]
+    for c in range(p):
+        pivot = next(r for r in range(c, p) if system[r][c] != 0)
+        system[c], system[pivot] = system[pivot], system[c]
+        for r in range(p):
+            if r != c and system[r][c] != 0:
+                f = system[r][c] / system[c][c]
+                system[r] = [u - f * v for u, v in zip(system[r], system[c])]
+    solution = [system[i][p] / system[i][i] for i in range(p)]
+    n1, n2 = len(groups[0]), len(groups[1])
+    return Fraction(n1 * n2, n1 + n2) * sum(u * v for u, v in zip(diff, solution))
 
 
 # ---------------------------------------------------------------------------

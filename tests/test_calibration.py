@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -98,6 +99,11 @@ class TestTails:
             assert STATISTICS[name].tail == "upper"
 
 
+def test_statistic_table_survives_pickling():
+    # a process pool ships the table's formulas to its workers by reference
+    assert pickle.loads(pickle.dumps(STATISTICS)) == STATISTICS
+
+
 class TestEvaluation:
     def test_matches_public_operations(self, any_kind, rng):
         # the engine's one-off values against each table formula on inputs
@@ -140,6 +146,16 @@ class TestEvaluation:
         assert evaluate_statistics([x, y], ("cramer",), None)["cramer"] == pytest.approx(
             cramer_univariate(x, y), rel=1e-15
         )
+        # a stack of partitions gives each partition's own value
+        pooled = np.stack([rng.permutation(np.vstack([x, y])) for _ in range(5)])
+        assert list(STATISTICS["cramer"].formula(pooled, (8, 6))) == [
+            cramer_univariate(rows[:8], rows[8:]) for rows in pooled
+        ]
+
+    def test_depth_statistic_without_depth_kind(self, rng):
+        groups = [rng.normal(size=(6, 2)), rng.normal(size=(5, 2))]
+        with pytest.raises(ValueError, match="statistic 'min' needs a DepthKind"):
+            evaluate_statistics(groups, ("min",), None)
 
     def test_two_group_only_guard(self, rng):
         groups = [rng.normal(size=(5, 2)) for _ in range(3)]

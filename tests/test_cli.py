@@ -223,6 +223,27 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", (
+        (["k-sample", "--groups", "c4000BC", "--stats", "min"],
+         "usage error: need at least 2 groups for a test command\n"),
+        (["k-sample", "--stats", "min,hotelling"],
+         "usage error: MANOVA statistics are two-sample only\n"),
+    ), ids=("one-group", "k-sample-manova"))
+    def test_test_command_usage_errors(self, argv, message, capsys):
+        assert main([*argv, "--input", str(skulls_path()), "--group", "epoch"]) == 2
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("missing", ("input", "output"))
+    def test_unreachable_file_is_io_error(self, missing, tmp_path, capsys):
+        paths = {"input": str(skulls_path()), "output": str(tmp_path / "report.json")}
+        paths[missing] = str(tmp_path / "absent" / "file.csv")
+        code = main(["two-sample", "--input", paths["input"], "--output", paths["output"],
+                     "--group", "epoch", "--groups", "c4000BC,cAD150", "--stats", "min"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"i/o error: [Errno 2] No such file or directory: '{paths[missing]}'\n"
+        )
+
     def test_nonnumeric_data_is_data_error(self, tmp_path):
         data = tmp_path / "bad.csv"
         data.write_text("v,grp\n1,a\nzzz,b\n")
@@ -481,7 +502,8 @@ class TestConfigBlock:
             "command": "two-sample", "input": skulls, "group_column": "epoch",
             "groups": ["cAD150", "c4000BC"], "depth": "mahalanobis", "directions": 500,
             "statistics": ["min", "wilks"], "permutations": 9, "asymptotic": False,
-            "mc_draws": 1_000_000, "seed": 3, "format": "json", **_UNSET_TEST_FLAGS,
+            "mc_draws": 1_000_000, "seed": 3, "format": "json", "alphas": None,
+            **_UNSET_TEST_FLAGS,
         }
 
     def test_k_sample(self, tmp_path):
@@ -495,7 +517,7 @@ class TestConfigBlock:
             "command": "k-sample", "input": skulls, "group_column": "4", "groups": None,
             "depth": "spatial", "directions": 7, "statistics": ["min", "product"],
             "permutations": 0, "asymptotic": True, "mc_draws": 1000, "seed": 0,
-            "format": "json", **_UNSET_TEST_FLAGS,
+            "format": "json", "alphas": None, **_UNSET_TEST_FLAGS,
         }
 
     def test_power(self, tmp_path):
@@ -507,7 +529,7 @@ class TestConfigBlock:
             "command": "power", "depth": "mahalanobis", "directions": 500,
             "statistics": ["min", "sum"], "scenario": "mean_shift", "m_grid": [12, 10],
             "size_rule": "half", "replications": 2, "profile": "desk", "alpha_level": 0.1,
-            "seed": 4, "format": "json", **_UNSET_SIMULATION_FLAGS,
+            "seed": 4, "format": "json", "alphas": None, **_UNSET_SIMULATION_FLAGS,
         }
         # without --stats and --reps: no statistics list, and the profile's power count
         config = _config_block(
@@ -523,7 +545,7 @@ class TestConfigBlock:
             "command": "type1", "depth": "projection", "directions": 20, "statistics": None,
             "scenario": "null", "m_grid": [100, 200, 300, 400, 500], "size_rule": "equal",
             "replications": 3, "profile": "desk", "alpha_level": 0.05, "seed": 2,
-            "format": "json", **_UNSET_SIMULATION_FLAGS,
+            "format": "json", "alphas": None, **_UNSET_SIMULATION_FLAGS,
         }
         # the full profile's type-I count differs from its power count
         config = _config_block(
@@ -542,8 +564,24 @@ class TestConfigBlock:
             "command": "scale-curve", "input": skulls, "group_column": "epoch",
             "groups": ["c200BC", "cAD150"], "depth": "projection", "directions": 20,
             "statistics": None, "permutations": 0, "asymptotic": False,
-            "mc_draws": 1_000_000, "seed": 1, "format": "json", **_UNSET_TEST_FLAGS,
+            "mc_draws": 1_000_000, "seed": 1, "format": "json", "alphas": [0.5],
+            **_UNSET_TEST_FLAGS,
         }
+
+    def test_every_command_reports_the_same_keys(self, tmp_path):
+        data = ["--input", str(skulls_path()), "--group", "epoch"]
+        keys = {
+            command: set(_config_block([command, *argv], tmp_path))
+            for command, argv in (
+                ("two-sample", [*data, "--groups", "c4000BC,cAD150", "--stats", "min"]),
+                ("k-sample", [*data, "--stats", "min"]),
+                ("power", ["--scenario", "null", "--m-grid", "4", "--reps", "1"]),
+                ("type1", ["--scenario", "null", "--m-grid", "4", "--reps", "1"]),
+                ("scale-curve", [*data, "--groups", "c4000BC", "--alphas", "0.5"]),
+            )
+        }
+        assert all(found == keys["two-sample"] for found in keys.values()), keys
+        assert "alphas" in keys["two-sample"]
 
 
 def _no_simulation(spec, m, names, tag):
@@ -833,6 +871,36 @@ def test_limit_law_reports_pinned(groups, seed, capsys):
     assert capsys.readouterr().out == (
         "statistic_name,statistic,p_value,method,depth,sizes,seed\n"
         f"min,{_LIMIT_LAW_REPORTS[groups, seed]}\n"
+    )
+
+
+# `two-sample --stats wilks,hotelling,pillai` on every pair of skulls epochs,
+# as the k-group eigenvalue route reported them: (Wilks, Hotelling, Pillai,
+# the p-value of all three)
+_MANOVA_REPORTS = {
+    "c4000BC,c3300BC": ("0.972325811", "0.0284618473", "0.0276741888", "0.813943"),
+    "c4000BC,c1850BC": ("0.812434593", "0.230868317", "0.187565407", "0.0203528"),
+    "c4000BC,c200BC": ("0.697029918", "0.434658649", "0.302970082", "0.00045643"),
+    "c4000BC,cAD150": ("0.638181144", "0.566953222", "0.361818856", "4.73559e-05"),
+    "c3300BC,c1850BC": ("0.810240106", "0.234202051", "0.189759894", "0.019079"),
+    "c3300BC,c200BC": ("0.639905044", "0.562731862", "0.360094956", "5.07818e-05"),
+    "c3300BC,cAD150": ("0.63346562", "0.578617638", "0.36653438", "3.90761e-05"),
+    "c1850BC,c200BC": ("0.886660592", "0.127827276", "0.113339408", "0.150623"),
+    "c1850BC,cAD150": ("0.828117295", "0.207558406", "0.171882705", "0.0320211"),
+    "c200BC,cAD150": ("0.957585725", "0.0442929273", "0.0424142749", "0.657844"),
+}
+
+
+@pytest.mark.parametrize("groups", _MANOVA_REPORTS)
+def test_manova_reports_pinned(groups, capsys):
+    argv = ["two-sample", "--input", str(skulls_path()), "--group", "epoch", "--groups", groups,
+            "--stats", "wilks,hotelling,pillai", "--format", "csv"]
+    assert main(argv) == 0
+    *stats, p = _MANOVA_REPORTS[groups]
+    rows = "".join(f"{name},{stat},{p},asymptotic,,30;30,0\n"
+                   for name, stat in zip(("wilks", "hotelling", "pillai"), stats))
+    assert capsys.readouterr().out == (
+        "statistic_name,statistic,p_value,method,depth,sizes,seed\n" + rows
     )
 
 

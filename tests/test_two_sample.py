@@ -13,11 +13,11 @@ from depthtest import (
     cramer_univariate,
     evaluate_statistics,
     manova,
-    manova_eigen,
 )
 from depthtest.calibration import STATISTICS, _StatisticEngine
 from depthtest.depths import depth_values
 from depthtest.quality import quality_indices
+from depthtest.two_sample import MANOVA_KINDS
 
 from oracles import (
     brute_bdbr,
@@ -26,6 +26,7 @@ from oracles import (
     brute_depth_ranks,
     brute_energy,
     cdist_energy,
+    exact_manova_eigenvalue,
     f_sf_oracle,
 )
 
@@ -209,17 +210,14 @@ class TestManova:
         # groups {-1, 1} and {1, 3}: S_W = 4, S_B = 4, single eigenvalue 1
         x = np.array([[-1.0], [1.0]])
         y = np.array([[1.0], [3.0]])
-        summary = manova_eigen(x, y)
-        assert summary.eigenvalues[0] == pytest.approx(1.0, rel=1e-12)
         wilks = manova(x, y, "wilks")
         hotelling = manova(x, y, "hotelling")
         pillai = manova(x, y, "pillai")
         assert wilks.statistic == pytest.approx(0.5, rel=1e-12)
         assert hotelling.statistic == pytest.approx(1.0, rel=1e-12)
         assert pillai.statistic == pytest.approx(0.5, rel=1e-12)
-        # with a single eigenvalue all three F transforms coincide
-        assert wilks.p_value == pytest.approx(hotelling.p_value, rel=1e-12)
-        assert wilks.p_value == pytest.approx(pillai.p_value, rel=1e-12)
+        # one eigenvalue gives all three statistics one F value
+        assert wilks.p_value == hotelling.p_value == pillai.p_value
 
     def test_identical_groups_zero_between_scatter(self, rng):
         x = rng.normal(size=(10, 2))
@@ -232,9 +230,29 @@ class TestManova:
         for _ in range(10):
             x = rng.normal(size=(12, 3))
             y = rng.normal(size=(14, 3)) + 0.3
-            summary = manova_eigen(x, y)
-            assert len(summary.eigenvalues) == 3
-            assert all(v >= -1e-8 for v in summary.eigenvalues)
+            wilks, hotelling, pillai = (manova(x, y, which) for which in MANOVA_KINDS)
+            lam = hotelling.statistic
+            assert lam >= 0.0
+            assert wilks.statistic == 1.0 / (1.0 + lam)
+            assert pillai.statistic == lam / (1.0 + lam)
+            assert wilks.p_value == hotelling.p_value == pillai.p_value
+
+    def test_near_collinear_against_exact_eigenvalue(self):
+        # column 2 is column 0 plus 1e-6 noise in both groups: the within
+        # scatter's last Cholesky pivot is 1.3e-12 of its largest diagonal
+        # entry, just above the 1e-12 at which it is refused
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(20, 3))
+        y = rng.normal(size=(20, 3)) + 0.5
+        x[:, 2] = x[:, 0] + 1e-6 * rng.normal(size=20)
+        y[:, 2] = y[:, 0] + 1e-6 * rng.normal(size=20)
+        lam = exact_manova_eigenvalue(x, y)
+        p_value = f_sf_oracle(float(lam * 36 / 3), 3, 36)
+        for which, stat in (("wilks", 1 / (1 + lam)), ("hotelling", lam),
+                            ("pillai", lam / (1 + lam))):
+            out = manova(x, y, which)
+            assert out.statistic == pytest.approx(float(stat), rel=1e-6)
+            assert out.p_value == pytest.approx(p_value, rel=1e-6)
 
     def test_pvalue_against_incomplete_beta_oracle(self, rng):
         for _ in range(10):
