@@ -182,16 +182,18 @@ def coordinate_distances(columns, rows, planes, out, squares) -> np.ndarray:
     the order in which scipy's ``cdist`` sums, so every distance equals
     cdist's bit for bit; ``np.sum`` or ``np.linalg.norm`` over a last,
     contiguous coordinate axis adds pairwise from d = 8 on and rounds
-    differently.
+    differently. ``np.square`` forms the same product x * x as
+    ``np.multiply(x, x)``, in about half its time on numpy 2.4 (9.1 against
+    16.5 us on a 256 x 128 plane).
     """
     for j, (plane, column, row) in enumerate(zip(planes, columns, rows)):
         plane[...] = column
         np.subtract(plane, row, out=plane)
         if j:
-            np.multiply(plane, plane, out=squares)
+            np.square(plane, out=squares)
             out += squares
         else:
-            np.multiply(plane, plane, out=out)
+            np.square(plane, out=out)
     return np.sqrt(out, out=out)
 
 
@@ -220,14 +222,16 @@ def _unit_components(query: np.ndarray, reference: np.ndarray, out=None) -> np.n
 def _spatial_from_sums(sums: np.ndarray, m: int) -> np.ndarray:
     """Spatial depths from the (d, ...) unit-vector sums over m reference rows."""
     avg = sums / m
-    return np.clip(1.0 - np.sqrt((avg * avg).sum(axis=0)), 0.0, 1.0)
+    return np.clip(1.0 - np.sqrt(np.square(avg, out=avg).sum(axis=0)), 0.0, 1.0)
 
 
 def _column_blocks(count: int):
     """``(start, stop)`` ranges of at most ``_SPATIAL_CHUNK`` query columns
     covering ``range(count)``. numpy sums the reference axis of a
     one-column block pairwise, not in reference order like every wider
-    block, so a lone last column is widened by the one before it."""
+    block: one-shot, and under several orders, whose (m, P', 1) gather
+    numpy lays out with the reference axis contiguous, whatever P'. So a
+    lone last column is widened by the one before it."""
     for start in range(0, count, _SPATIAL_CHUNK):
         yield max(0, min(start, count - 2)), min(start + _SPATIAL_CHUNK, count)
 
@@ -425,12 +429,13 @@ def depth_elements(kind: DepthKind, n: int, d: int) -> int:
     """Size, in elements, of the largest temporary :func:`pooled_depths`
     builds per partition for n pooled rows in d dimensions: Mahalanobis'
     (d, n) deviations, spatial's (d, w) sums over a block of w = min(n,
-    ``_SPATIAL_CHUNK``) columns under several orders (it cuts its (m, w)
-    reference gathers to a chunk), or one projection depth row. Each kind
-    bounds what it builds per pooled sample itself: spatial depth under
-    one order builds no per-partition temporary, but two tile buffers for
-    as many samples as fit one :func:`chunks` budget (or one sample), and
-    their (k, d, n) running sums."""
+    ``_SPATIAL_CHUNK``) columns under several orders (it cuts its (m, P',
+    w) reference-major gathers of P' partitions to a chunk), or one
+    projection depth row. Each kind bounds what it builds per pooled sample
+    itself: spatial depth under one order builds no per-partition
+    temporary, but two tile buffers for as many samples as fit one
+    :func:`chunks` budget (or one sample), and their (k, d, n) running
+    sums."""
     if kind.kind == "mahalanobis":
         return d * n
     if kind.kind == "spatial":
@@ -453,17 +458,21 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind, orders: np.ndarray, slic
     depth under several orders walks one sample at a time, in blocks of w
     <= ``_SPATIAL_CHUNK`` query columns whose (d, N, w) unit vectors share
     one buffer: a block's coordinates are summed per group, one coordinate
-    at a time, over a gather of the reference rows in partition order, for
-    as many partitions at once as fit their (m, w) gathers into a budget.
-    Under one order (P = 1) it relabels the samples into partition order
-    and walks tile rows of ``_SPATIAL_TILE`` rows, each pair's unit vector
-    computed once and added to running sums in ascending row order, with
-    no gather (:func:`_one_order_spatial`); the depths are bit for bit
-    those of the column blocks. Projection depth runs partition by
-    partition, gathering each group's reference rows from one (N, D)
-    scores buffer filled once per sample. :func:`depth_elements` gives the
-    largest per-partition temporary. The stack is first rescaled by
-    :func:`unit_scaled`; nothing outlives the call.
+    at a time, for as many (P') partitions at once as fit their (m, w)
+    gathers into a budget. The gather is reference-major: an (m, P', w)
+    stack through the transposed index ``orders[a:b, sl].T``, summed over
+    its first axis, so that each add takes reference row i of every
+    partition as one contiguous run of P'·w values, and each sum still adds
+    its rows in partition order. Under one order (P = 1) it relabels the
+    samples into partition order and walks tile rows of ``_SPATIAL_TILE``
+    rows, each pair's unit vector computed once and added to running sums
+    in ascending row order, with no gather (:func:`_one_order_spatial`);
+    the depths are bit for bit those of the column blocks. Projection
+    depth runs partition by partition, gathering each group's reference
+    rows from one (N, D) scores buffer filled once per sample.
+    :func:`depth_elements` gives the largest per-partition temporary. The
+    stack is first rescaled by :func:`unit_scaled`; nothing outlives the
+    call.
     """
     (s, n, d), p, k = samples.shape, len(orders), len(slices)
     _, (samples,) = unit_scaled(samples)
@@ -497,9 +506,9 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind, orders: np.ndarray, slic
                 _unit_components(sample[start:stop], sample, out=coords)
                 for g, sl in enumerate(slices):
                     for a, b in chunks(p, (sl.stop - sl.start) * (stop - start)):
-                        part = orders[a:b, sl]
-                        sums = np.stack([coord[part].sum(axis=1) for coord in coords])
-                        out[a:b, g, start:stop] = _spatial_from_sums(sums, part.shape[1])
+                        part = orders[a:b, sl].T
+                        sums = np.stack([coord[part].sum(axis=0) for coord in coords])
+                        out[a:b, g, start:stop] = _spatial_from_sums(sums, len(part))
     # row (t, p, g) gathers sample t's depths in the order of partition p
     positions = orders[:, None, :] + n * np.arange(s * p * k).reshape(s, -1, k, 1)
     return depths.reshape(-1)[positions].reshape(-1, k, n)

@@ -938,11 +938,15 @@ _THREE_GROUP_B = ["power", "--scenario", "three_group_b", "--size-rule", "half",
                   "--m-grid", "40", "--reps", "12", "--seed", "3"]
 
 # reports as the engine gave them when it held its samples: spatial depth of
-# one skulls sample under 100 orders, and simulated data sets drawn per group
+# one skulls sample under 100 orders, and simulated data sets drawn per group;
+# and all five epochs (N = 150, two column blocks) as the (P, m, w) gather
+# gave them, before it went reference-major
 _ENGINE_REPORTS = {
     "k_sample_3_epochs_spatial.csv": ["k-sample", *_SKULLS, "--groups", "c3300BC,c200BC,cAD150",
                                       "--stats", "min,product,sum,dbr", "--perms", "99",
                                       "--depth", "spatial", "--seed", "1"],
+    "k_sample_5_epochs_spatial.csv": ["k-sample", *_SKULLS, "--stats", "min,product,sum,dbr",
+                                      "--perms", "99", "--depth", "spatial", "--seed", "1"],
     "two_sample_spatial.csv": ["two-sample", *_SKULLS, "--groups", "c4000BC,cAD150",
                                "--stats", "min,max,dbr,bdbr,energy", "--perms", "99",
                                "--depth", "spatial", "--seed", "2"],

@@ -202,6 +202,10 @@ class TestPooledDepths:
 W = depths._SPATIAL_CHUNK
 
 
+def _bits(values):
+    return np.asarray(values).view(np.int64)
+
+
 class TestSpatialBlocks:
     """Pooled spatial rows walk blocks of W query columns; a lone last
     column is widened, so every block sums in reference order."""
@@ -219,6 +223,21 @@ class TestSpatialBlocks:
         for rows, (sample, order) in zip(got, product(samples, orders)):
             for row, sl in zip(rows, slices):
                 assert np.array_equal(row, depth_values(sample[order], sample[order[sl]], SPATIAL))
+
+    @pytest.mark.parametrize("budget", (1, 1 << 40))
+    @pytest.mark.parametrize("n", (W - 1, W + 1, 2 * W + 1))
+    def test_rows_equal_one_order_tile_rows(self, n, budget, monkeypatch, rng):
+        # the reference-major gathers of one partition (budget 1) or of all
+        # of them (2^40) against each order's tile rows, bit for bit; the
+        # middle group is one row, so its sums hold one term each
+        monkeypatch.setattr(depths, "_CHUNK_ELEMENTS", budget)
+        samples = np.stack([3.0**t * rng.integers(-2, 3, size=(n, 3)) for t in range(2)])
+        slices = group_slices([n // 3, 1, n - n // 3 - 1])
+        orders = np.stack([np.arange(n)] + [rng.permutation(n) for _ in range(4)])
+        stacked = pooled_depths(samples, SPATIAL, orders, slices).reshape(2, len(orders), 3, n)
+        for p in range(len(orders)):
+            got = pooled_depths(samples, SPATIAL, orders[p : p + 1], slices)
+            assert np.array_equal(_bits(got), _bits(stacked[:, p]))
 
     @pytest.mark.parametrize("d", (2, 10))
     def test_duplicated_rows_across_blocks_tie(self, d, rng):
@@ -276,10 +295,6 @@ class TestSpatialBlocks:
 
 
 T = depths._SPATIAL_TILE
-
-
-def _bits(values):
-    return np.asarray(values).view(np.int64)
 
 
 class TestOneOrderTiles:
