@@ -35,7 +35,8 @@ partition and group. Under one order (a simulation chunk, a
 one-off evaluation, a scale curve) spatial depth walks tile rows of the
 samples in partition order and computes each pair's unit vector once:
 u(i -> a) = -u(a -> i) exactly, and every sum still adds its terms in
-reference order. It holds no state between calls.
+reference order. It keeps no state between calls but the one cached
+direction set of the latest projection call.
 The package's two memory rules live here too: :func:`chunks` and
 :func:`require_within_cap`.
 """
@@ -78,8 +79,9 @@ _SPATIAL_TILE = 64
 _CHUNK_ELEMENTS = 1 << 18
 
 # Largest array that no chunk can shrink (160 MB of float64): energy's largest
-# distance block, projection's (N, D) scores, a simulated pooled sample, each
-# statistic's simulated values. Spatial's (d, N, 128) coordinate block has no cap.
+# distance block, projection's (N, D) scores and (D, d) directions, a simulated
+# pooled sample, each statistic's simulated values. Spatial's (d, N, 128)
+# coordinate block has no cap.
 _CACHE_ELEMENT_CAP = 20_000_000
 
 
@@ -317,11 +319,13 @@ def _one_order_spatial(samples: np.ndarray, slices) -> np.ndarray:
     return depths
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _directions(seed: int, count: int, dim: int) -> np.ndarray:
-    """Seeded unit directions, cached and shared by every caller with the
-    same arguments, so the array is read-only: a write raises instead of
-    changing every later projection depth with this seed."""
+    """Seeded unit directions, cached for the latest arguments only: one
+    run draws them once, and a process keeps one set between runs. Every
+    caller until the next draw shares the array, so it is read-only: a
+    write raises instead of changing every later projection depth with
+    this seed."""
     rng = substream(seed, TAG_DIRECTIONS)
     vecs = standard_normals(rng, (count, dim))
     norms = np.sqrt(np.einsum("kd,kd->k", vecs, vecs))
@@ -385,19 +389,20 @@ def projection_outlyingness(
     return outly
 
 
-def require_geometry_within_cap(kind: DepthKind, n: int) -> None:
-    """Refuse what :func:`pooled_depths` builds for a sample of n rows past
-    ``_CACHE_ELEMENT_CAP``: projection's (n, D) direction scores. The other
-    kinds build at most the sample itself, and spatial's block buffer has no
-    cap."""
+def require_geometry_within_cap(kind: DepthKind, n: int, dim: int) -> None:
+    """Refuse what :func:`pooled_depths` builds for a sample of n rows in
+    ``dim`` dimensions past ``_CACHE_ELEMENT_CAP``: projection's (n, D)
+    direction scores and its (D, d) directions. The other kinds build at
+    most the sample itself, and spatial's block buffer has no cap."""
     if kind.kind == "projection":
         count = kind.direction_count
         require_within_cap(n * count, f"projection depth needs {n} x {count} direction scores")
+        require_within_cap(count * dim, f"projection depth needs {count} x {dim} directions")
 
 
 def _projection_directions(kind: DepthKind, n: int, dim: int) -> np.ndarray:
     """The directions of ``kind``, refused before any draw past the cap."""
-    require_geometry_within_cap(kind, n)
+    require_geometry_within_cap(kind, n, dim)
     return _directions(kind.direction_seed, kind.direction_count, dim)
 
 
@@ -472,7 +477,7 @@ def pooled_depths(samples: np.ndarray, kind: DepthKind, orders: np.ndarray, slic
     rows from one (N, D) scores buffer filled once per sample.
     :func:`depth_elements` gives the largest per-partition temporary. The
     stack is first rescaled by :func:`unit_scaled`; nothing outlives the
-    call.
+    call but the cached projection direction set.
     """
     (s, n, d), p, k = samples.shape, len(orders), len(slices)
     _, (samples,) = unit_scaled(samples)

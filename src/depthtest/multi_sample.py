@@ -20,7 +20,7 @@ def _pair_scale(m: int, n: int) -> float:
     return (1.0 / 12.0) * (1.0 / m + 1.0 / n)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _ordered_pairs(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Flat (k * k) positions of the ordered pairs i != j, row-major, and
     the square roots of their variance factors; read-only."""

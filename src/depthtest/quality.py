@@ -62,7 +62,7 @@ class QualityMatrix:
         return len(self.sizes)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _counting_layout(sizes: tuple[int, ...]):
     """The read-only arrays :func:`quality_indices` reuses for one set of
     group sizes: ``flat``, each row i's positions in the flattened (k * N)

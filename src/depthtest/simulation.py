@@ -115,7 +115,7 @@ class ScenarioSpec:
                 f"m_grid entry {m} draws groups of {', '.join(map(str, sizes))} rows, "
                 f"a pooled sample of {sum(sizes)} x {self.dimension}",
             )
-            require_geometry_within_cap(self.depth, sum(sizes))
+            require_geometry_within_cap(self.depth, sum(sizes), self.dimension)
 
     @property
     def group_count(self) -> int:

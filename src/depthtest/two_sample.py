@@ -67,7 +67,8 @@ def _dbr_stack(rank_sums: np.ndarray, sizes) -> np.ndarray:
     return 12.0 / (total * (total + 1.0) * t) * acc - 3.0 * (total + 1.0)
 
 
-@lru_cache(maxsize=64)
+# each evaluation asks for both orders of one pair of sizes
+@lru_cache(maxsize=2)
 def _order_statistic_moments(total: int, own: int, other: int) -> tuple[np.ndarray, np.ndarray]:
     """Null means and variances of the ``own`` ordered ranks among
     ``total``; read-only."""

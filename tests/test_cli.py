@@ -410,6 +410,21 @@ class TestExitCodes:
         assert err.rstrip().endswith(" x 100000000 direction scores, over the cap of 20000000 elements")
         assert "Traceback" not in err
 
+    def test_projection_directions_over_cap_are_data_error(self, tmp_path, capsys):
+        # 8 x 100000 scores fit the cap; 100000 directions in 300 columns do
+        # not, and are refused before any is drawn
+        data = tmp_path / "wide.csv"
+        header = ",".join(["grp", *(f"x{j}" for j in range(300))])
+        rows = [",".join(["ab"[i // 4], *(str((i + 1) * (j + 3) % 11) for j in range(300))])
+                for i in range(8)]
+        data.write_text("\n".join([header, *rows]) + "\n")
+        code = main(["two-sample", "--input", str(data), "--group", "grp", "--stats", "min",
+                     "--depth", "projection", "--directions", "100000"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: projection depth needs 100000 x 300 directions, over the cap of 20000000 elements\n"
+        )
+
     def test_missing_group_column(self, tmp_path):
         data = tmp_path / "two.csv"
         data.write_text("v,grp\n1,a\n2,b\n")

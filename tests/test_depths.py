@@ -414,6 +414,14 @@ class TestProjectionMedians:
             dirs *= 2.0
         assert depths._directions(11, 16, 3) is dirs
 
+    def test_direction_cache_keeps_one_set(self, rng):
+        # a process keeps the latest direction set only, however many runs
+        # at other seeds came before
+        x = rng.normal(size=(6, 2))
+        for seed in range(100):
+            depth_values(x, x, DepthKind("projection", direction_count=4, direction_seed=seed))
+        assert depths._directions.cache_info().currsize <= 1
+
 
 STRIP = depths._CHUNK_ELEMENTS // 500  # query rows per outlyingness strip at D = 500
 
@@ -643,6 +651,21 @@ class TestErrors:
         kind = DepthKind("projection", direction_count=100_000_000)
         x, y = rng.normal(size=(30, 4)), rng.normal(size=(30, 4))
         message = "projection depth needs 60 x 100000000 direction scores, over the cap of 20000000 elements"
+        with pytest.raises(SizeLimit) as info:
+            evaluate_statistics([x, y], ("min", "dbr"), kind)
+        assert str(info.value) == message
+        with pytest.raises(SizeLimit) as info:
+            depth_values(x, np.vstack([x, y]), kind)
+        assert str(info.value) == message
+
+    def test_projection_directions_over_cap_refused(self, monkeypatch, rng):
+        # 8 x 1000 scores fit a cap of 10,000, but 1000 x 60 directions do
+        # not; the refusal comes before any direction is drawn
+        monkeypatch.setattr(depths, "_CACHE_ELEMENT_CAP", 10_000)
+        monkeypatch.setattr(depths, "_directions", None)
+        kind = DepthKind("projection", direction_count=1000)
+        x, y = rng.normal(size=(4, 60)), rng.normal(size=(4, 60))
+        message = "projection depth needs 1000 x 60 directions, over the cap of 10000 elements"
         with pytest.raises(SizeLimit) as info:
             evaluate_statistics([x, y], ("min", "dbr"), kind)
         assert str(info.value) == message

@@ -9,7 +9,7 @@ from depthtest import (
     quality_brute_oracle,
     sample_scenario,
 )
-from depthtest.quality import quality_indices
+from depthtest.quality import _counting_layout, quality_indices
 
 MAHAL = DepthKind("mahalanobis")
 SPATIAL = DepthKind("spatial")
@@ -67,6 +67,13 @@ def test_oracle_equivalence_spot(any_kind, rng):
         fast = quality(x, y, any_kind)
         slow = quality_brute_oracle(x, y, any_kind)
         assert fast == slow
+
+
+def test_counting_layout_cache_keeps_one_layout(rng):
+    # a process keeps the layout of the latest group sizes only
+    for m in range(2, 102):
+        quality(rng.normal(size=(m, 1)), rng.normal(size=(3, 1)), SPATIAL)
+    assert _counting_layout.cache_info().currsize <= 1
 
 
 def test_oracle_cap():

@@ -21,9 +21,12 @@ from depthtest import (
     type1_quantiles,
 )
 from depthtest.calibration import _StatisticEngine, _element_counts
+from depthtest.multi_sample import _ordered_pairs
+from depthtest.quality import _counting_layout
 from depthtest.rng import TAG_NULL_CALIBRATION, TAG_SCENARIO, standard_normals, substream
 from depthtest.samples import group_slices
 from depthtest.simulation import SCENARIOS, group_sizes
+from depthtest.two_sample import _order_statistic_moments
 
 MAHAL = DepthKind("mahalanobis")
 KINDS = (MAHAL, DepthKind("spatial"), DepthKind("projection", direction_count=64, direction_seed=3))
@@ -221,6 +224,18 @@ class TestPower:
         b = power_table(spec, ("min", "sum"))
         assert a.rates == b.rates
         assert a.asymptotic_min == b.asymptotic_min
+
+    def test_run_builds_each_cached_array_once(self):
+        # every cached array is built once per run or grid point, then reused:
+        # one direction set, and per grid point one layout and one pair table,
+        # and bdbr's moments for both orders of the two unequal groups
+        spec = _spec(scenario="scale_shift", m_grid=(20, 24), size_rule="half",
+                     depth=DepthKind("projection", direction_count=16), replications=4)
+        caches = (depths._directions, _counting_layout, _ordered_pairs, _order_statistic_moments)
+        for cache in caches:
+            cache.cache_clear()
+        power_table(spec, ("min", "bdbr"))
+        assert [cache.cache_info().misses for cache in caches] == [1, 2, 2, 4]
 
     def test_unknown_statistic_rejected(self):
         with pytest.raises(UnknownStatistic):

@@ -16,8 +16,9 @@ from depthtest import (
 )
 from depthtest.calibration import STATISTICS, _StatisticEngine
 from depthtest.depths import depth_values
+from depthtest.multi_sample import _ordered_pairs
 from depthtest.quality import quality_indices
-from depthtest.two_sample import MANOVA_KINDS
+from depthtest.two_sample import MANOVA_KINDS, _order_statistic_moments
 
 from oracles import (
     brute_bdbr,
@@ -183,6 +184,15 @@ class TestModifiedRank:
             assert _statistic("bdbr", x, y, any_kind) == pytest.approx(
                 brute_bdbr(rows[0], rows[1], n1, n2), rel=1e-12
             )
+
+    def test_size_keyed_caches_keep_one_run(self, rng):
+        # a process keeps the pair table of the latest sizes and bdbr's
+        # moments for both orders of them, however many sizes came before
+        for m in range(3, 103):
+            groups = [rng.normal(size=(m, 1)), rng.normal(size=(3, 1))]
+            evaluate_statistics(groups, ("min", "bdbr"), MAHAL)
+        assert _ordered_pairs.cache_info().currsize <= 1
+        assert _order_statistic_moments.cache_info().currsize <= 2
 
 
 class TestAffineInvariance:
